@@ -25,7 +25,7 @@ from .core import (
     Variable,
     constants_of,
 )
-from .hom import isomorphic
+from .hom import iso_invariant, isomorphic
 
 
 class UnpackError(ValueError):
@@ -118,6 +118,19 @@ def _assignments(variables: list, constants: list):
     yield from rec(0, 0, [])
 
 
+def _is_new(sig: frozenset, seen: dict) -> bool:
+    """Record sig in seen unless an isomorphic atom set is already there.
+
+    seen buckets the recorded sets by `iso_invariant`, so `isomorphic` only
+    runs against sets that agree on it.
+    """
+    bucket = seen.setdefault(iso_invariant(sig), [])
+    if any(isomorphic(sig, other) for other in bucket):
+        return False
+    bucket.append(sig)
+    return True
+
+
 def _tagged_atoms(rule: Rule) -> frozenset:
     # the space in the predicate name cannot clash with parsed predicates
     head = Atom(rule.head.pred + " head", rule.head.args, rule.head.shape)
@@ -139,15 +152,9 @@ def enumerate_safe_patterns(rule: Rule, consts: Iterable[Constant]) -> tuple:
     """
     order = _first_occurrence_vars(rule.body)
     constants = sorted(set(consts))
-    kept = []
-    signatures = []
-    for pattern in _assignments(order, constants):
-        sig = _tagged_atoms(rewrite_rule(rule, pattern))
-        if any(isomorphic(sig, other) for other in signatures):
-            continue
-        signatures.append(sig)
-        kept.append(pattern)
-    return tuple(kept)
+    seen: dict = {}
+    return tuple(pattern for pattern in _assignments(order, constants)
+                 if _is_new(_tagged_atoms(rewrite_rule(rule, pattern)), seen))
 
 
 def rewrite_database(db: Database) -> Database:
@@ -176,16 +183,13 @@ def rewrite_query(q: Query, consts: Iterable[Constant]) -> Query:
     """Expand each disjunct over all equality patterns of its variables."""
     constants = sorted(set(consts))
     disjuncts = []
-    signatures = []
+    seen: dict = {}
     for disjunct in q.disjuncts:
         order = _first_occurrence_vars(disjunct)
         for pattern in _assignments(order, constants):
             atoms = _dedup(canonical_atom(pattern.apply(a)) for a in disjunct)
-            sig = frozenset(atoms)
-            if any(isomorphic(sig, other) for other in signatures):
-                continue
-            signatures.append(sig)
-            disjuncts.append(atoms)
+            if _is_new(frozenset(atoms), seen):
+                disjuncts.append(atoms)
     return Query(tuple(disjuncts))
 
 

@@ -25,6 +25,18 @@ from .parse import (
 )
 
 
+class _UsageError(Exception):
+    """A flag value the library rejects; reported like a parse error."""
+
+
+def _checked(make, *args):
+    """make(*args), with a rejected flag value turned into a usage error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _read_program(path: str):
     with open(path) as fh:
         return parse_program(fh.read())
@@ -55,7 +67,7 @@ def _cmd_classify(args) -> int:
 def _cmd_chase(args) -> int:
     program = _read_program(args.file)
     mode = RESTRICTED if args.restricted else OBLIVIOUS
-    cfg = ChaseConfig(mode, args.max_atoms, args.max_rounds)
+    cfg = _checked(ChaseConfig, mode, args.max_atoms, args.max_rounds)
     result = run_chase(program.database, program.ontology, cfg)
     payload = {
         "terminated": result.terminated,
@@ -76,7 +88,7 @@ def _cmd_answer(args) -> int:
         print("error: no queries in input", file=sys.stderr)
         return 2
     mode = RESTRICTED if args.restricted else OBLIVIOUS
-    cfg = ChaseConfig(mode, args.max_atoms, args.max_rounds)
+    cfg = _checked(ChaseConfig, mode, args.max_atoms, args.max_rounds)
     payload = []
     lines = []
     for q in program.queries:
@@ -118,7 +130,7 @@ def _cmd_fc_check(args) -> int:
     if not program.queries:
         print("error: no queries in input", file=sys.stderr)
         return 2
-    budget = ModelBudget(args.max_nulls, args.max_atoms)
+    budget = _checked(ModelBudget, args.max_nulls, args.max_atoms)
     index = args.query
     if index < 1 or index > len(program.queries):
         print(f"error: query index {index} out of range", file=sys.stderr)
@@ -210,7 +222,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

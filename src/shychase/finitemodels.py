@@ -7,7 +7,7 @@ theory into one of the full theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -24,7 +24,8 @@ from .core import (
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
-from .hom import apply_mapping, find_homomorphism, homomorphisms, isomorphic, satisfies_query, _match
+from .hom import (_index, _match, _search, apply_mapping, find_homomorphism, homomorphisms,
+                  satisfies_query)
 
 
 @dataclass(frozen=True)
@@ -39,17 +40,23 @@ class ModelBudget:
             raise ValueError("max_atoms must be positive")
 
 
+def _violations(rule: Rule, idx: dict) -> Iterator[dict]:
+    """Body matches of rule in the indexed instance with no head extension."""
+    for h in _search(list(rule.body), {}, idx):
+        if next(_search([rule.head], h, idx), None) is None:
+            yield h
+
+
 def is_model(inst: Instance, db: Database, onto: Ontology):
     """(True, None) if inst contains db and satisfies every rule, else
     (False, violation); violation is (None, missing db atom) or (rule, body map)."""
     for a in sorted(db, key=Atom.sort_key):
         if a not in inst:
             return False, (None, a)
+    idx = _index(inst)
     for rule in sorted(onto, key=lambda r: r.id):
-        for h in homomorphisms(rule.body, inst):
-            seed = {v: h[v] for v in rule.uv if v in h}
-            if find_homomorphism([rule.head], inst, seed) is None:
-                return False, (rule, h)
+        for h in _violations(rule, idx):
+            return False, (rule, h)
     return True, None
 
 
@@ -155,25 +162,19 @@ def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optiona
     return core
 
 
+def _mapping_key(h: dict):
+    return sorted((k.name, term_key(v)) for k, v in h.items())
+
+
 def _first_violation(atoms: frozenset, onto: Ontology):
-    inst = Instance(atoms)
+    """(rule, body map) of the first rule, by id, that the atoms violate,
+    with its least violating body map under `_mapping_key`; or None."""
+    idx = _index(atoms)
     for rule in sorted(onto, key=lambda r: r.id):
-        for h in sorted(homomorphisms(rule.body, inst),
-                        key=lambda m: sorted((k.name, term_key(v)) for k, v in m.items())):
-            seed = {v: h[v] for v in rule.uv if v in h}
-            if find_homomorphism([rule.head], inst, seed) is None:
-                return rule, h
+        h = min(_violations(rule, idx), key=_mapping_key, default=None)
+        if h is not None:
+            return rule, h
     return None
-
-
-def _is_minimal(atoms: frozenset, db_atoms: frozenset, onto: Ontology) -> bool:
-    extra = sorted(atoms - db_atoms, key=Atom.sort_key)
-    for size in range(len(extra)):
-        for subset in combinations(extra, size):
-            candidate = Instance(db_atoms | frozenset(subset))
-            if is_model(candidate, Database(db_atoms), onto)[0]:
-                return False
-    return True
 
 
 def _state_key(atoms: frozenset) -> tuple:
@@ -192,61 +193,147 @@ def _state_key(atoms: frozenset) -> tuple:
     return best if best is not None else tuple(sorted(a.sort_key() for a in atoms))
 
 
-def enumerate_finite_models(db: Database, onto: Ontology, budget: ModelBudget) -> Iterator[Instance]:
-    """All subset-minimal finite models within the budget, smallest first.
+def _ev_values(k: int, pool: list, fresh: list, drawn: int = 0) -> Iterator[tuple]:
+    """Values for k existential variables, in search order, with the count
+    of fresh nulls drawn.  Each value is a term of pool, a fresh null an
+    earlier variable drew, or the next one, fresh[drawn], while any is left."""
+    if k == 0:
+        yield (), drawn
+        return
+    for t in pool + fresh[:drawn + 1]:
+        more = drawn + 1 if drawn < len(fresh) and t == fresh[drawn] else drawn
+        for rest, total in _ev_values(k - 1, pool, fresh, more):
+            yield (t, *rest), total
+
+
+def _repairs(atoms: frozenset, fresh_used: int, violation, consts: list,
+             fresh_pool: list) -> Iterator[tuple]:
+    """(state, fresh nulls in use) for each way to add the violated rule's
+    head: its existential variables range over the current terms, the known
+    constants and the unused fresh nulls (`_ev_values`)."""
+    rule, h = violation
+    terms = sorted({t for a in atoms for t in a.args}, key=term_key)
+    pool = terms + [c for c in consts if c not in terms]
+    evs = sorted(rule.ev)
+    for values, drawn in _ev_values(len(evs), pool, fresh_pool[fresh_used:]):
+        mapping = {**h, **dict(zip(evs, values))}
+        yield atoms | {apply_mapping(mapping, rule.head)}, fresh_used + drawn
+
+
+def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
+    """Every model the bounded repair search reaches, one per isomorphism
+    class, in discovery order.
 
     Depth-first repair of the first rule violation, branching on every
     assignment of the existential variables over the current terms, the
-    known constants, and at most max_extra_nulls fresh nulls.  Complete
-    only within the budget.  Results are collected before emission so the
-    order is deterministic.
+    known constants, the fresh nulls already drawn by earlier variables of
+    the same assignment, and one further fresh null while fewer than
+    max_extra_nulls are in use.  States are deduplicated up to null
+    renaming; a state with more than max_atoms atoms is dropped.
     """
     consts = sorted(constants_of(db, onto))
     base_ids = [t.id for a in db for t in a.args if isinstance(t, Null)]
     next_id = max(base_ids, default=0) + 1
     fresh_pool = [Null(next_id + i) for i in range(budget.max_extra_nulls)]
-    db_atoms = frozenset(db.atoms)
 
-    found: dict = {}
+    found: list = []
     seen_states: set = set()
-
-    def visit(atoms: frozenset, fresh_used: int):
+    # one iterator of successor states per open state, innermost last
+    stack = [iter([(frozenset(db.atoms), 0)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        atoms, fresh_used = state
         if len(atoms) > budget.max_atoms:
-            return
+            continue
         key = _state_key(atoms)
         if key in seen_states:
-            return
+            continue
         seen_states.add(key)
         violation = _first_violation(atoms, onto)
         if violation is None:
-            found.setdefault(key, atoms)
-            return
-        rule, h = violation
-        terms = sorted({t for a in atoms for t in a.args}, key=term_key)
-        pool = terms + [c for c in consts if c not in terms]
-        evs = sorted(rule.ev)
+            found.append(atoms)
+        else:
+            stack.append(_repairs(atoms, fresh_used, violation, consts, fresh_pool))
+    return found
 
-        def assign(i, mapping, used):
-            if i == len(evs):
-                atom = apply_mapping(mapping, rule.head)
-                yield atoms | {atom}, used
-                return
-            options = list(pool)
-            if used < budget.max_extra_nulls:
-                options.append(fresh_pool[used])
-            for t in options:
-                mapping[evs[i]] = t
-                bump = 1 if used < budget.max_extra_nulls and t == fresh_pool[used] else 0
-                yield from assign(i + 1, mapping, used + bump)
-            del mapping[evs[i]]
 
-        for state, used in assign(0, dict(h), fresh_used):
-            visit(state, used)
+def _null_profile(atoms: frozenset) -> tuple:
+    """(null-free atoms, atoms with a null, those atoms with nulls blanked)."""
+    with_nulls = [a for a in atoms if any(isinstance(t, Null) for t in a.args)]
+    blanked = frozenset((a.pred_key, tuple(None if isinstance(t, Null) else t for t in a.args))
+                        for a in with_nulls)
+    return atoms.difference(with_nulls), with_nulls, blanked
 
-    visit(db_atoms, 0)
-    minimal = [m for m in found.values() if _is_minimal(m, db_atoms, onto)]
-    minimal.sort(key=lambda m: (len(m), sorted(a.sort_key() for a in m)))
-    for atoms in minimal:
+
+def _embeds(small: tuple, big: tuple, idx: dict) -> bool:
+    """True iff some map that fixes constants and sends nulls injectively
+    to nulls carries one atom set into another.  Both are given by
+    `_null_profile`, and `idx` indexes the second.  Such a map keeps
+    null-free atoms and the blanked form of the others, so only the atoms
+    with a null are searched, and only when those forms are contained."""
+    null_free, with_nulls, blanked = small
+    if not (null_free <= big[0] and blanked <= big[2]):
+        return False
+    for h in _search(with_nulls, {}, idx):
+        images = list(h.values())
+        if all(isinstance(t, Null) for t in images) and len(set(images)) == len(images):
+            return True
+    return False
+
+
+def _minimal_by_embedding(models: list) -> list:
+    """The subset-minimal models among the found ones, smallest first.
+
+    A found model M is minimal iff no smaller found model embeds into it
+    (`_embeds`).  If F embeds into M, its image is a model (a renaming of
+    nulls preserves modelhood, and the database is null-free) and a proper
+    subset of M.  Conversely, let S be a model with db <= S < M.  S has at
+    most as many atoms and nulls as M, hence fits the budget, and its
+    constants are M's.  Start from the database, which embeds into S.
+    Whenever a search state X embeds into S by e and violates a rule
+    under h, S satisfies the rule under e.h, say with values t for the
+    existential variables.  Each t is a constant, the image of a term of
+    X, a null of S already chosen by an earlier variable, or a null of S
+    outside e(X); `_found_models` offers the matching option (a constant,
+    that term, the fresh null drawn for it, the next fresh null), and e
+    extends to the new state.  The new atom's image is in S and not in
+    e(X), since X violates the rule, so states grow inside the budget
+    until one is a model A with A embedded in S.  A state skipped as a
+    renaming of a visited one embeds into S as well, so the argument runs
+    on from the visited copy.  Hence some found model of at most |S|
+    atoms embeds into M.  Embeddings compose, so it suffices to test the
+    minimal models found so far.
+    """
+    ordered = sorted(models, key=lambda m: (len(m), sorted(a.sort_key() for a in m)))
+    minimal: list = []
+    profiles: list = []
+    smaller = 0  # minimal models with fewer atoms than m
+    for m in ordered:
+        while smaller < len(minimal) and len(minimal[smaller]) < len(m):
+            smaller += 1
+        profile = _null_profile(m)
+        idx = _index(profile[1])
+        if not any(_embeds(f, profile, idx) for f in profiles[:smaller]):
+            minimal.append(m)
+            profiles.append(profile)
+    return minimal
+
+
+def enumerate_finite_models(db: Database, onto: Ontology, budget: ModelBudget) -> Iterator[Instance]:
+    """All subset-minimal finite models within the budget, smallest first,
+    one per isomorphism class.
+
+    Complete within the budget: every minimal model with at most
+    max_atoms atoms and max_extra_nulls nulls, whose constants all occur
+    in the database or the ontology, is yielded up to null renaming (see
+    `_minimal_by_embedding` for the argument).  Models beyond the budget
+    are never seen.  Results are collected before emission so the order
+    is deterministic.
+    """
+    for atoms in _minimal_by_embedding(_found_models(db, onto, budget)):
         yield Instance(atoms)
 
 
@@ -255,8 +342,11 @@ def find_finite_countermodel(db: Database, onto: Ontology, q: Query,
     """First minimal finite model within budget that does not satisfy q.
 
     Sound for any budget: a reported instance really is a countermodel.
-    If some finite model avoids q, so does any of its minimal submodels,
-    hence searching minimal models loses nothing within the budget.
+    Complete within the budget: if some finite model avoids q, so does
+    each of its minimal submodels, and `enumerate_finite_models` yields
+    every minimal model of at most max_atoms atoms and max_extra_nulls
+    nulls.  None therefore means that no countermodel fits the budget,
+    not that none exists.
     """
     for model in enumerate_finite_models(db, onto, budget):
         if satisfies_query(model, q) is None:

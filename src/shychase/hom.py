@@ -48,43 +48,42 @@ def _match(src: Atom, tgt: Atom, mapping: dict) -> Optional[dict]:
     return dict(ext) if ext is mapping else ext
 
 
-def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:
-    """All homomorphisms from the atom set `src` into `target` extending `seed`.
+def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
+    """Homomorphisms of the atoms `remaining` into the instance indexed by
+    `idx` (see `_index`) extending `mapping`.
 
-    Backtracking search, most-constrained-atom-first over a predicate index;
-    candidate order is lexicographic so enumeration is deterministic.
+    Backtracking search, most-constrained-atom-first; candidate order is
+    the index order, so enumeration is deterministic.  Callers that search
+    one instance many times build its index once and call this directly.
     """
-    if isinstance(target, Instance):
-        target = target.atoms
-    src = list(src)
-    idx = _index(target)
-    seed = dict(seed) if seed else {}
-
-    def candidates(atom, mapping):
-        out = []
+    if not remaining:
+        yield mapping
+        return
+    # pick the atom with the fewest extensions under the current mapping
+    best_i, best_exts = None, None
+    for i, atom in enumerate(remaining):
+        exts = []
         for tgt in idx.get((atom.pred_key, atom.arity), ()):
             ext = _match(atom, tgt, mapping)
             if ext is not None:
-                out.append(ext)
-        return out
+                exts.append(ext)
+        if best_exts is None or len(exts) < len(best_exts):
+            best_i, best_exts = i, exts
+            if not exts:
+                return
+    rest = remaining[:best_i] + remaining[best_i + 1:]
+    for ext in best_exts:
+        yield from _search(rest, ext, idx)
 
-    def search(remaining, mapping):
-        if not remaining:
-            yield mapping
-            return
-        # pick the atom with the fewest extensions under the current mapping
-        best_i, best_exts = None, None
-        for i, atom in enumerate(remaining):
-            exts = candidates(atom, mapping)
-            if best_exts is None or len(exts) < len(best_exts):
-                best_i, best_exts = i, exts
-                if not exts:
-                    return
-        rest = remaining[:best_i] + remaining[best_i + 1:]
-        for ext in best_exts:
-            yield from search(rest, ext)
 
-    yield from search(src, seed)
+def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:
+    """All homomorphisms from the atom set `src` into `target` extending `seed`.
+
+    Indexes `target` by predicate, in lexicographic order, and runs `_search`.
+    """
+    if isinstance(target, Instance):
+        target = target.atoms
+    yield from _search(list(src), dict(seed) if seed else {}, _index(target))
 
 
 def find_homomorphism(src, target, seed: Optional[dict] = None) -> Optional[dict]:
@@ -149,6 +148,12 @@ def _joint_colors(a: set, b: set):
     return ca, cb
 
 
+def iso_invariant(atoms) -> tuple:
+    """Sorted (predicate, shape) multiset of an atom set: equal for any two
+    sets that are isomorphic modulo null and variable renaming."""
+    return tuple(sorted(x.sort_key()[:2] for x in atoms))
+
+
 def isomorphic(a, b) -> bool:
     """True iff a bijective renaming of nulls/variables maps atom set a onto b."""
     if isinstance(a, Instance):
@@ -156,11 +161,7 @@ def isomorphic(a, b) -> bool:
     if isinstance(b, Instance):
         b = b.atoms
     a, b = set(a), set(b)
-    if len(a) != len(b):
-        return False
-    sig_a = sorted(x.sort_key()[:2] for x in a)
-    sig_b = sorted(x.sort_key()[:2] for x in b)
-    if sig_a != sig_b:
+    if len(a) != len(b) or iso_invariant(a) != iso_invariant(b):
         return False
 
     color_a, color_b = _joint_colors(a, b)

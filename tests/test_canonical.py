@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from shychase.canonical import (
     SubstitutionPattern,
     UnpackError,
+    _assignments,
+    _first_occurrence_vars,
+    _tagged_atoms,
     canonical_atom,
     enumerate_safe_patterns,
     partition_active_harmless,
@@ -18,6 +21,7 @@ from shychase.canonical import (
     unpack_atom,
 )
 from shychase.core import Atom, Constant, Instance, Null, Variable, constants_of
+from shychase.generate import default_config, random_program
 from shychase.harness import _rule_signature, load_paper_program
 from shychase.hom import isomorphic
 from shychase.parse import parse_program, parse_query
@@ -120,6 +124,28 @@ def test_wide_head_substitution_golden():
     ).ontology.rules[0]
     variants = [rewrite_rule(rule, p) for p in enumerate_safe_patterns(rule, consts)]
     assert any(isomorphic(_rule_signature(v), _rule_signature(want)) for v in variants)
+
+
+def _patterns_by_pairwise_dedupe(rule, consts) -> tuple:
+    """Oracle: keep a pattern unless its instantiation is isomorphic to any
+    kept one, testing every earlier instantiation."""
+    kept, signatures = [], []
+    for pattern in _assignments(_first_occurrence_vars(rule.body), sorted(set(consts))):
+        sig = _tagged_atoms(rewrite_rule(rule, pattern))
+        if not any(isomorphic(sig, other) for other in signatures):
+            signatures.append(sig)
+            kept.append(pattern)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bucketed_pattern_dedupe_matches_pairwise(seed):
+    """[DERIVED] Bucketing by the isomorphism invariant keeps exactly the
+    patterns, in the same order, that the all-pairs scan keeps."""
+    program = random_program(seed, default_config())
+    consts = sorted(constants_of(program.database, program.ontology))
+    for rule in program.ontology:
+        assert enumerate_safe_patterns(rule, consts) == _patterns_by_pairwise_dedupe(rule, consts)
 
 
 def test_rewrite_drops_tautological_variants():

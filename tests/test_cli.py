@@ -93,6 +93,20 @@ def test_fc_check_finds_countermodel(tmp_path, capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("chase", "--max-atoms", "0"),
+    ("answer", "--max-rounds", "0"),
+    ("fc-check", "--max-nulls", "-1"),
+    ("fc-check", "--max-atoms", "0"),
+])
+def test_rejected_bound_exits_2(father_file, capsys, argv):
+    command, *flags = argv
+    code, out, err = run(capsys, command, father_file, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.dlp"
     path.write_text("p(c")
