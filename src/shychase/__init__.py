@@ -23,6 +23,7 @@ from .chase import (
     ChaseResult,
     Entailment,
     Verdict,
+    entailment_in,
     entails,
     run_chase,
 )
@@ -59,7 +60,7 @@ __all__ = [
     "NullFactory", "OBLIVIOUS", "Ontology", "ParseError", "Program", "Query",
     "RESTRICTED", "Rule", "StartingPoint", "SubstitutionPattern", "UnpackError",
     "Variable", "Verdict", "ViolationWitness", "classify", "disjoin_repair",
-    "entails", "enumerate_finite_models", "enumerate_safe_patterns",
+    "entailment_in", "entails", "enumerate_finite_models", "enumerate_safe_patterns",
     "find_finite_countermodel", "find_homomorphism", "find_support_ordering",
     "homomorphisms", "is_model", "is_shy", "isomorphic",
     "partition_active_harmless", "parse_program", "print_program",

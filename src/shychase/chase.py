@@ -148,7 +148,12 @@ class Entailment:
 
 def entails(db: Database, onto: Ontology, q: Query, cfg: ChaseConfig) -> Entailment:
     """Three-valued entailment: True with witness, False only on a finished chase."""
-    result = run_chase(db, onto, cfg)
+    return entailment_in(run_chase(db, onto, cfg), q)
+
+
+def entailment_in(result: ChaseResult, q: Query) -> Entailment:
+    """The verdict of `entails` for q, read off a chase already run; one
+    chase thus answers any number of queries."""
     w = satisfies_query(result.instance, q)
     if w is not None:
         return Entailment(Verdict.TRUE, w, result)

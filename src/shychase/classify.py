@@ -8,6 +8,7 @@ behind shyness.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -172,9 +173,9 @@ def _find_path(adj, start, goal):
     if start == goal:
         return []
     seen = {start}
-    frontier = [(start, [])]
+    frontier = deque([(start, [])])
     while frontier:
-        node, path = frontier.pop(0)
+        node, path = frontier.popleft()
         for nxt, lbl in adj.get(node, ()):
             if nxt in seen:
                 continue

@@ -10,7 +10,7 @@ import json
 import sys
 
 from .canonical import partition_active_harmless, rewrite_theory
-from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, entails, run_chase
+from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, entailment_in, run_chase
 from .classify import classify
 from .finitemodels import ModelBudget, find_finite_countermodel, find_support_ordering
 from .harness import SUITES, run_suite
@@ -89,10 +89,11 @@ def _cmd_answer(args) -> int:
         return 2
     mode = RESTRICTED if args.restricted else OBLIVIOUS
     cfg = _checked(ChaseConfig, mode, args.max_atoms, args.max_rounds)
+    chase = run_chase(program.database, program.ontology, cfg)
     payload = []
     lines = []
     for q in program.queries:
-        result = entails(program.database, program.ontology, q, cfg)
+        result = entailment_in(chase, q)
         payload.append({"query": print_query(q), "verdict": result.verdict.value})
         lines.append(f"{print_query(q)}  => {result.verdict.value}")
     _emit(payload, args.json, "\n".join(lines))

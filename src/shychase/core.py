@@ -127,11 +127,6 @@ class Rule:
         return (*self.body, self.head)
 
 
-def variables_of(rule: Rule):
-    """Partition a rule's variables into (universal, existential)."""
-    return set(rule.uv), set(rule.ev)
-
-
 @dataclass(frozen=True)
 class Ontology:
     rules: tuple = ()

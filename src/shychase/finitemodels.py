@@ -7,7 +7,7 @@ theory into one of the full theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -40,9 +40,10 @@ class ModelBudget:
             raise ValueError("max_atoms must be positive")
 
 
-def _violations(rule: Rule, idx: dict) -> Iterator[dict]:
-    """Body matches of rule in the indexed instance with no head extension."""
-    for h in _search(list(rule.body), {}, idx):
+def _violations(rule: Rule, idx: dict, body: tuple, seed: dict) -> Iterator[dict]:
+    """Maps of the rule's body atoms `body` into the indexed instance that
+    extend seed and have no head extension."""
+    for h in _search(body, seed, idx):
         if next(_search([rule.head], h, idx), None) is None:
             yield h
 
@@ -55,7 +56,7 @@ def is_model(inst: Instance, db: Database, onto: Ontology):
             return False, (None, a)
     idx = _index(inst)
     for rule in sorted(onto, key=lambda r: r.id):
-        for h in _violations(rule, idx):
+        for h in _violations(rule, idx, rule.body, {}):
             return False, (rule, h)
     return True, None
 
@@ -162,35 +163,134 @@ def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optiona
     return core
 
 
-def _mapping_key(h: dict):
-    return sorted((k.name, term_key(v)) for k, v in h.items())
+def _mapping_key(h: dict) -> tuple:
+    return tuple(sorted((k.name, term_key(v)) for k, v in h.items()))
 
 
-def _first_violation(atoms: frozenset, onto: Ontology):
-    """(rule, body map) of the first rule, by id, that the atoms violate,
-    with its least violating body map under `_mapping_key`; or None."""
-    idx = _index(atoms)
-    for rule in sorted(onto, key=lambda r: r.id):
-        h = min(_violations(rule, idx), key=_mapping_key, default=None)
-        if h is not None:
-            return rule, h
+def _key(a: Atom) -> tuple:
+    return a.pred_key, a.arity
+
+
+def _keyed_rules(onto: Ontology) -> list:
+    """The rules by id, each as (rule, `_key` of its head, of its body
+    atoms, its existential variables sorted)."""
+    return [(r, _key(r.head), tuple(map(_key, r.body)), sorted(r.ev))
+            for r in sorted(onto, key=lambda r: r.id)]
+
+
+def _add_atom(idx: dict, table: tuple, rules: list, a: Atom) -> tuple:
+    """(index, violation table) of an instance plus an atom a it lacks,
+    derived from the instance's own; neither input is changed.
+
+    The index maps `_key` to atoms, in no particular order.  The table
+    holds one dict per rule of `rules` (see `_keyed_rules`), from
+    `_mapping_key` to body map, of the rule's violations.  A violation
+    stays unless the rule's head maps onto a.  The new ones are the body
+    matches that use a: each body atom that matches a seeds a search of
+    the rest of the body.
+    """
+    pk = _key(a)
+    idx = {**idx, pk: [*idx.get(pk, ()), a]}
+    out = []
+    for (rule, head_key, body_keys, _), viols in zip(rules, table):
+        if viols and head_key == pk:
+            viols = {k: h for k, h in viols.items() if _match(rule.head, a, h) is None}
+        if pk in body_keys:
+            for i, b in enumerate(rule.body):
+                seed = _match(b, a, {}) if body_keys[i] == pk else None
+                if seed is None:
+                    continue
+                rest = rule.body[:i] + rule.body[i + 1:]
+                new = {_mapping_key(h): h for h in _violations(rule, idx, rest, seed)}
+                if new:
+                    viols = {**viols, **new}
+        out.append(viols)
+    return idx, tuple(out)
+
+
+def _extend(idx: dict, table: tuple, rules: list, atoms: Iterable[Atom]) -> tuple:
+    """`_add_atom` for each of atoms in turn."""
+    for a in atoms:
+        idx, table = _add_atom(idx, table, rules, a)
+    return idx, table
+
+
+def _least_violation(rules: list, table: tuple):
+    """(entry of `rules`, body map) of the first rule with a violation in
+    the table, with its least body map under `_mapping_key`; or None."""
+    for entry, viols in zip(rules, table):
+        if viols:
+            return entry, viols[min(viols)]
     return None
 
 
-def _state_key(atoms: frozenset) -> tuple:
-    """Canonical hashable key for an atom set, invariant under null renaming.
+def _first_violation(atoms: Iterable[Atom], onto: Ontology):
+    """(rule, body map) of the first rule, by id, that the atoms violate,
+    with its least violating body map under `_mapping_key`; or None."""
+    rules = _keyed_rules(onto)
+    _, table = _extend({}, ({},) * len(rules), rules, atoms)
+    violation = _least_violation(rules, table)
+    return None if violation is None else (violation[0][0], violation[1])
 
-    Exhausts null permutations, so it is only used when few nulls occur.
+
+def _atom_code(a: Atom, codes: dict):
+    """a as a tuple of integers, or False if a is null-free.
+
+    `codes` interns predicates and terms as integers and caches each atom's
+    result.  The tuple holds the predicate's number, then per argument 2i
+    for a constant numbered i and -3 - i for a null numbered i.
     """
-    nulls = sorted({t for a in atoms for t in a.args if isinstance(t, Null)},
-                   key=term_key)
+    code = codes.get(a)
+    if code is None:
+        code = False
+        if any(isinstance(t, Null) for t in a.args):
+            code = (codes.setdefault(a.pred_key, len(codes)),
+                    *(-3 - codes.setdefault(t, len(codes)) if isinstance(t, Null)
+                      else 2 * codes.setdefault(t, len(codes)) for t in a.args))
+        codes[a] = code
+    return code
+
+
+def _split(atoms: Iterable[Atom], codes: dict) -> tuple:
+    """(null-free atoms, codes of the others); see `_atom_code`."""
+    plain, coded = [], []
+    for a in atoms:
+        code = _atom_code(a, codes)
+        if code:
+            coded.append(code)
+        else:
+            plain.append(a)
+    return plain, coded
+
+
+def _canonical_key(plain: frozenset, coded: tuple) -> tuple:
+    """Canonical key of an atom set given by `_split`: two sets get equal
+    keys exactly when a bijective renaming of nulls carries one onto the
+    other, provided both were coded with the same `codes`.
+
+    The null-free atoms go in as they are.  The others go in as the sorted
+    tuple of their codes with the nulls numbered 1, 3, 5, ... (constants
+    are even), minimised over the numberings of the nulls.  Only
+    numberings that number the nulls class by class are tried: a class
+    holds the nulls with one signature (the codes of the atoms that hold
+    the null, with it as -1 and other nulls as -2), and classes go in
+    signature order.  A renaming keeps signatures, so isomorphic sets try
+    the same candidates.
+    """
+    nulls = {t for code in coded for t in code if t < -2}
+    classes: dict = {}
+    for n in nulls:
+        sig = () if len(nulls) == 1 else tuple(sorted(
+            tuple(-1 if t == n else -2 if t < -2 else t for t in code)
+            for code in coded if n in code))
+        classes.setdefault(sig, []).append(n)
     best = None
-    for perm in permutations(range(1, len(nulls) + 1)):
-        ren = dict(zip(nulls, (Null(i) for i in perm)))
-        key = tuple(sorted(apply_mapping(ren, a).sort_key() for a in atoms))
-        if best is None or key < best:
-            best = key
-    return best if best is not None else tuple(sorted(a.sort_key() for a in atoms))
+    for order in product(*(permutations(classes[sig]) for sig in sorted(classes))):
+        number = {n: 2 * j + 1 for j, n in enumerate(chain.from_iterable(order))}
+        candidate = tuple(sorted(tuple(number.get(t, t) for t in code) for code in coded))
+        if best is None or candidate < best:
+            best = candidate
+    return plain, best
 
 
 def _ev_values(k: int, pool: list, fresh: list, drawn: int = 0) -> Iterator[tuple]:
@@ -206,18 +306,18 @@ def _ev_values(k: int, pool: list, fresh: list, drawn: int = 0) -> Iterator[tupl
             yield (t, *rest), total
 
 
-def _repairs(atoms: frozenset, fresh_used: int, violation, consts: list,
+def _repairs(terms: frozenset, fresh_used: int, violation, consts: list,
              fresh_pool: list) -> Iterator[tuple]:
-    """(state, fresh nulls in use) for each way to add the violated rule's
-    head: its existential variables range over the current terms, the known
-    constants and the unused fresh nulls (`_ev_values`)."""
-    rule, h = violation
-    terms = sorted({t for a in atoms for t in a.args}, key=term_key)
-    pool = terms + [c for c in consts if c not in terms]
-    evs = sorted(rule.ev)
+    """(added atoms, fresh nulls in use) for each way to add the violated
+    rule's head: its existential variables range over the current terms,
+    the known constants and the unused fresh nulls (`_ev_values`).  The
+    violation is as `_least_violation` gives it."""
+    (rule, _, _, evs), h = violation
+    pool = sorted(terms, key=term_key)
+    pool += [c for c in consts if c not in terms]
     for values, drawn in _ev_values(len(evs), pool, fresh_pool[fresh_used:]):
         mapping = {**h, **dict(zip(evs, values))}
-        yield atoms | {apply_mapping(mapping, rule.head)}, fresh_used + drawn
+        yield (apply_mapping(mapping, rule.head),), fresh_used + drawn
 
 
 def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
@@ -229,34 +329,53 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
     known constants, the fresh nulls already drawn by earlier variables of
     the same assignment, and one further fresh null while fewer than
     max_extra_nulls are in use.  States are deduplicated up to null
-    renaming; a state with more than max_atoms atoms is dropped.
+    renaming by `_canonical_key`; a state with more than max_atoms atoms
+    is dropped.
+
+    Each state is its parent plus the repairing atom, which is new since
+    the rule it repairs was violated.  A stack frame keeps its state's
+    index, violation table and `_split` form, and a child derives its own
+    from them: `_add_atom` updates the index and table, and only the new
+    atom is coded.  The root is the empty state plus the database.
     """
     consts = sorted(constants_of(db, onto))
     base_ids = [t.id for a in db for t in a.args if isinstance(t, Null)]
     next_id = max(base_ids, default=0) + 1
     fresh_pool = [Null(next_id + i) for i in range(budget.max_extra_nulls)]
+    rules = _keyed_rules(onto)
+    codes: dict = {}
 
     found: list = []
     seen_states: set = set()
-    # one iterator of successor states per open state, innermost last
-    stack = [iter([(frozenset(db.atoms), 0)])]
+    # each open state as (atoms, terms, null-free atoms, codes of the
+    # others, index, violation table) with an iterator of its successors
+    # as (added atoms, fresh nulls in use), innermost last
+    empty = (frozenset(), frozenset(), frozenset(), (), {}, ({},) * len(rules))
+    stack = [(empty, iter([(tuple(db.atoms), 0)]))]
     while stack:
-        state = next(stack[-1], None)
-        if state is None:
+        (parent, terms, plain, coded, idx, table), successors = stack[-1]
+        step = next(successors, None)
+        if step is None:
             stack.pop()
             continue
-        atoms, fresh_used = state
+        added, fresh_used = step
+        atoms = parent.union(added)
         if len(atoms) > budget.max_atoms:
             continue
-        key = _state_key(atoms)
+        new_plain, new_coded = _split(added, codes)
+        plain, coded = plain.union(new_plain), coded + tuple(new_coded)
+        key = _canonical_key(plain, coded)
         if key in seen_states:
             continue
         seen_states.add(key)
-        violation = _first_violation(atoms, onto)
+        idx, table = _extend(idx, table, rules, added)
+        violation = _least_violation(rules, table)
         if violation is None:
             found.append(atoms)
         else:
-            stack.append(_repairs(atoms, fresh_used, violation, consts, fresh_pool))
+            terms = terms.union(t for a in added for t in a.args)
+            stack.append(((atoms, terms, plain, coded, idx, table),
+                          _repairs(terms, fresh_used, violation, consts, fresh_pool)))
     return found
 
 
@@ -303,7 +422,8 @@ def _minimal_by_embedding(models: list) -> list:
     e(X), since X violates the rule, so states grow inside the budget
     until one is a model A with A embedded in S.  A state skipped as a
     renaming of a visited one embeds into S as well, so the argument runs
-    on from the visited copy.  Hence some found model of at most |S|
+    on from the visited copy (`_canonical_key` is equal exactly for
+    renamings).  Hence some found model of at most |S|
     atoms embeds into M.  Embeddings compose, so it suffices to test the
     minimal models found so far.
     """
@@ -523,8 +643,7 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
         return t.term if isinstance(t, StartingPoint) else t
 
     def close_one() -> bool:
-        inst = Instance(frozenset(current_atoms()))
-        violation = _first_violation(inst.atoms, full_onto)
+        violation = _first_violation(current_atoms(), full_onto)
         if violation is None:
             return False
         rule, h = violation

@@ -10,8 +10,9 @@ import time
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .canonical import partition_active_harmless, rewrite_query, rewrite_theory, unpack
-from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entails, run_chase
+from .canonical import (_tagged_atoms, partition_active_harmless, rewrite_query, rewrite_theory,
+                        unpack)
+from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entailment_in, run_chase
 from .classify import classify, classify_local, is_shy, sticky_marking
 from .core import Atom, Constant, Database, Instance, Null, Ontology, Query, Variable, constants_of
 from .finitemodels import (
@@ -82,15 +83,10 @@ def _base_name(name: str) -> str:
     return name.split("#", 1)[0]
 
 
-def _rule_signature(rule):
-    head = Atom(rule.head.pred + " head", rule.head.args, rule.head.shape)
-    return frozenset(rule.body) | {head}
-
-
 def _same_rules_modulo_renaming(got, expected) -> bool:
-    remaining = [_rule_signature(r) for r in expected]
+    remaining = [_tagged_atoms(r) for r in expected]
     for rule in got:
-        sig = _rule_signature(rule)
+        sig = _tagged_atoms(rule)
         for i, other in enumerate(remaining):
             if isomorphic(sig, other):
                 del remaining[i]
@@ -289,9 +285,11 @@ def check_entailment_transfer():
         dbc, ontoc, canonical_queries = rewrite_theory(
             program.database, program.ontology, program.queries
         )
+        src_chase = run_chase(program.database, program.ontology, cfg)
+        can_chase = run_chase(dbc, ontoc, cfg)
         for i, q in enumerate(program.queries):
-            src = entails(program.database, program.ontology, q, cfg)
-            can = entails(dbc, ontoc, canonical_queries[i], cfg)
+            src = entailment_in(src_chase, q)
+            can = entailment_in(can_chase, canonical_queries[i])
             if src.verdict == Verdict.UNKNOWN or can.verdict == Verdict.UNKNOWN:
                 return False, f"{name} query {i}: chase did not terminate"
             if src.verdict != can.verdict:
@@ -400,8 +398,9 @@ def check_finite_countermodels():
     budget = ModelBudget(2, 12)
     false_hits = false_total = 0
     for name, program in curated_programs():
+        chase = run_chase(program.database, program.ontology, cfg)
         for i, q in enumerate(program.queries):
-            verdict = entails(program.database, program.ontology, q, cfg)
+            verdict = entailment_in(chase, q)
             counter = find_finite_countermodel(program.database, program.ontology, q, budget)
             if counter is not None:
                 ok, _ = is_model(counter, program.database, program.ontology)

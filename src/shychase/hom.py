@@ -13,14 +13,6 @@ def apply_mapping(mapping: dict, atom: Atom) -> Atom:
     return Atom(atom.pred, tuple(mapping.get(t, t) for t in atom.args), atom.shape)
 
 
-def compose(outer: dict, inner: dict) -> dict:
-    """Mapping equivalent to applying `inner` then `outer`."""
-    out = {k: outer.get(v, v) for k, v in inner.items()}
-    for k, v in outer.items():
-        out.setdefault(k, v)
-    return out
-
-
 def _index(atoms: Iterable[Atom]) -> dict:
     idx: dict = {}
     for a in atoms:

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from shychase import cli
+from shychase.chase import OBLIVIOUS, ChaseConfig, entails
 from shychase.cli import main
+from shychase.parse import parse_program
 
 FATHER = """
 p(c1).
@@ -51,6 +54,28 @@ def test_chase_respects_bounds(father_file, capsys):
     assert code == 0
     assert "terminated: False" in out
     assert "f(_:n1,c1)" in out
+
+
+def test_answer_runs_one_chase_for_all_queries(tmp_path, capsys, monkeypatch):
+    text = FATHER + "? f(c1,c1).\n"
+    path = tmp_path / "two.dlp"
+    path.write_text(text)
+    calls = []
+    real_chase = cli.run_chase
+
+    def counting_chase(*args):
+        calls.append(args)
+        return real_chase(*args)
+
+    monkeypatch.setattr(cli, "run_chase", counting_chase)
+    code, out, _ = run(capsys, "answer", str(path), "--json", "--max-atoms", "10")
+    assert code == 0
+    assert len(calls) == 1
+    program = parse_program(text)
+    cfg = ChaseConfig(OBLIVIOUS, 10, 500)
+    expected = [entails(program.database, program.ontology, q, cfg).verdict.value
+                for q in program.queries]
+    assert [item["verdict"] for item in json.loads(out)] == expected == ["true", "unknown"]
 
 
 def test_answer_reports_verdicts(father_file, capsys):

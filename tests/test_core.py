@@ -17,7 +17,6 @@ from shychase.core import (
     constants_of,
     is_simple,
     term_key,
-    variables_of,
 )
 
 
@@ -69,9 +68,8 @@ def test_rule_variable_partition():
         (Atom("p", (Variable("X"), Variable("Z"))),),
         Atom("q", (Variable("X"), Variable("Y"))),
     )
-    uv, ev = variables_of(rule)
-    assert uv == {Variable("X"), Variable("Z")}
-    assert ev == {Variable("Y")}
+    assert rule.uv == {Variable("X"), Variable("Z")}
+    assert rule.ev == {Variable("Y")}
 
 
 def test_database_requires_constants():

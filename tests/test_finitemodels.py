@@ -1,18 +1,26 @@
 """Finite models: checking, support orderings, enumeration, propagation
 annotations and the join-breaking repair."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shychase.canonical import partition_active_harmless, rewrite_theory, unpack
 from shychase.chase import OBLIVIOUS, ChaseConfig, run_chase
-from shychase.core import Atom, Constant, Database, Instance, Null, Variable
+from shychase.core import Atom, Constant, Database, Instance, Null, Variable, constants_of, term_key
 from shychase.finitemodels import (
     ModelBudget,
     StartingPoint,
+    _canonical_key,
+    _ev_values,
+    _first_violation,
     _found_models,
+    _mapping_key,
     _minimal_by_embedding,
+    _split,
+    _violations,
     disjoin_repair,
     enumerate_finite_models,
     find_finite_countermodel,
@@ -25,7 +33,7 @@ from shychase.finitemodels import (
 )
 from shychase.generate import default_config, random_program
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import apply_mapping, isomorphic, satisfies_query
+from shychase.hom import _index, apply_mapping, isomorphic, satisfies_query
 from shychase.parse import parse_program, parse_query
 
 CLOSURE = """
@@ -190,6 +198,145 @@ def test_embedding_minimality_matches_subset_scan_on_random(seed):
     55 have many found models that are not minimal."""
     program = random_program(seed, default_config())
     _assert_minimality_agrees(program.database, program.ontology, ModelBudget(2, 8))
+
+
+def _rebuilt_first_violation(atoms, onto):
+    """Oracle: the first violation, indexing the whole state afresh."""
+    idx = _index(atoms)
+    for rule in sorted(onto, key=lambda r: r.id):
+        h = min(_violations(rule, idx, rule.body, {}), key=_mapping_key, default=None)
+        if h is not None:
+            return rule, h
+    return None
+
+
+def _repr_state_key(atoms: frozenset) -> tuple:
+    """Oracle: rename the nulls by every permutation and keep the least
+    sorted list of repr-based atom keys."""
+    nulls = sorted({t for a in atoms for t in a.args if isinstance(t, Null)},
+                   key=term_key)
+    best = None
+    for perm in permutations(range(1, len(nulls) + 1)):
+        ren = dict(zip(nulls, (Null(i) for i in perm)))
+        key = tuple(sorted(apply_mapping(ren, a).sort_key() for a in atoms))
+        if best is None or key < best:
+            best = key
+    return best if best is not None else tuple(sorted(a.sort_key() for a in atoms))
+
+
+def _rebuilt_found_models(db, onto, budget):
+    """Oracle: the repair search with every state indexed, checked and
+    keyed from scratch."""
+    consts = sorted(constants_of(db, onto))
+    fresh_pool = [Null(1 + i) for i in range(budget.max_extra_nulls)]
+    found, seen_states = [], set()
+    stack = [iter([(frozenset(db.atoms), 0)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        atoms, fresh_used = state
+        if len(atoms) > budget.max_atoms:
+            continue
+        key = _repr_state_key(atoms)
+        if key in seen_states:
+            continue
+        seen_states.add(key)
+        violation = _rebuilt_first_violation(atoms, onto)
+        if violation is None:
+            found.append(atoms)
+        else:
+            stack.append(_repaired_states(atoms, fresh_used, violation, consts, fresh_pool))
+    return found
+
+
+def _repaired_states(atoms, fresh_used, violation, consts, fresh_pool):
+    """Oracle: each state the search repairs the violation into, with the
+    fresh nulls it has in use."""
+    rule, h = violation
+    terms = sorted({t for a in atoms for t in a.args}, key=term_key)
+    pool = terms + [c for c in consts if c not in terms]
+    evs = sorted(rule.ev)
+    for values, drawn in _ev_values(len(evs), pool, fresh_pool[fresh_used:]):
+        mapping = {**h, **dict(zip(evs, values))}
+        yield atoms | {apply_mapping(mapping, rule.head)}, fresh_used + drawn
+
+
+@pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
+def test_incremental_search_matches_rebuild_on_curated(name):
+    """[DERIVED] The search that derives each state's index, violations and
+    key from its parent's finds the same models in the same order as the
+    one that rebuilds them, on each curated theory and its canonical
+    active part."""
+    program = dict(curated_programs())[name]
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, _ = partition_active_harmless(ontoc)
+    for budget in (ModelBudget(2, 10), ModelBudget(2, 12)):
+        for db, onto in ((program.database, program.ontology), (dbc, active)):
+            assert _found_models(db, onto, budget) == _rebuilt_found_models(db, onto, budget)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_incremental_search_matches_rebuild_on_random(seed):
+    """[DERIVED] Same agreement on seeded random theories."""
+    program = random_program(seed, default_config())
+    budget = ModelBudget(2, 8)
+    assert (_found_models(program.database, program.ontology, budget)
+            == _rebuilt_found_models(program.database, program.ontology, budget))
+
+
+_KEY_ONTOLOGY = parse_program("""
+p(X,Y) -> exists Z. q(Y,Z).
+q(X,X) -> r(X).
+p(X,Y), q(Y,Z) -> exists W. p(Z,W).
+""").ontology
+_KEY_NULLS = [Null(1), Null(2), Null(3)]
+_KEY_TERMS = [Constant("a"), Constant("b"), *_KEY_NULLS]
+_key_atoms = st.one_of(
+    st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from("pq"),
+              st.sampled_from(_KEY_TERMS), st.sampled_from(_KEY_TERMS)),
+    st.builds(lambda t: Atom("r", (t,)), st.sampled_from(_KEY_TERMS)),
+)
+_key_states = st.frozensets(_key_atoms, max_size=6)
+
+
+def _state_key(atoms, codes):
+    plain, coded = _split(atoms, codes)
+    return _canonical_key(frozenset(plain), tuple(coded))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_states, _key_states, st.lists(st.sampled_from(_KEY_TERMS), min_size=3, max_size=3))
+def test_state_key_equal_exactly_when_repr_key_is(a, b, images):
+    """[DERIVED] On small null-bearing states the canonical key is equal for
+    two states exactly when the permutation-over-repr key is: for a random
+    pair and for a state and its image under a map of the nulls, which is
+    a renaming when the map is a bijection.  The first violation agrees
+    with the one found on a fresh index."""
+    mapped = frozenset(apply_mapping(dict(zip(_KEY_NULLS, images)), x) for x in a)
+    codes: dict = {}
+    key_a = _state_key(a, codes)
+    for other in (b, mapped):
+        assert ((key_a == _state_key(other, codes))
+                == (_repr_state_key(a) == _repr_state_key(other)))
+    if sorted(images, key=term_key) == _KEY_NULLS:
+        assert _state_key(mapped, codes) == key_a
+    assert _first_violation(a, _KEY_ONTOLOGY) == _rebuilt_first_violation(a, _KEY_ONTOLOGY)
+
+
+def test_state_key_tries_every_order_within_a_signature_class():
+    """Nulls 1 and 3 lie on one cycle with null 2 and have one signature,
+    yet no renaming swaps them: the key must still come out equal for
+    every renaming of the nulls."""
+    b, n1, n2, n3 = Constant("b"), Null(1), Null(2), Null(3)
+    state = frozenset({Atom("q", (b, n2)), Atom("q", (n1, n3)), Atom("q", (n2, n1)),
+                       Atom("q", (n3, n2))})
+    codes: dict = {}
+    keys = {_state_key(frozenset(apply_mapping(dict(zip(_KEY_NULLS, perm)), x) for x in state),
+                       codes)
+            for perm in permutations(_KEY_NULLS)}
+    assert len(keys) == 1
 
 
 def test_find_finite_countermodel_is_sound():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from shychase.core import Atom, Constant, Instance, Null, Query, Variable
 from shychase.hom import (
     apply_mapping,
-    compose,
     find_homomorphism,
     homomorphisms,
     isomorphic,
@@ -63,14 +62,6 @@ def test_homomorphism_seed_is_respected():
 def test_find_homomorphism_none_when_predicate_missing():
     assert find_homomorphism([Atom("r", (Variable("X"),))],
                              [Atom("p", (Constant("a"),))]) is None
-
-
-def test_compose_applies_inner_then_outer():
-    inner = {Variable("X"): Null(1)}
-    outer = {Null(1): Constant("a"), Variable("Y"): Null(2)}
-    combined = compose(outer, inner)
-    assert combined[Variable("X")] == Constant("a")
-    assert combined[Variable("Y")] == Null(2)
 
 
 def brute_isomorphic(a, b):
