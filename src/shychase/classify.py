@@ -9,10 +9,10 @@ behind shyness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .core import Atom, Constant, Ontology, Position, Rule, Variable, is_simple
+from .core import Ontology, Position, Rule, Variable, is_simple
 
 FRAGMENTS = (
     "datalog",
@@ -120,10 +120,6 @@ def classify_local(onto: Ontology) -> dict:
 class DependencyGraph:
     nodes: frozenset
     edges: frozenset  # (Position, Position, "plain" | "special")
-
-    def successors(self, node):
-        return sorted(((q, lbl) for p, q, lbl in self.edges if p == node),
-                      key=lambda e: (str(e[0]), e[1]))
 
 
 def dependency_graph(onto: Ontology) -> DependencyGraph:
@@ -286,24 +282,11 @@ def invasion_table(onto: Ontology) -> InvasionTable:
     return InvasionTable({p: frozenset(s) for p, s in invaded.items()})
 
 
-def attacked(rule: Rule, var: Variable, table: InvasionTable) -> frozenset:
-    """∃-variables invading every body position where var occurs."""
-    positions = _body_positions(rule, var)
-    if not positions:
-        return frozenset()
-    common = set(table.invaders(positions[0]))
-    for p in positions[1:]:
-        common &= table.invaders(p)
-    return frozenset(common)
-
-
-def protected(rule: Rule, var: Variable, table: InvasionTable) -> bool:
-    return not attacked(rule, var, table)
-
-
-def _attacked_in_atom(atom: Atom, var: Variable, table: InvasionTable) -> frozenset:
+def attacked(atoms, var: Variable, table: InvasionTable) -> frozenset:
+    """∃-variables invading every position of the atoms (a rule body or a
+    single atom) where var occurs."""
     positions = [Position(atom.predicate_name, i)
-                 for i, t in enumerate(atom.args, 1) if t == var]
+                 for atom in atoms for i, t in enumerate(atom.args, 1) if t == var]
     if not positions:
         return frozenset()
     common = set(table.invaders(positions[0]))
@@ -323,8 +306,9 @@ def is_shy(onto: Ontology, table: Optional[InvasionTable] = None):
     for rule in onto:
         occurs_in = {v: [a for a in rule.body if v in set(a.variables())] for v in rule.uv}
         for v in sorted(rule.uv):
-            if len(occurs_in[v]) > 1 and not protected(rule, v, table):
-                attacker = sorted(attacked(rule, v, table))[0]
+            attackers = attacked(rule.body, v, table) if len(occurs_in[v]) > 1 else ()
+            if attackers:
+                attacker = sorted(attackers)[0]
                 return False, ViolationWitness(
                     "shy", rule.id,
                     "condition (i): variable joins body atoms but is not protected",
@@ -338,8 +322,7 @@ def is_shy(onto: Ontology, table: Optional[InvasionTable] = None):
                     for ay in occurs_in[y]:
                         if ax is ay:
                             continue
-                        common = (_attacked_in_atom(ax, x, table)
-                                  & _attacked_in_atom(ay, y, table))
+                        common = attacked((ax,), x, table) & attacked((ay,), y, table)
                         if common:
                             attacker = sorted(common)[0]
                             return False, ViolationWitness(

@@ -6,6 +6,7 @@ theory into one of the full theory.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
@@ -24,8 +25,7 @@ from .core import (
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
-from .hom import (_index, _match, _search, apply_mapping, find_homomorphism, homomorphisms,
-                  satisfies_query)
+from .hom import _index, _match, _search, apply_mapping, satisfies_query
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,33 @@ class SupportStep:
         return self.rule_id is None
 
 
-def _head_supports(rule: Rule, atom: Atom, prefix) -> Iterator[dict]:
-    """Homomorphisms of the rule's atoms with the head sent exactly to atom
-    and the body inside prefix."""
-    if (rule.head.pred_key, rule.head.arity) != (atom.pred_key, atom.arity):
-        return
-    seed = _match(rule.head, atom, {})
-    if seed is None:
-        return
-    yield from homomorphisms(rule.body, prefix, seed)
+def _supports(rules: list, atom: Atom, idx: dict) -> Iterator[tuple]:
+    """Each (rule, map) of the rules, in order, whose head maps exactly onto
+    atom and whose body maps into the instance indexed by `_key` in idx."""
+    key = _key(atom)
+    for rule in rules:
+        if _key(rule.head) != key:
+            continue
+        seed = _match(rule.head, atom, {})
+        if seed is not None:
+            for h in _search(rule.body, seed, idx):
+                yield rule, h
+
+
+def _grow(idx: dict, a: Atom) -> None:
+    """Insert a into the index in place, keeping each list in the order
+    `_index` gives it."""
+    insort(idx.setdefault(_key(a), []), a, key=Atom.sort_key)
+
+
+def _support_step(atom: Atom, db_atoms: set, rules: list, idx: dict) -> Optional[SupportStep]:
+    """The step placing atom after the indexed prefix: a database atom, or
+    the first support by rule id; None if neither."""
+    if atom in db_atoms:
+        return SupportStep(atom, None)
+    for rule, h in _supports(rules, atom, idx):
+        return SupportStep(atom, rule.id, h)
+    return None
 
 
 def find_support_ordering(inst: Instance, db: Database, onto: Ontology) -> Optional[tuple]:
@@ -91,26 +109,16 @@ def find_support_ordering(inst: Instance, db: Database, onto: Ontology) -> Optio
     """
     remaining = inst.sorted_atoms()
     placed: list = []
-    placed_set: set = set()
+    idx: dict = {}
     db_atoms = set(db.atoms)
     rules = sorted(onto, key=lambda r: r.id)
     while remaining:
-        step = None
-        for atom in remaining:
-            if atom in db_atoms:
-                step = SupportStep(atom, None)
-                break
-            for rule in rules:
-                h = next(_head_supports(rule, atom, placed_set), None)
-                if h is not None:
-                    step = SupportStep(atom, rule.id, h)
-                    break
-            if step is not None:
-                break
+        steps = (_support_step(atom, db_atoms, rules, idx) for atom in remaining)
+        step = next(filter(None, steps), None)
         if step is None:
             return None
         placed.append(step)
-        placed_set.add(step.atom)
+        _grow(idx, step.atom)
         remaining.remove(step.atom)
     return tuple(placed)
 
@@ -118,22 +126,15 @@ def find_support_ordering(inst: Instance, db: Database, onto: Ontology) -> Optio
 def ordering_from_sequence(atoms: Iterable[Atom], db: Database, onto: Ontology) -> tuple:
     """Justify a given atom sequence as a well-supported ordering, or raise."""
     steps: list = []
-    prefix: set = set()
+    idx: dict = {}
     db_atoms = set(db.atoms)
+    rules = sorted(onto, key=lambda r: r.id)
     for atom in atoms:
-        if atom in db_atoms:
-            steps.append(SupportStep(atom, None))
-        else:
-            found = None
-            for rule in sorted(onto, key=lambda r: r.id):
-                h = next(_head_supports(rule, atom, prefix), None)
-                if h is not None:
-                    found = SupportStep(atom, rule.id, h)
-                    break
-            if found is None:
-                raise ValueError(f"atom {atom!r} is not supported by its prefix")
-            steps.append(found)
-        prefix.add(atom)
+        step = _support_step(atom, db_atoms, rules, idx)
+        if step is None:
+            raise ValueError(f"atom {atom!r} is not supported by its prefix")
+        steps.append(step)
+        _grow(idx, atom)
     return tuple(steps)
 
 
@@ -508,17 +509,6 @@ class StartingPoint:
         return f"<{self.term!r},{self.atom_index},{self.position}>"
 
 
-def _supports_at(ordering: tuple, j: int, onto: Ontology) -> list:
-    """All (rule, mapping) pairs supporting the j-th atom from the strict prefix."""
-    atom = ordering[j - 1].atom
-    prefix = {step.atom for step in ordering[: j - 1]}
-    out = []
-    for rule in sorted(onto, key=lambda r: r.id):
-        for h in _head_supports(rule, atom, prefix):
-            out.append((rule, h))
-    return out
-
-
 def propagation_ordering(ordering: tuple, onto: Ontology) -> tuple:
     """Annotated copy of a well-supported ordering under a joinless ontology.
 
@@ -530,43 +520,35 @@ def propagation_ordering(ordering: tuple, onto: Ontology) -> tuple:
     local = classify_local(onto)
     if not local["joinless"][0]:
         raise ValueError(f"ontology is not joinless: {local['joinless'][1].describe()}")
+    rules = sorted(onto, key=lambda r: r.id)
+    idx: dict = {}
+    rank: dict = {}  # atom -> 1-based rank of its first occurrence
     annotated: list = []
     for j, step in enumerate(ordering, 1):
         atom = step.atom
-        if step.from_database:
-            supports = []
-        else:
-            supports = _supports_at(ordering, j, onto)
+        supports = [] if step.from_database else list(_supports(rules, atom, idx))
         ex_supported = bool(supports) and all(rule.ev for rule, _ in supports)
+        images = [apply_mapping(h, b) for rule, h in supports for b in rule.body]
         args = []
         for k, t in enumerate(atom.args, 1):
             if ex_supported and all(rule.head.args[k - 1] in rule.ev for rule, _ in supports):
                 args.append(StartingPoint(t, j, k))
                 continue
-            sources = []
-            for rule, h in supports:
-                for body_atom in rule.body:
-                    image = apply_mapping(h, body_atom)
-                    for i in range(1, j):
-                        if ordering[i - 1].atom == image:
-                            for l, u in enumerate(image.args, 1):
-                                if u == t:
-                                    sources.append((i, l))
+            sources = [(rank[image], l) for image in images
+                       for l, u in enumerate(image.args, 1) if u == t]
             if sources:
                 i, l = min(sources)
                 args.append(annotated[i - 1].args[l - 1])
             else:
                 args.append(t)
         annotated.append(Atom(atom.pred, tuple(args), atom.shape))
+        rank.setdefault(atom, j)
+        _grow(idx, atom)
     return tuple(annotated)
 
 
 # ---------------------------------------------------------------------------
 # join-breaking repair
-
-
-def _slot_atom(pred, shape, terms) -> Atom:
-    return Atom(pred, tuple(terms), shape)
 
 
 def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
@@ -583,95 +565,63 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
     active, harmless = partition_active_harmless(full_onto)
     if {step.atom for step in ordering} != set(model.atoms):
         raise ValueError("ordering does not cover the model")
-    annotation = propagation_ordering(ordering, active)
-
-    entries = [
-        {
-            "pred": step.atom.pred,
-            "shape": step.atom.shape,
-            "terms": list(step.atom.args),
-            "ann": list(annotation[j].args),
-        }
-        for j, step in enumerate(ordering)
-    ]
+    # the current atoms and, slot by slot, their annotations
+    atoms = [step.atom for step in ordering]
+    notes = [a.args for a in propagation_ordering(ordering, active)]
+    # each harmless rule with its variables that occur in two body atoms
+    breakers = [(rule, {v for v in rule.uv if sum(v in b.args for b in rule.body) > 1})
+                for rule in sorted(harmless, key=lambda r: r.id)]
+    model_idx = _index(model.atoms)
     activated: set = set()
     skipped: set = set()
 
     def activate(sp: StartingPoint):
         activated.add(sp)
-        for entry in entries:
-            for k, ann in enumerate(entry["ann"]):
-                if ann == sp:
-                    entry["terms"][k] = sp
-
-    def current_atoms() -> set:
-        return {_slot_atom(e["pred"], e["shape"], e["terms"]) for e in entries}
+        for i, ann in enumerate(notes):
+            if sp in ann:
+                a = atoms[i]
+                atoms[i] = Atom(a.pred, tuple(sp if n == sp else t for t, n in zip(a.args, ann)),
+                                a.shape)
 
     def break_one() -> bool:
-        inst = current_atoms()
-        for rule in sorted(harmless, key=lambda r: r.id):
-            for h in homomorphisms(rule.body, inst):
-                key = (rule.id, frozenset(apply_mapping(h, b) for b in rule.body))
+        """Activate the starting points behind the first unskipped match of
+        a harmless body, in `_index` order; False if there is none."""
+        idx = _index(atoms)
+        for rule, joined in breakers:
+            for h in _search(rule.body, {}, idx):
+                images = [apply_mapping(h, b) for b in rule.body]
+                key = (rule.id, frozenset(images))
                 if key in skipped:
                     continue
-                joined = sorted(
-                    v for v in rule.uv
-                    if sum(1 for b in rule.body if v in set(b.variables())) > 1
-                )
-                fresh = []
-                for var in joined:
-                    for body_atom in rule.body:
-                        if var not in set(body_atom.variables()):
-                            continue
-                        image = apply_mapping(h, body_atom)
-                        for e in entries:
-                            if _slot_atom(e["pred"], e["shape"], e["terms"]) != image:
-                                continue
-                            for k, arg in enumerate(body_atom.args):
-                                if arg == var:
-                                    ann = e["ann"][k]
-                                    if isinstance(ann, StartingPoint) and ann not in activated:
-                                        fresh.append(ann)
+                # unactivated starting points behind a joined variable's slots
+                fresh = {note for b, image in zip(rule.body, images)
+                         for a, ann in zip(atoms, notes) if a == image
+                         for arg, note in zip(b.args, ann)
+                         if arg in joined and isinstance(note, StartingPoint)
+                         and note not in activated}
                 if fresh:
-                    for sp in sorted(set(fresh)):
+                    for sp in sorted(fresh):
                         activate(sp)
                     return True
                 skipped.add(key)
         return False
 
-    def mapped_back(t):
-        return t.term if isinstance(t, StartingPoint) else t
-
     def close_one() -> bool:
-        violation = _first_violation(current_atoms(), full_onto)
+        violation = _first_violation(atoms, full_onto)
         if violation is None:
             return False
         rule, h = violation
-        seed = {v: mapped_back(h[v]) for v in rule.uv if v in h}
-        ext = find_homomorphism([rule.head], model, seed)
+        seed = {v: h[v].term if isinstance(h[v], StartingPoint) else h[v]
+                for v in rule.uv if v in h}
+        ext = next(_search([rule.head], seed, model_idx), None)
         if ext is None:
             raise ValueError(f"repair cannot satisfy rule {rule.id} inside the model")
-        args = []
-        for t in rule.head.args:
-            if t in rule.ev:
-                args.append(ext[t])
-            else:
-                args.append(h.get(t, t))
-        new_atom = Atom(rule.head.pred, tuple(args), rule.head.shape)
-        entries.append({
-            "pred": new_atom.pred,
-            "shape": new_atom.shape,
-            "terms": list(new_atom.args),
-            "ann": list(new_atom.args),
-        })
+        new_atom = Atom(rule.head.pred, tuple(ext[t] if t in rule.ev else h.get(t, t)
+                                              for t in rule.head.args), rule.head.shape)
+        atoms.append(new_atom)
+        notes.append(new_atom.args)
         return True
 
-    while break_one():
+    while break_one() or close_one():
         pass
-    while close_one():
-        while break_one():
-            pass
-
-    repaired = Instance(frozenset(current_atoms()))
-    h_prime = {sp: sp.term for sp in activated}
-    return repaired, h_prime
+    return Instance(frozenset(atoms)), {sp: sp.term for sp in activated}

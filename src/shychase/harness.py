@@ -10,11 +10,10 @@ import time
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .canonical import (_tagged_atoms, partition_active_harmless, rewrite_query, rewrite_theory,
-                        unpack)
+from .canonical import _tagged_atoms, partition_active_harmless, rewrite_theory, unpack
 from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entailment_in, run_chase
-from .classify import classify, classify_local, is_shy, sticky_marking
-from .core import Atom, Constant, Database, Instance, Null, Ontology, Query, Variable, constants_of
+from .classify import classify_local, is_shy, sticky_marking
+from .core import Atom, Constant, Instance, Null, Query, Variable
 from .finitemodels import (
     ModelBudget,
     StartingPoint,
@@ -483,9 +482,5 @@ def run_suite(name: str, seed: int = 42) -> list:
     results = []
     for check_name in SUITES[name]:
         fn = CHECKS[check_name]
-        if check_name in ("chase-commutation", "active-partition",
-                          "fragment-preservation", "disjoin-repair"):
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn())
+        results.append(fn(seed=seed) if check_name in SUITES["random"] else fn())
     return results

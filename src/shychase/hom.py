@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import Atom, Constant, Instance, Query, Variable, term_key
+from .core import Atom, Constant, Instance, Query, Variable
 
 
 def apply_mapping(mapping: dict, atom: Atom) -> Atom:
@@ -183,18 +182,28 @@ def isomorphic(a, b) -> bool:
                 local[s] = t
         return list(local.items())
 
-    def search(remaining, fwd, used, taken):
-        if not remaining:
-            return True
-        # prefer atoms whose terms are already pinned down, then scarce predicates
-        def rank(item):
-            _, src = item
-            bound = sum(1 for t in src.args if isinstance(t, Constant) or t in fwd)
-            return (-bound, len(idx.get((src.pred_key, src.arity), ())), src.sort_key())
+    # the partial renaming, the targets it uses, and the atoms it covers
+    fwd: dict = {}
+    used: set = set()
+    taken: set = set()
 
-        i, src = min(enumerate(remaining), key=rank)
-        rest = remaining[:i] + remaining[i + 1:]
-        for tgt in idx.get((src.pred_key, src.arity), ()):
+    # prefer atoms whose terms are already pinned down, then scarce predicates
+    def rank(item):
+        _, src = item
+        bound = sum(1 for t in src.args if isinstance(t, Constant) or t in fwd)
+        return (-bound, len(idx.get((src.pred_key, src.arity), ())), src.sort_key())
+
+    def place(frame) -> bool:
+        """Undo the frame's atom's current target and map it onto the next
+        one that fits; False when none is left."""
+        src, _, targets, placed = frame
+        if placed:
+            tgt, new = placed.pop()
+            taken.discard(tgt)
+            for s, t in new:
+                del fwd[s]
+                used.discard(t)
+        for tgt in targets:
             if tgt in taken:
                 continue
             new = extend(src, tgt, fwd, used)
@@ -204,17 +213,21 @@ def isomorphic(a, b) -> bool:
                 fwd[s] = t
                 used.add(t)
             taken.add(tgt)
-            if search(rest, fwd, used, taken):
-                return True
-            taken.discard(tgt)
-            for s, t in new:
-                del fwd[s]
-                used.discard(t)
+            placed.append((tgt, new))
+            return True
         return False
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 3 * len(pool) + 200))
-    try:
-        return search(pool, {}, set(), set())
-    finally:
-        sys.setrecursionlimit(limit)
+    # depth-first search on an explicit stack: one frame per mapped atom, as
+    # (atom, atoms left after it, its remaining targets, its current target)
+    stack: list = []
+    remaining = pool
+    while remaining:
+        i, src = min(enumerate(remaining), key=rank)
+        stack.append((src, remaining[:i] + remaining[i + 1:],
+                      iter(idx.get((src.pred_key, src.arity), ())), []))
+        while stack and not place(stack[-1]):
+            stack.pop()
+        if not stack:
+            return False
+        remaining = stack[-1][1]
+    return True

@@ -14,9 +14,8 @@ shape labels and are rejected as terms.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (Atom, Constant, Database, Instance, Null, Ontology, Query,
                    Rule, Variable)
@@ -356,7 +355,3 @@ def to_jsonable(obj):
     if isinstance(obj, dict):
         return {"schema": JSON_SCHEMA, "kind": "report", **obj}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def emit_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n"

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from shychase.canonical import partition_active_harmless, rewrite_theory, unpack
 from shychase.chase import OBLIVIOUS, ChaseConfig, run_chase
+from shychase.classify import classify_local
 from shychase.core import Atom, Constant, Database, Instance, Null, Variable, constants_of, term_key
 from shychase.finitemodels import (
     ModelBudget,
     StartingPoint,
+    SupportStep,
     _canonical_key,
     _ev_values,
     _first_violation,
@@ -31,9 +33,10 @@ from shychase.finitemodels import (
     smooth_instance,
     well_supported_core,
 )
-from shychase.generate import default_config, random_program
+from shychase.generate import default_config, is_shy_program, random_program, random_program_where
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import _index, apply_mapping, isomorphic, satisfies_query
+from shychase.hom import (_index, _match, apply_mapping, find_homomorphism, homomorphisms,
+                         isomorphic, satisfies_query)
 from shychase.parse import parse_program, parse_query
 
 CLOSURE = """
@@ -465,3 +468,297 @@ def test_disjoin_repair_is_identity_without_harmless_joins():
     assert ordering is not None
     repaired, h_prime = disjoin_repair(model, ordering, ontoc)
     assert isomorphic(repaired, model)
+
+
+# Oracles: the support orderings, propagation ordering and join-breaking
+# repair that search every support with a fresh `homomorphisms` call over the
+# whole prefix, and keep the repair's atoms as dict entries rebuilt per step.
+
+
+def _oracle_head_supports(rule, atom, prefix):
+    if (rule.head.pred_key, rule.head.arity) != (atom.pred_key, atom.arity):
+        return
+    seed = _match(rule.head, atom, {})
+    if seed is None:
+        return
+    yield from homomorphisms(rule.body, prefix, seed)
+
+
+def _oracle_find_support_ordering(inst, db, onto):
+    remaining = inst.sorted_atoms()
+    placed: list = []
+    placed_set: set = set()
+    db_atoms = set(db.atoms)
+    rules = sorted(onto, key=lambda r: r.id)
+    while remaining:
+        step = None
+        for atom in remaining:
+            if atom in db_atoms:
+                step = SupportStep(atom, None)
+                break
+            for rule in rules:
+                h = next(_oracle_head_supports(rule, atom, placed_set), None)
+                if h is not None:
+                    step = SupportStep(atom, rule.id, h)
+                    break
+            if step is not None:
+                break
+        if step is None:
+            return None
+        placed.append(step)
+        placed_set.add(step.atom)
+        remaining.remove(step.atom)
+    return tuple(placed)
+
+
+def _oracle_ordering_from_sequence(atoms, db, onto):
+    steps: list = []
+    prefix: set = set()
+    db_atoms = set(db.atoms)
+    for atom in atoms:
+        if atom in db_atoms:
+            steps.append(SupportStep(atom, None))
+        else:
+            found = None
+            for rule in sorted(onto, key=lambda r: r.id):
+                h = next(_oracle_head_supports(rule, atom, prefix), None)
+                if h is not None:
+                    found = SupportStep(atom, rule.id, h)
+                    break
+            if found is None:
+                raise ValueError(f"atom {atom!r} is not supported by its prefix")
+            steps.append(found)
+        prefix.add(atom)
+    return tuple(steps)
+
+
+def _oracle_supports_at(ordering, j, onto):
+    atom = ordering[j - 1].atom
+    prefix = {step.atom for step in ordering[: j - 1]}
+    out = []
+    for rule in sorted(onto, key=lambda r: r.id):
+        for h in _oracle_head_supports(rule, atom, prefix):
+            out.append((rule, h))
+    return out
+
+
+def _oracle_propagation_ordering(ordering, onto):
+    local = classify_local(onto)
+    if not local["joinless"][0]:
+        raise ValueError(f"ontology is not joinless: {local['joinless'][1].describe()}")
+    annotated: list = []
+    for j, step in enumerate(ordering, 1):
+        atom = step.atom
+        if step.from_database:
+            supports = []
+        else:
+            supports = _oracle_supports_at(ordering, j, onto)
+        ex_supported = bool(supports) and all(rule.ev for rule, _ in supports)
+        args = []
+        for k, t in enumerate(atom.args, 1):
+            if ex_supported and all(rule.head.args[k - 1] in rule.ev for rule, _ in supports):
+                args.append(StartingPoint(t, j, k))
+                continue
+            sources = []
+            for rule, h in supports:
+                for body_atom in rule.body:
+                    image = apply_mapping(h, body_atom)
+                    for i in range(1, j):
+                        if ordering[i - 1].atom == image:
+                            for l, u in enumerate(image.args, 1):
+                                if u == t:
+                                    sources.append((i, l))
+            if sources:
+                i, l = min(sources)
+                args.append(annotated[i - 1].args[l - 1])
+            else:
+                args.append(t)
+        annotated.append(Atom(atom.pred, tuple(args), atom.shape))
+    return tuple(annotated)
+
+
+def _oracle_disjoin_repair(model, ordering, full_onto):
+    active, harmless = partition_active_harmless(full_onto)
+    if {step.atom for step in ordering} != set(model.atoms):
+        raise ValueError("ordering does not cover the model")
+    annotation = _oracle_propagation_ordering(ordering, active)
+    entries = [
+        {
+            "pred": step.atom.pred,
+            "shape": step.atom.shape,
+            "terms": list(step.atom.args),
+            "ann": list(annotation[j].args),
+        }
+        for j, step in enumerate(ordering)
+    ]
+    activated: set = set()
+    skipped: set = set()
+
+    def slot_atom(e):
+        return Atom(e["pred"], tuple(e["terms"]), e["shape"])
+
+    def activate(sp):
+        activated.add(sp)
+        for entry in entries:
+            for k, ann in enumerate(entry["ann"]):
+                if ann == sp:
+                    entry["terms"][k] = sp
+
+    def current_atoms():
+        return {slot_atom(e) for e in entries}
+
+    def break_one():
+        inst = current_atoms()
+        for rule in sorted(harmless, key=lambda r: r.id):
+            for h in homomorphisms(rule.body, inst):
+                key = (rule.id, frozenset(apply_mapping(h, b) for b in rule.body))
+                if key in skipped:
+                    continue
+                joined = sorted(
+                    v for v in rule.uv
+                    if sum(1 for b in rule.body if v in set(b.variables())) > 1
+                )
+                fresh = []
+                for var in joined:
+                    for body_atom in rule.body:
+                        if var not in set(body_atom.variables()):
+                            continue
+                        image = apply_mapping(h, body_atom)
+                        for e in entries:
+                            if slot_atom(e) != image:
+                                continue
+                            for k, arg in enumerate(body_atom.args):
+                                if arg == var:
+                                    ann = e["ann"][k]
+                                    if isinstance(ann, StartingPoint) and ann not in activated:
+                                        fresh.append(ann)
+                if fresh:
+                    for sp in sorted(set(fresh)):
+                        activate(sp)
+                    return True
+                skipped.add(key)
+        return False
+
+    def mapped_back(t):
+        return t.term if isinstance(t, StartingPoint) else t
+
+    def close_one():
+        violation = _first_violation(current_atoms(), full_onto)
+        if violation is None:
+            return False
+        rule, h = violation
+        seed = {v: mapped_back(h[v]) for v in rule.uv if v in h}
+        ext = find_homomorphism([rule.head], model, seed)
+        if ext is None:
+            raise ValueError(f"repair cannot satisfy rule {rule.id} inside the model")
+        args = []
+        for t in rule.head.args:
+            if t in rule.ev:
+                args.append(ext[t])
+            else:
+                args.append(h.get(t, t))
+        new_atom = Atom(rule.head.pred, tuple(args), rule.head.shape)
+        entries.append({
+            "pred": new_atom.pred,
+            "shape": new_atom.shape,
+            "terms": list(new_atom.args),
+            "ann": list(new_atom.args),
+        })
+        return True
+
+    while break_one():
+        pass
+    while close_one():
+        while break_one():
+            pass
+    return Instance(frozenset(current_atoms())), {sp: sp.term for sp in activated}
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _assert_supports_agree(db, onto, budget):
+    """Support orderings of every minimal model, and the orderings justified
+    from its atoms in ordering and in sorted order, agree with the oracles."""
+    for model in enumerate_finite_models(db, onto, budget):
+        ordering = find_support_ordering(model, db, onto)
+        assert ordering == _oracle_find_support_ordering(model, db, onto)
+        sequences = [model.sorted_atoms()]
+        if ordering is not None:
+            sequences.append([step.atom for step in ordering])
+        for seq in sequences:
+            assert (_outcome(ordering_from_sequence, seq, db, onto)
+                    == _outcome(_oracle_ordering_from_sequence, seq, db, onto))
+
+
+def _assert_repairs_agree(db, active, full_onto, budget) -> int:
+    """Propagation orderings and repairs of every well-supported minimal
+    model of the active part agree with the oracles.  Returns the number
+    of repairs that activated a starting point."""
+    activating = 0
+    for model in enumerate_finite_models(db, active, budget):
+        ordering = find_support_ordering(model, db, active)
+        if ordering is None:
+            continue
+        assert propagation_ordering(ordering, active) == _oracle_propagation_ordering(
+            ordering, active)
+        outcome = _outcome(disjoin_repair, model, ordering, full_onto)
+        assert outcome == _outcome(_oracle_disjoin_repair, model, ordering, full_onto)
+        activating += outcome[0] != "ValueError" and bool(outcome[1])
+    return activating
+
+
+def test_support_maps_follow_the_sorted_prefix():
+    """q(c) is placed before q(b), yet the first support of s(a) maps its
+    body onto q(b), the least q atom of the prefix, as the oracle does."""
+    program = parse_program("q(c). q(X) -> q(b). q(Y) -> s(a).")
+    a, b, c = Constant("a"), Constant("b"), Constant("c")
+    model = Instance(frozenset({Atom("q", (b,)), Atom("q", (c,)), Atom("s", (a,))}))
+    ordering = find_support_ordering(model, program.database, program.ontology)
+    assert [step.atom for step in ordering] == [Atom("q", (c,)), Atom("q", (b,)), Atom("s", (a,))]
+    assert set(ordering[-1].mapping.values()) == {b}
+    assert ordering == _oracle_find_support_ordering(model, program.database, program.ontology)
+    sequence = [step.atom for step in ordering]
+    assert (ordering_from_sequence(sequence, program.database, program.ontology)
+            == _oracle_ordering_from_sequence(sequence, program.database, program.ontology))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
+def test_supports_and_repair_match_the_oracles_on_curated(name):
+    """[DERIVED] On each curated theory, at (2, 10), and on its canonical
+    active part, at (2, 12) and repaired against the full canonical
+    ontology, the index-grown supports give the oracles' steps, maps,
+    annotations and repairs."""
+    program = dict(curated_programs())[name]
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, _ = partition_active_harmless(ontoc)
+    _assert_supports_agree(program.database, program.ontology, ModelBudget(2, 10))
+    _assert_supports_agree(dbc, active, ModelBudget(2, 12))
+    _assert_repairs_agree(dbc, active, ontoc, ModelBudget(2, 12))
+
+
+@pytest.mark.parametrize("k", range(20))
+def test_supports_and_repair_match_the_oracles_on_random_shy(k):
+    """[DERIVED] Same agreement on criterion 8's random shy theories
+    (seed 45 + 1000 k), at (2, 8)."""
+    program = random_program_where(is_shy_program, 45 + 1000 * k, default_config())
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, _ = partition_active_harmless(ontoc)
+    budget = ModelBudget(2, 8)
+    _assert_supports_agree(dbc, active, budget)
+    _assert_repairs_agree(dbc, active, ontoc, budget)
+
+
+@pytest.mark.parametrize("seed", [19, 25, 50, 57, 108, 136, 149, 152, 162, 214, 258, 261])
+def test_repair_matches_the_oracle_where_joins_break(seed):
+    """[DERIVED] Random shy theories whose repairs activate starting points
+    (the families above break joins in only two repairs), at (2, 8)."""
+    program = random_program_where(is_shy_program, seed, default_config())
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, _ = partition_active_harmless(ontoc)
+    assert _assert_repairs_agree(dbc, active, ontoc, ModelBudget(2, 8)) > 0

@@ -31,6 +31,25 @@ def test_unknown_suite_raises():
         run_suite("bogus")
 
 
+def test_run_suite_passes_the_seed_to_the_random_checks_only(monkeypatch):
+    import shychase.harness as harness
+
+    calls = {}
+
+    def recorder(name):
+        def check(**kwargs):
+            calls[name] = kwargs
+            return CheckResult(name, True, "recorded", 0.0)
+        return check
+
+    monkeypatch.setattr(harness, "CHECKS", {name: recorder(name) for name in CHECKS})
+    results = run_suite("all", seed=7)
+    assert [r.name for r in results] == SUITES["all"]
+    assert {name for name, kwargs in calls.items() if kwargs} == set(SUITES["random"])
+    assert len(SUITES["random"]) == 4
+    assert all(calls[name] == {"seed": 7} for name in SUITES["random"])
+
+
 def test_curated_suite_is_large_enough():
     programs = curated_programs()
     assert len(programs) >= 20

@@ -1,5 +1,6 @@
 """Homomorphism search and null-renaming isomorphism against brute force."""
 
+import sys
 from itertools import permutations, product
 
 from hypothesis import given, settings
@@ -123,6 +124,19 @@ def test_isomorphic_scales_to_similar_null_clusters():
     c = set(b) | {Atom("p", (Null(5000), Null(5000)))}
     c.remove(Atom("p", (Null(7), Null(300))))
     assert not isomorphic(a, c)
+
+
+def test_isomorphic_search_deeper_than_the_recursion_limit(monkeypatch):
+    """Two null chains of 1001 atoms map onto each other one atom per search
+    level, past Python's default recursion limit, without the process-wide
+    limit being raised."""
+    def refuse(limit):
+        raise AssertionError("isomorphic changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    a = {Atom(f"e{i}", (Null(i), Null(i + 1))) for i in range(1, 1002)}
+    b = {Atom(f"e{i}", (Null(5000 + i), Null(5001 + i))) for i in range(1, 1002)}
+    assert isomorphic(a, b)
 
 
 def test_satisfies_query_reports_first_disjunct():
