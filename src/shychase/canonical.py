@@ -22,10 +22,9 @@ from .core import (
     Ontology,
     Query,
     Rule,
-    Variable,
     constants_of,
 )
-from .hom import iso_invariant, isomorphic
+from .hom import _canonical_key, _split
 
 
 class UnpackError(ValueError):
@@ -118,16 +117,14 @@ def _assignments(variables: list, constants: list):
     yield from rec(0, 0, [])
 
 
-def _is_new(sig: frozenset, seen: dict) -> bool:
-    """Record sig in seen unless an isomorphic atom set is already there.
-
-    seen buckets the recorded sets by `iso_invariant`, so `isomorphic` only
-    runs against sets that agree on it.
-    """
-    bucket = seen.setdefault(iso_invariant(sig), [])
-    if any(isomorphic(sig, other) for other in bucket):
+def _is_new(atoms: Iterable[Atom], codes: dict, seen: set) -> bool:
+    """Record the atoms' `_canonical_key` in seen unless an atom set equal up
+    to variable renaming is there; calls that share seen share codes."""
+    plain, coded = _split(atoms, codes)
+    key = _canonical_key(frozenset(plain), tuple(coded))
+    if key in seen:
         return False
-    bucket.append(sig)
+    seen.add(key)
     return True
 
 
@@ -148,13 +145,15 @@ def enumerate_safe_patterns(rule: Rule, consts: Iterable[Constant]) -> tuple:
     """One pattern per isomorphism class of canonical instantiations of the rule.
 
     Enumerating equality classes in restricted growth order avoids most
-    duplicates; a final isomorphism pass removes the rest (symmetric bodies).
+    duplicates; a canonical key up to variable renaming removes the rest
+    (symmetric bodies).
     """
     order = _first_occurrence_vars(rule.body)
     constants = sorted(set(consts))
-    seen: dict = {}
+    codes: dict = {}
+    seen: set = set()
     return tuple(pattern for pattern in _assignments(order, constants)
-                 if _is_new(_tagged_atoms(rewrite_rule(rule, pattern)), seen))
+                 if _is_new(_tagged_atoms(rewrite_rule(rule, pattern)), codes, seen))
 
 
 def rewrite_database(db: Database) -> Database:
@@ -183,12 +182,13 @@ def rewrite_query(q: Query, consts: Iterable[Constant]) -> Query:
     """Expand each disjunct over all equality patterns of its variables."""
     constants = sorted(set(consts))
     disjuncts = []
-    seen: dict = {}
+    codes: dict = {}
+    seen: set = set()
     for disjunct in q.disjuncts:
         order = _first_occurrence_vars(disjunct)
         for pattern in _assignments(order, constants):
             atoms = _dedup(canonical_atom(pattern.apply(a)) for a in disjunct)
-            if _is_new(frozenset(atoms), seen):
+            if _is_new(atoms, codes, seen):
                 disjuncts.append(atoms)
     return Query(tuple(disjuncts))
 

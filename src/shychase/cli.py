@@ -26,11 +26,11 @@ from .parse import (
 
 
 class _UsageError(Exception):
-    """A flag value the library rejects; reported like a parse error."""
+    """A flag value or input the library rejects; reported like a parse error."""
 
 
 def _checked(make, *args):
-    """make(*args), with a rejected flag value turned into a usage error."""
+    """make(*args), with a rejected flag value or input as a usage error."""
     try:
         return make(*args)
     except ValueError as exc:
@@ -102,8 +102,8 @@ def _cmd_answer(args) -> int:
 
 def _cmd_rewrite(args) -> int:
     program = _read_program(args.file)
-    dbc, ontoc, queries = rewrite_theory(
-        program.database, program.ontology, program.queries
+    dbc, ontoc, queries = _checked(
+        rewrite_theory, program.database, program.ontology, program.queries
     )
     if args.partition:
         active, harmless = partition_active_harmless(ontoc)

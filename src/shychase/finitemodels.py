@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -25,7 +24,8 @@ from .core import (
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
-from .hom import _index, _match, _search, apply_mapping, satisfies_query
+from .hom import (_canonical_key, _index, _match, _search, _split, apply_mapping,
+                  satisfies_query)
 
 
 @dataclass(frozen=True)
@@ -232,66 +232,6 @@ def _first_violation(atoms: Iterable[Atom], onto: Ontology):
     _, table = _extend({}, ({},) * len(rules), rules, atoms)
     violation = _least_violation(rules, table)
     return None if violation is None else (violation[0][0], violation[1])
-
-
-def _atom_code(a: Atom, codes: dict):
-    """a as a tuple of integers, or False if a is null-free.
-
-    `codes` interns predicates and terms as integers and caches each atom's
-    result.  The tuple holds the predicate's number, then per argument 2i
-    for a constant numbered i and -3 - i for a null numbered i.
-    """
-    code = codes.get(a)
-    if code is None:
-        code = False
-        if any(isinstance(t, Null) for t in a.args):
-            code = (codes.setdefault(a.pred_key, len(codes)),
-                    *(-3 - codes.setdefault(t, len(codes)) if isinstance(t, Null)
-                      else 2 * codes.setdefault(t, len(codes)) for t in a.args))
-        codes[a] = code
-    return code
-
-
-def _split(atoms: Iterable[Atom], codes: dict) -> tuple:
-    """(null-free atoms, codes of the others); see `_atom_code`."""
-    plain, coded = [], []
-    for a in atoms:
-        code = _atom_code(a, codes)
-        if code:
-            coded.append(code)
-        else:
-            plain.append(a)
-    return plain, coded
-
-
-def _canonical_key(plain: frozenset, coded: tuple) -> tuple:
-    """Canonical key of an atom set given by `_split`: two sets get equal
-    keys exactly when a bijective renaming of nulls carries one onto the
-    other, provided both were coded with the same `codes`.
-
-    The null-free atoms go in as they are.  The others go in as the sorted
-    tuple of their codes with the nulls numbered 1, 3, 5, ... (constants
-    are even), minimised over the numberings of the nulls.  Only
-    numberings that number the nulls class by class are tried: a class
-    holds the nulls with one signature (the codes of the atoms that hold
-    the null, with it as -1 and other nulls as -2), and classes go in
-    signature order.  A renaming keeps signatures, so isomorphic sets try
-    the same candidates.
-    """
-    nulls = {t for code in coded for t in code if t < -2}
-    classes: dict = {}
-    for n in nulls:
-        sig = () if len(nulls) == 1 else tuple(sorted(
-            tuple(-1 if t == n else -2 if t < -2 else t for t in code)
-            for code in coded if n in code))
-        classes.setdefault(sig, []).append(n)
-    best = None
-    for order in product(*(permutations(classes[sig]) for sig in sorted(classes))):
-        number = {n: 2 * j + 1 for j, n in enumerate(chain.from_iterable(order))}
-        candidate = tuple(sorted(tuple(number.get(t, t) for t in code) for code in coded))
-        if best is None or candidate < best:
-            best = candidate
-    return plain, best
 
 
 def _ev_values(k: int, pool: list, fresh: list, drawn: int = 0) -> Iterator[tuple]:

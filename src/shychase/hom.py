@@ -1,8 +1,10 @@
-"""Homomorphism search, query satisfaction, and isomorphism modulo null renaming."""
+"""Homomorphism search, query satisfaction, and isomorphism modulo null or
+variable renaming: a pairwise test and a canonical key."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .core import Atom, Constant, Instance, Query, Variable
@@ -139,12 +141,6 @@ def _joint_colors(a: set, b: set):
     return ca, cb
 
 
-def iso_invariant(atoms) -> tuple:
-    """Sorted (predicate, shape) multiset of an atom set: equal for any two
-    sets that are isomorphic modulo null and variable renaming."""
-    return tuple(sorted(x.sort_key()[:2] for x in atoms))
-
-
 def isomorphic(a, b) -> bool:
     """True iff a bijective renaming of nulls/variables maps atom set a onto b."""
     if isinstance(a, Instance):
@@ -152,7 +148,8 @@ def isomorphic(a, b) -> bool:
     if isinstance(b, Instance):
         b = b.atoms
     a, b = set(a), set(b)
-    if len(a) != len(b) or iso_invariant(a) != iso_invariant(b):
+    if len(a) != len(b) or (sorted(x.sort_key()[:2] for x in a)
+                            != sorted(x.sort_key()[:2] for x in b)):
         return False
 
     color_a, color_b = _joint_colors(a, b)
@@ -187,11 +184,12 @@ def isomorphic(a, b) -> bool:
     used: set = set()
     taken: set = set()
 
-    # prefer atoms whose terms are already pinned down, then scarce predicates
+    # prefer atoms whose terms are already pinned down, then scarce predicates;
+    # `min` keeps the first of equal ranks, so ties go by `pool`'s sort order
     def rank(item):
         _, src = item
         bound = sum(1 for t in src.args if isinstance(t, Constant) or t in fwd)
-        return (-bound, len(idx.get((src.pred_key, src.arity), ())), src.sort_key())
+        return (-bound, len(idx.get((src.pred_key, src.arity), ())))
 
     def place(frame) -> bool:
         """Undo the frame's atom's current target and map it onto the next
@@ -231,3 +229,64 @@ def isomorphic(a, b) -> bool:
             return False
         remaining = stack[-1][1]
     return True
+
+
+def _atom_code(a: Atom, codes: dict):
+    """a as a tuple of integers, or False if every argument is a constant.
+
+    `codes` interns predicates and terms as integers and caches each atom's
+    result.  The tuple holds the predicate's number, then per argument 2i
+    for a constant numbered i and -3 - i for a null or variable numbered i.
+    A coded set never mixes the two: it is an instance (no variables) or
+    the atoms of rules or queries (no nulls)."""
+    code = codes.get(a)
+    if code is None:
+        code = False
+        if not all(isinstance(t, Constant) for t in a.args):
+            code = (codes.setdefault(a.pred_key, len(codes)),
+                    *(2 * codes.setdefault(t, len(codes)) if isinstance(t, Constant)
+                      else -3 - codes.setdefault(t, len(codes)) for t in a.args))
+        codes[a] = code
+    return code
+
+
+def _split(atoms: Iterable[Atom], codes: dict) -> tuple:
+    """(constant-only atoms, codes of the others); see `_atom_code`."""
+    plain, coded = [], []
+    for a in atoms:
+        code = _atom_code(a, codes)
+        if code:
+            coded.append(code)
+        else:
+            plain.append(a)
+    return plain, coded
+
+
+def _canonical_key(plain: frozenset, coded: tuple) -> tuple:
+    """Canonical key of an atom set given by `_split`: two sets get equal
+    keys exactly when a bijective renaming of nulls or variables carries
+    one onto the other, provided both were coded with the same `codes`.
+
+    The constant-only atoms go in as they are.  The others go in as the
+    sorted tuple of their codes with the renamable terms numbered 1, 3, 5,
+    ... (constants are even), minimised over the numberings of those
+    terms.  Only numberings that number them class by class are tried: a
+    class holds the terms with one signature (the codes of the atoms that
+    hold the term, with it as -1 and other renamable terms as -2), and
+    classes go in signature order.  A renaming keeps signatures, so
+    isomorphic sets try the same candidates.
+    """
+    renamable = {t for code in coded for t in code if t < -2}
+    classes: dict = {}
+    for n in renamable:
+        sig = () if len(renamable) == 1 else tuple(sorted(
+            tuple(-1 if t == n else -2 if t < -2 else t for t in code)
+            for code in coded if n in code))
+        classes.setdefault(sig, []).append(n)
+    best = None
+    for order in product(*(permutations(classes[sig]) for sig in sorted(classes))):
+        number = {n: 2 * j + 1 for j, n in enumerate(chain.from_iterable(order))}
+        candidate = tuple(sorted(tuple(number.get(t, t) for t in code) for code in coded))
+        if best is None or candidate < best:
+            best = candidate
+    return plain, best

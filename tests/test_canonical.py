@@ -8,6 +8,7 @@ from shychase.canonical import (
     SubstitutionPattern,
     UnpackError,
     _assignments,
+    _dedup,
     _first_occurrence_vars,
     _tagged_atoms,
     canonical_atom,
@@ -20,7 +21,7 @@ from shychase.canonical import (
     unpack,
     unpack_atom,
 )
-from shychase.core import Atom, Constant, Instance, Null, Variable, constants_of
+from shychase.core import Atom, Constant, Instance, Null, Query, Variable, constants_of
 from shychase.generate import default_config, random_program
 from shychase.harness import load_paper_program
 from shychase.hom import isomorphic
@@ -140,12 +141,36 @@ def _patterns_by_pairwise_dedupe(rule, consts) -> tuple:
 
 @pytest.mark.parametrize("seed", range(20))
 def test_bucketed_pattern_dedupe_matches_pairwise(seed):
-    """[DERIVED] Bucketing by the isomorphism invariant keeps exactly the
-    patterns, in the same order, that the all-pairs scan keeps."""
+    """[DERIVED] Deduplicating by the canonical key, one bucket per key,
+    keeps exactly the patterns, in the same order, that the all-pairs scan
+    keeps."""
     program = random_program(seed, default_config())
     consts = sorted(constants_of(program.database, program.ontology))
     for rule in program.ontology:
         assert enumerate_safe_patterns(rule, consts) == _patterns_by_pairwise_dedupe(rule, consts)
+
+
+def _query_by_pairwise_dedupe(q, consts) -> Query:
+    """Oracle: keep a rewritten disjunct unless it is isomorphic to any kept
+    one, testing every earlier disjunct."""
+    kept = []
+    for disjunct in q.disjuncts:
+        for pattern in _assignments(_first_occurrence_vars(disjunct), sorted(set(consts))):
+            atoms = _dedup(canonical_atom(pattern.apply(a)) for a in disjunct)
+            if not any(isomorphic(frozenset(atoms), frozenset(other)) for other in kept):
+                kept.append(atoms)
+    return Query(tuple(kept))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_query_dedupe_matches_pairwise(seed):
+    """[DERIVED] On a query with one disjunct per rule body of a random
+    program, deduplicating by the canonical key keeps exactly the
+    disjuncts, in the same order, that the all-pairs scan keeps."""
+    program = random_program(seed, default_config())
+    consts = sorted(constants_of(program.database, program.ontology))
+    q = Query(tuple(rule.body for rule in program.ontology))
+    assert rewrite_query(q, consts) == _query_by_pairwise_dedupe(q, consts)
 
 
 def test_rewrite_drops_tautological_variants():

@@ -1,8 +1,12 @@
 """CLI behavior: exit codes, JSON determinism, command output."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shychase import cli
 from shychase.chase import OBLIVIOUS, ChaseConfig, entails
@@ -132,6 +136,21 @@ def test_rejected_bound_exits_2(father_file, capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_rewrite_of_shaped_input_exits_2(tmp_path, father_file, capsys):
+    """A shaped atom cannot be canonicalised again; `rewrite` reports it as
+    an input error, on a hand-written file and on its own output."""
+    code, rewritten, _ = run(capsys, "rewrite", father_file)
+    assert code == 0
+    for name, text in (("shaped.dlp", "p_[1](a).\n"), ("rewritten.dlp", rewritten)):
+        path = tmp_path / name
+        path.write_text(text)
+        for flags in ((), ("--partition",), ("--json",)):
+            code, out, err = run(capsys, "rewrite", str(path), *flags)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "already carries a shape" in err
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.dlp"
     path.write_text("p(c")
@@ -159,3 +178,65 @@ def test_harness_paper_suite_passes(capsys):
     code, out, _ = run(capsys, "harness", "--suite", "paper")
     assert code == 0
     assert out.count("[PASS]") == 3
+
+
+# predicate spellings with their arities, plain and shaped; terms are
+# weighted towards what each statement accepts, and a numeral is never valid
+_FUZZ_PREDICATES = [("p", 1), ("q", 2), ("r", 0)] * 4 + [
+    ("s_[1]", 1), ("s_[1,2]", 2), ("t_[1,a]", 1), ("u_[a,b]", 0), ("v_[1,1]", 1)]
+_FACT_TERMS = ["a", "b"] * 6 + ["X", "1"]
+_RULE_TERMS = ["a", "b"] + ["X", "Y", "Z"] * 4 + ["1"]
+_HEAD_TERMS = ["a", "X", "X", "Y", "Y", "W", "V"]
+
+
+@st.composite
+def _fuzz_atoms(draw, terms):
+    name, arity = draw(st.sampled_from(_FUZZ_PREDICATES))
+    if arity == 0 and draw(st.booleans()):
+        return name
+    args = draw(st.lists(st.sampled_from(terms), min_size=arity, max_size=arity))
+    return f"{name}({','.join(args)})"
+
+
+@st.composite
+def _fuzz_rules(draw):
+    body = ", ".join(draw(st.lists(_fuzz_atoms(_RULE_TERMS), min_size=1, max_size=3)))
+    evs = draw(st.lists(st.sampled_from(["W", "V", "W", "V", "Y"]), max_size=2, unique=True))
+    exists = f"exists {','.join(evs)}. " if evs else ""
+    return f"{body} -> {exists}{draw(_fuzz_atoms(_HEAD_TERMS))}."
+
+
+_fuzz_queries = st.lists(st.lists(_fuzz_atoms(_RULE_TERMS), min_size=1, max_size=2),
+                         min_size=1, max_size=2).map(
+    lambda disjuncts: "? " + " | ".join(", ".join(d) for d in disjuncts) + ".")
+_fuzz_programs = st.tuples(
+    st.lists(_fuzz_atoms(_FACT_TERMS).map(lambda a: a + "."), max_size=3),
+    st.lists(_fuzz_rules(), max_size=3),
+    st.lists(_fuzz_queries, min_size=1, max_size=2),
+).map(lambda parts: "\n".join(s for part in parts for s in part) + "\n")
+
+
+_FUZZ_COMMANDS = [
+    ("classify",),
+    ("chase", "--max-atoms", "30", "--max-rounds", "10"),
+    ("answer", "--max-atoms", "30", "--max-rounds", "10"),
+    ("rewrite",),
+    ("rewrite", "--partition"),
+    ("fc-check", "--max-nulls", "1", "--max-atoms", "5"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_programs)
+def test_cli_exits_0_or_2_on_any_program(tmp_path_factory, text):
+    """[DERIVED] On programs built from plain and shaped predicates,
+    constants, variables, numerals, facts, rules with and without
+    `exists`, and queries, every command either succeeds or reports a parse
+    or usage error, and none raises."""
+    path = tmp_path_factory.mktemp("fuzz") / "program.dlp"
+    path.write_text(text)
+    for command, *flags in _FUZZ_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path), *flags])
+        assert code in (0, 2), (command, text)

@@ -1,4 +1,5 @@
-"""Homomorphism search and null-renaming isomorphism against brute force."""
+"""Homomorphism search, and isomorphism and the canonical key modulo
+renaming, against brute force."""
 
 import sys
 from itertools import permutations, product
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from shychase.core import Atom, Constant, Instance, Null, Query, Variable
 from shychase.hom import (
+    _canonical_key,
+    _split,
     apply_mapping,
     find_homomorphism,
     homomorphisms,
@@ -150,3 +153,52 @@ def test_satisfies_query_reports_first_disjunct():
     assert witness.mapping[Variable("X")] == Constant("a")
     missing = Query(((Atom("r", (Variable("X"),)),),))
     assert satisfies_query(inst, missing) is None
+
+
+def test_isomorphic_ranks_without_a_sort_key_per_remaining_atom(monkeypatch):
+    """Picking the next atom to map reads no `Atom.sort_key` of the atoms
+    left: on two n-atom null chains the calls stay linear in n."""
+    n = 200
+    calls = 0
+    sort_key = Atom.sort_key
+
+    def counted(atom):
+        nonlocal calls
+        calls += 1
+        return sort_key(atom)
+
+    monkeypatch.setattr(Atom, "sort_key", counted)
+    a = {Atom("e", (Null(i), Null(i + 1))) for i in range(n)}
+    b = {Atom("e", (Null(1000 + i), Null(1001 + i))) for i in range(n)}
+    assert isomorphic(a, b)
+    assert calls < 10 * n
+
+
+_KEY_VARIABLES = [Variable("X"), Variable("Y"), Variable("Z")]
+_variable_atom_sets = st.frozensets(st.one_of(
+    st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from("pq"), src_terms, src_terms),
+    st.builds(lambda t: Atom("r", (t,)), src_terms),
+), max_size=6)
+
+
+def _key(atoms, codes):
+    plain, coded = _split(atoms, codes)
+    return _canonical_key(frozenset(plain), tuple(coded))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_variable_atom_sets, _variable_atom_sets,
+       st.lists(variables, min_size=3, max_size=3))
+def test_canonical_key_equal_exactly_when_isomorphic_on_variables(a, b, images):
+    """[DERIVED] On small sets of variable and constant atoms, as rule
+    patterns and query disjuncts are, the key is equal exactly when
+    `isomorphic` says so: for a random pair, and for a set and its image
+    under a map of its variables, which is a renaming when the map is a
+    bijection."""
+    mapped = frozenset(apply_mapping(dict(zip(_KEY_VARIABLES, images)), x) for x in a)
+    codes: dict = {}
+    key_a = _key(a, codes)
+    for other in (b, mapped):
+        assert (key_a == _key(other, codes)) == isomorphic(a, other)
+    if sorted(images) == _KEY_VARIABLES:
+        assert _key(mapped, codes) == key_a

@@ -1,10 +1,13 @@
 """The names that code outside the package looks up in it."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "shychase"
 
 
 def test_every_traced_name_is_a_callable_of_its_layer():
@@ -17,3 +20,26 @@ def test_every_traced_name_is_a_callable_of_its_layer():
         module = importlib.import_module(f"shychase.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"shychase.{layer}.{name}"
+
+
+def _unused_imports(path: Path) -> list:
+    """Names the module at path imports and never loads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_imported_name_is_used():
+    """Each module of the package, apart from `__init__`, which re-exports
+    names, uses every name it imports."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            assert _unused_imports(path) == [], path.name
