@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .core import (Atom, Database, Instance, NullFactory, Ontology, Query,
-                   Rule, term_key)
-from .hom import Witness, apply_mapping, find_homomorphism, homomorphisms, satisfies_query
+from .core import Atom, Database, Instance, NullFactory, Ontology, Query
+from .hom import (Witness, _index, _key, _mapping_key, _search, _violations, apply_mapping,
+                  satisfies_query)
 
 OBLIVIOUS = "oblivious"
 RESTRICTED = "restricted"
@@ -51,32 +51,26 @@ class ChaseResult:
         return Instance(frozenset(atoms))
 
 
-def _mapping_key(rule: Rule, h: dict):
-    return tuple(term_key(h[v]) for v in sorted(rule.uv))
-
-
-def applicable_steps(onto: Ontology, inst: Instance, fired: set,
+def applicable_steps(onto: Ontology, idx: dict, fired: set,
                      mode: str = OBLIVIOUS) -> list:
     """(rule, body homomorphism) pairs not yet fired, in deterministic order.
 
-    In restricted mode, pairs whose head already has a match extending the
-    homomorphism restricted to the universal variables are dropped.
+    idx indexes the instance under `hom._key`, in any order within a list:
+    each rule's body matches are sorted by their images of the body
+    variables, which tell any two apart, so the index order never shows.
+    In restricted mode, a pair is kept only if `_violations` finds no head
+    extension for it; fired pairs are dropped before that check.
     """
     out = []
     for rule in onto:
-        for h in sorted(homomorphisms(rule.body, inst), key=lambda h: _mapping_key(rule, h)):
+        for h in sorted(_search(rule.body, {}, idx), key=_mapping_key):
             key = (rule.id, tuple(apply_mapping(h, a) for a in rule.body))
             if key in fired:
                 continue
-            if mode == RESTRICTED and _head_satisfied(rule, h, inst):
+            if mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
                 continue
             out.append((rule, h))
     return out
-
-
-def _head_satisfied(rule: Rule, h: dict, inst: Instance) -> bool:
-    seed = {v: h[v] for v in rule.uv if v in h}
-    return find_homomorphism([rule.head], inst, seed) is not None
 
 
 def run_chase(db: Database, onto: Ontology, cfg: ChaseConfig) -> ChaseResult:
@@ -86,48 +80,44 @@ def run_chase(db: Database, onto: Ontology, cfg: ChaseConfig) -> ChaseResult:
     lexicographic witness order; every step draws fresh nulls from one
     monotone counter.  Hitting a bound is not an error: the result simply
     carries terminated=False.
+
+    One index serves the whole run: built from the database, it gets each
+    produced atom appended to its list, unsorted.  Order stays
+    deterministic since `applicable_steps` sorts each rule's matches and
+    the restricted re-check only asks whether a head extension exists.
     """
     atoms = set(db.atoms)
+    idx = _index(atoms)
     fired: set = set()
     steps: list = []
     nulls = NullFactory()
     rounds = 0
-    terminated = False
     truncated = False
-
-    while rounds < cfg.max_rounds:
-        snapshot = Instance(frozenset(atoms))
-        pending = applicable_steps(onto, snapshot, fired, cfg.mode)
-        if not pending:
-            terminated = True
+    while not truncated:
+        pending = applicable_steps(onto, idx, fired, cfg.mode)
+        # at the round bound the chase has terminated only if nothing is pending
+        if not pending or rounds == cfg.max_rounds:
             break
         rounds += 1
         for rule, h in pending:
-            key = (rule.id, tuple(apply_mapping(h, a) for a in rule.body))
-            if cfg.mode == RESTRICTED and _head_satisfied(rule, h, Instance(frozenset(atoms))):
-                fired.add(key)
+            fired.add((rule.id, tuple(apply_mapping(h, a) for a in rule.body)))
+            # an atom produced earlier in the round may satisfy the head now
+            if cfg.mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
                 continue
             full = dict(h)
             for v in sorted(rule.ev):
                 full[v] = nulls.fresh()
             produced = apply_mapping(full, rule.head)
-            fired.add(key)
             if produced in atoms:
                 continue
             if len(atoms) >= cfg.max_atoms:
                 truncated = True
                 break
             atoms.add(produced)
+            idx.setdefault(_key(produced), []).append(produced)
             steps.append(ChaseStep(rule.id, full, produced, rounds))
-        if truncated:
-            break
-    else:
-        # round budget exhausted; report termination only if nothing is left to fire
-        snapshot = Instance(frozenset(atoms))
-        terminated = not applicable_steps(onto, snapshot, fired, cfg.mode)
-
     complete = rounds - 1 if truncated else rounds
-    return ChaseResult(Instance(frozenset(atoms)), terminated, rounds, tuple(steps), complete)
+    return ChaseResult(Instance(frozenset(atoms)), not pending, rounds, tuple(steps), complete)
 
 
 class Verdict(Enum):

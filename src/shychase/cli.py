@@ -16,6 +16,7 @@ from .finitemodels import ModelBudget, find_finite_countermodel, find_support_or
 from .harness import SUITES, run_suite
 from .parse import (
     ParseError,
+    Program,
     parse_program,
     print_atom,
     print_program,
@@ -118,8 +119,6 @@ def _cmd_rewrite(args) -> int:
             + ["# harmless"] + [print_rule(r) for r in harmless]
         )
     else:
-        from .parse import Program
-
         payload = to_jsonable(Program(dbc, ontoc, queries))
         text = print_program(Program(dbc, ontoc, queries))
     _emit(payload, args.json, text)

@@ -18,14 +18,13 @@ from .core import (
     Null,
     Ontology,
     Query,
-    Rule,
     constants_of,
     term_key,
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
-from .hom import (_canonical_key, _index, _match, _search, _split, apply_mapping,
-                  satisfies_query)
+from .hom import (_canonical_key, _index, _key, _mapping_key, _match, _search, _split,
+                  _violations, apply_mapping, satisfies_query)
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,6 @@ class ModelBudget:
             raise ValueError("max_extra_nulls must be non-negative")
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be positive")
-
-
-def _violations(rule: Rule, idx: dict, body: tuple, seed: dict) -> Iterator[dict]:
-    """Maps of the rule's body atoms `body` into the indexed instance that
-    extend seed and have no head extension."""
-    for h in _search(body, seed, idx):
-        if next(_search([rule.head], h, idx), None) is None:
-            yield h
 
 
 def is_model(inst: Instance, db: Database, onto: Ontology):
@@ -162,14 +153,6 @@ def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optiona
     if find_support_ordering(core, db, onto) is None:
         return None
     return core
-
-
-def _mapping_key(h: dict) -> tuple:
-    return tuple(sorted((k.name, term_key(v)) for k, v in h.items()))
-
-
-def _key(a: Atom) -> tuple:
-    return a.pred_key, a.arity
 
 
 def _keyed_rules(onto: Ontology) -> list:

@@ -19,7 +19,6 @@ from .finitemodels import (
     StartingPoint,
     disjoin_repair,
     enumerate_finite_models,
-    find_finite_countermodel,
     find_support_ordering,
     is_model,
     ordering_from_sequence,
@@ -398,9 +397,12 @@ def check_finite_countermodels():
     false_hits = false_total = 0
     for name, program in curated_programs():
         chase = run_chase(program.database, program.ontology, cfg)
+        # one enumeration serves every query: `find_finite_countermodel`
+        # returns the first enumerated model that rejects the query
+        models = list(enumerate_finite_models(program.database, program.ontology, budget))
         for i, q in enumerate(program.queries):
             verdict = entailment_in(chase, q)
-            counter = find_finite_countermodel(program.database, program.ontology, q, budget)
+            counter = next((m for m in models if satisfies_query(m, q) is None), None)
             if counter is not None:
                 ok, _ = is_model(counter, program.database, program.ontology)
                 if not ok or satisfies_query(counter, q) is not None:

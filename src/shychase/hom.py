@@ -1,5 +1,7 @@
 """Homomorphism search, query satisfaction, and isomorphism modulo null or
-variable renaming: a pairwise test and a canonical key."""
+variable renaming: a pairwise test and a canonical key.  `_violations` is
+the one trigger routine (a rule's body matches without a head extension),
+which the chase, model checking and the model search all call."""
 
 from __future__ import annotations
 
@@ -7,17 +9,23 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
-from .core import Atom, Constant, Instance, Query, Variable
+from .core import Atom, Constant, Instance, Query, Rule, Variable, term_key
 
 
 def apply_mapping(mapping: dict, atom: Atom) -> Atom:
     return Atom(atom.pred, tuple(mapping.get(t, t) for t in atom.args), atom.shape)
 
 
+def _key(a: Atom) -> tuple:
+    """The index key of an atom: its predicate with shape, and its arity."""
+    return a.pred_key, a.arity
+
+
 def _index(atoms: Iterable[Atom]) -> dict:
+    """The atoms by `_key`, each list in `Atom.sort_key` order."""
     idx: dict = {}
     for a in atoms:
-        idx.setdefault((a.pred_key, a.arity), []).append(a)
+        idx.setdefault(_key(a), []).append(a)
     for lst in idx.values():
         lst.sort(key=Atom.sort_key)
     return idx
@@ -56,7 +64,7 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
     best_i, best_exts = None, None
     for i, atom in enumerate(remaining):
         exts = []
-        for tgt in idx.get((atom.pred_key, atom.arity), ()):
+        for tgt in idx.get(_key(atom), ()):
             ext = _match(atom, tgt, mapping)
             if ext is not None:
                 exts.append(ext)
@@ -67,6 +75,21 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
     rest = remaining[:best_i] + remaining[best_i + 1:]
     for ext in best_exts:
         yield from _search(rest, ext, idx)
+
+
+def _violations(rule: Rule, idx: dict, body: tuple, seed: dict) -> Iterator[dict]:
+    """Maps of the rule's body atoms `body` into the indexed instance that
+    extend seed and have no head extension; with an empty body, seed itself
+    if it has none."""
+    for h in _search(body, seed, idx):
+        if next(_search([rule.head], h, idx), None) is None:
+            yield h
+
+
+def _mapping_key(h: dict) -> tuple:
+    """Sort key of a map: its (variable name, image) pairs by name.  Maps of
+    one rule's body differ in some image, so the key orders them totally."""
+    return tuple(sorted((k.name, term_key(v)) for k, v in h.items()))
 
 
 def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:
@@ -189,7 +212,7 @@ def isomorphic(a, b) -> bool:
     def rank(item):
         _, src = item
         bound = sum(1 for t in src.args if isinstance(t, Constant) or t in fwd)
-        return (-bound, len(idx.get((src.pred_key, src.arity), ())))
+        return (-bound, len(idx.get(_key(src), ())))
 
     def place(frame) -> bool:
         """Undo the frame's atom's current target and map it onto the next
@@ -222,7 +245,7 @@ def isomorphic(a, b) -> bool:
     while remaining:
         i, src = min(enumerate(remaining), key=rank)
         stack.append((src, remaining[:i] + remaining[i + 1:],
-                      iter(idx.get((src.pred_key, src.arity), ())), []))
+                      iter(idx.get(_key(src), ())), []))
         while stack and not place(stack[-1]):
             stack.pop()
         if not stack:

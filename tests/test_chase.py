@@ -1,16 +1,25 @@
 """Chase engine: golden prefixes, datalog oracles, modes and bounds."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shychase import chase as chase_module
+from shychase import hom
 from shychase.chase import (
     OBLIVIOUS,
     RESTRICTED,
     ChaseConfig,
+    ChaseResult,
+    ChaseStep,
     Verdict,
     entails,
     run_chase,
 )
-from shychase.core import Atom, Constant, Null
+from shychase.core import Atom, Constant, Instance, Null, NullFactory, term_key
+from shychase.generate import default_config, random_program
+from shychase.harness import curated_programs, load_paper_program
+from shychase.hom import apply_mapping, find_homomorphism, homomorphisms
 from shychase.parse import parse_program, parse_query, print_atom
 
 FATHER = """
@@ -144,3 +153,147 @@ def test_entails_three_valued():
     unknown = entails(program.database, program.ontology,
                       parse_query("? f(c2,c2)."), tight)
     assert unknown.verdict is Verdict.UNKNOWN and not unknown
+
+
+# Oracle: the chase that takes an `Instance` snapshot per round and per
+# restricted trigger, and runs a fresh `homomorphisms` search over it per
+# rule and per trigger.
+
+
+def _oracle_mapping_key(rule, h):
+    return tuple(term_key(h[v]) for v in sorted(rule.uv))
+
+
+def _oracle_head_satisfied(rule, h, inst):
+    seed = {v: h[v] for v in rule.uv if v in h}
+    return find_homomorphism([rule.head], inst, seed) is not None
+
+
+def _oracle_applicable_steps(onto, inst, fired, mode):
+    out = []
+    for rule in onto:
+        for h in sorted(homomorphisms(rule.body, inst), key=lambda h: _oracle_mapping_key(rule, h)):
+            key = (rule.id, tuple(apply_mapping(h, a) for a in rule.body))
+            if key in fired:
+                continue
+            if mode == RESTRICTED and _oracle_head_satisfied(rule, h, inst):
+                continue
+            out.append((rule, h))
+    return out
+
+
+def _oracle_run_chase(db, onto, cfg):
+    atoms = set(db.atoms)
+    fired: set = set()
+    steps: list = []
+    nulls = NullFactory()
+    rounds = 0
+    terminated = False
+    truncated = False
+    while rounds < cfg.max_rounds:
+        pending = _oracle_applicable_steps(onto, Instance(frozenset(atoms)), fired, cfg.mode)
+        if not pending:
+            terminated = True
+            break
+        rounds += 1
+        for rule, h in pending:
+            key = (rule.id, tuple(apply_mapping(h, a) for a in rule.body))
+            if cfg.mode == RESTRICTED and _oracle_head_satisfied(rule, h, Instance(frozenset(atoms))):
+                fired.add(key)
+                continue
+            full = dict(h)
+            for v in sorted(rule.ev):
+                full[v] = nulls.fresh()
+            produced = apply_mapping(full, rule.head)
+            fired.add(key)
+            if produced in atoms:
+                continue
+            if len(atoms) >= cfg.max_atoms:
+                truncated = True
+                break
+            atoms.add(produced)
+            steps.append(ChaseStep(rule.id, full, produced, rounds))
+        if truncated:
+            break
+    else:
+        terminated = not _oracle_applicable_steps(onto, Instance(frozenset(atoms)), fired, cfg.mode)
+    complete = rounds - 1 if truncated else rounds
+    return ChaseResult(Instance(frozenset(atoms)), terminated, rounds, tuple(steps), complete)
+
+
+def _stop(result) -> str:
+    """Which bound, if any, ended the chase."""
+    if result.terminated:
+        return "fixpoint"
+    return "max_atoms" if result.complete_rounds < result.rounds else "max_rounds"
+
+
+_PAPER = ("active.dlp", "example_substitutions.dlp", "father.dlp", "linear_not_sticky.dlp",
+          "propagation.dlp", "shy_appendix.dlp", "shy_appendix_i.dlp",
+          "shy_appendix_ii.dlp", "theorem8.dlp")
+# (max_atoms, max_rounds): room to reach a fixpoint, an atom bound that
+# trips inside a round, and a round bound
+_BOUNDS = ((200, 50), (37, 50), (200, 3))
+# two triggers of one round whose heads share an extension: the restricted
+# chase fires the first and blocks the second on the atom it produced
+IN_ROUND = "p(a,b). p(a,c). p(X,Y) -> exists Z. q(X,Z)."
+
+
+def _assert_same_chases(program) -> set:
+    """Run both chases in both modes at each of _BOUNDS and require equal
+    results; returns the bounds that stopped them."""
+    stops = set()
+    for mode in (OBLIVIOUS, RESTRICTED):
+        for max_atoms, max_rounds in _BOUNDS:
+            cfg = ChaseConfig(mode, max_atoms, max_rounds)
+            got = run_chase(program.database, program.ontology, cfg)
+            want = _oracle_run_chase(program.database, program.ontology, cfg)
+            assert got.instance == want.instance
+            assert got.steps == want.steps  # rule id, mapping, produced atom, round
+            assert (got.terminated, got.rounds, got.complete_rounds) == (
+                want.terminated, want.rounds, want.complete_rounds)
+            stops.add(_stop(got))
+    return stops
+
+
+def test_indexed_chase_matches_the_snapshot_chase_on_the_suites():
+    """[DERIVED] The chase over one growing index takes the same steps, in
+    the same rounds, as the chase that re-indexes a snapshot per round and
+    per trigger, on every curated and paper theory and on IN_ROUND, in both
+    modes, whether it stops at a fixpoint, on max_atoms or on max_rounds."""
+    programs = ([program for _, program in curated_programs()]
+                + [load_paper_program(name) for name in _PAPER] + [parse_program(IN_ROUND)])
+    stops = set().union(*map(_assert_same_chases, programs))
+    assert stops == {"fixpoint", "max_atoms", "max_rounds"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_indexed_chase_matches_the_snapshot_chase_on_random_programs(seed):
+    _assert_same_chases(random_program(seed, default_config()))
+
+
+def test_restricted_chase_indexes_once_and_never_calls_homomorphisms(monkeypatch):
+    """A restricted chase of father.dlp to 201 atoms indexes the database
+    once and grows that index, with no `homomorphisms` search per rule or
+    per trigger.  Each function is counted at every name the chase or hom
+    binds it to."""
+    calls = {"_index": 0, "homomorphisms": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(hom, name))
+        for module in (hom, chase_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    program = load_paper_program("father.dlp")
+    result = run_chase(program.database, program.ontology, ChaseConfig(RESTRICTED, 201, 1000))
+    assert len(result.instance) == 201
+    assert calls["_index"] <= 1
+    assert calls["homomorphisms"] == 0

@@ -18,9 +18,7 @@ from shychase.finitemodels import (
     _ev_values,
     _first_violation,
     _found_models,
-    _mapping_key,
     _minimal_by_embedding,
-    _violations,
     disjoin_repair,
     enumerate_finite_models,
     find_finite_countermodel,
@@ -33,8 +31,9 @@ from shychase.finitemodels import (
 )
 from shychase.generate import default_config, is_shy_program, random_program, random_program_where
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import (_canonical_key, _index, _match, _split, apply_mapping,
-                         find_homomorphism, homomorphisms, isomorphic, satisfies_query)
+from shychase.hom import (_canonical_key, _index, _mapping_key, _match, _split, _violations,
+                         apply_mapping, find_homomorphism, homomorphisms, isomorphic,
+                         satisfies_query)
 from shychase.parse import parse_program, parse_query
 
 CLOSURE = """

@@ -87,3 +87,21 @@ def test_harness_detects_corrupted_rewriting(monkeypatch):
     monkeypatch.setattr(harness, "rewrite_theory", corrupted)
     result = CHECKS["golden-rewriting"]()
     assert not result.passed
+
+
+def test_finite_countermodel_check_enumerates_once_per_theory(monkeypatch):
+    """Criterion 9 enumerates each curated theory's minimal models once and
+    reads every query's countermodel off that one list."""
+    import shychase.harness as harness
+
+    calls = []
+    original = harness.enumerate_finite_models
+
+    def counted(db, onto, budget):
+        calls.append(budget)
+        return original(db, onto, budget)
+
+    monkeypatch.setattr(harness, "enumerate_finite_models", counted)
+    result = CHECKS["finite-countermodels"]()
+    assert result.passed
+    assert len(calls) == len(curated_programs())
