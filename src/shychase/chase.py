@@ -51,8 +51,7 @@ class ChaseResult:
         return Instance(frozenset(atoms))
 
 
-def applicable_steps(onto: Ontology, idx: dict, fired: set,
-                     mode: str = OBLIVIOUS) -> list:
+def applicable_steps(onto: Ontology, idx: dict, fired: set, mode: str) -> list:
     """(rule, body homomorphism) pairs not yet fired, in deterministic order.
 
     idx indexes the instance under `hom._key`, in any order within a list:

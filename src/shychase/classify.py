@@ -295,14 +295,14 @@ def attacked(atoms, var: Variable, table: InvasionTable) -> frozenset:
     return frozenset(common)
 
 
-def is_shy(onto: Ontology, table: Optional[InvasionTable] = None):
+def is_shy(onto: Ontology):
     """Shyness check; the witness names the rule, variables and attacking variable.
 
     Condition (1): a variable joining two body atoms must be protected.
     Condition (2): two head variables sitting in different body atoms must
     not be attacked there by one and the same existential variable.
     """
-    table = table or invasion_table(onto)
+    table = invasion_table(onto)
     for rule in onto:
         occurs_in = {v: [a for a in rule.body if v in set(a.variables())] for v in rule.uv}
         for v in sorted(rule.uv):

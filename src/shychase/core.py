@@ -228,8 +228,8 @@ def is_simple(atom: Atom) -> bool:
 class NullFactory:
     """Monotone fresh-null counter, confined to one chase or search run."""
 
-    def __init__(self, start: int = 0):
-        self._next = start + 1
+    def __init__(self):
+        self._next = 1
 
     def fresh(self) -> Null:
         n = Null(self._next)

@@ -41,15 +41,24 @@ class ModelBudget:
 
 def is_model(inst: Instance, db: Database, onto: Ontology):
     """(True, None) if inst contains db and satisfies every rule, else
-    (False, violation); violation is (None, missing db atom) or (rule, body map)."""
+    (False, violation); violation is (None, missing db atom) or, as
+    `_first_violation` gives it, (rule, body map)."""
     for a in sorted(db, key=Atom.sort_key):
         if a not in inst:
             return False, (None, a)
-    idx = _index(inst)
+    violation = _first_violation(inst, onto)
+    return violation is None, violation
+
+
+def _first_violation(atoms: Iterable[Atom], onto: Ontology):
+    """(rule, body map) of the first rule, by id, that the atoms violate,
+    with its least violating body map under `_mapping_key`; or None."""
+    idx = _index(atoms)
     for rule in sorted(onto, key=lambda r: r.id):
-        for h in _violations(rule, idx, rule.body, {}):
-            return False, (rule, h)
-    return True, None
+        h = min(_violations(rule, idx, rule.body, {}), key=_mapping_key, default=None)
+        if h is not None:
+            return rule, h
+    return None
 
 
 @dataclass(frozen=True)
@@ -144,8 +153,7 @@ def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optiona
     while changed:
         changed = False
         for a in sorted(atoms - db_atoms, key=Atom.sort_key):
-            candidate = Instance(frozenset(atoms - {a}))
-            if is_model(candidate, db, onto)[0]:
+            if _first_violation(atoms - {a}, onto) is None:
                 atoms.discard(a)
                 changed = True
                 break
@@ -192,13 +200,6 @@ def _add_atom(idx: dict, table: tuple, rules: list, a: Atom) -> tuple:
     return idx, tuple(out)
 
 
-def _extend(idx: dict, table: tuple, rules: list, atoms: Iterable[Atom]) -> tuple:
-    """`_add_atom` for each of atoms in turn."""
-    for a in atoms:
-        idx, table = _add_atom(idx, table, rules, a)
-    return idx, table
-
-
 def _least_violation(rules: list, table: tuple):
     """(entry of `rules`, body map) of the first rule with a violation in
     the table, with its least body map under `_mapping_key`; or None."""
@@ -206,15 +207,6 @@ def _least_violation(rules: list, table: tuple):
         if viols:
             return entry, viols[min(viols)]
     return None
-
-
-def _first_violation(atoms: Iterable[Atom], onto: Ontology):
-    """(rule, body map) of the first rule, by id, that the atoms violate,
-    with its least violating body map under `_mapping_key`; or None."""
-    rules = _keyed_rules(onto)
-    _, table = _extend({}, ({},) * len(rules), rules, atoms)
-    violation = _least_violation(rules, table)
-    return None if violation is None else (violation[0][0], violation[1])
 
 
 def _ev_values(k: int, pool: list, fresh: list, drawn: int = 0) -> Iterator[tuple]:
@@ -292,7 +284,8 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
         if key in seen_states:
             continue
         seen_states.add(key)
-        idx, table = _extend(idx, table, rules, added)
+        for a in added:
+            idx, table = _add_atom(idx, table, rules, a)
         violation = _least_violation(rules, table)
         if violation is None:
             found.append(atoms)

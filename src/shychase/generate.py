@@ -1,23 +1,19 @@
 """Seeded random theory generator used by the differential harness.
 
-Generation parameters live in a JSON config shipped with the package so
-harness runs are reproducible from (config, seed) alone.  Fragment-specific
-suites are obtained by post-filtering with the classifiers.
+Generation parameters are the defaults of `GeneratorConfig`, so harness
+runs are reproducible from the seed alone.  Fragment-specific suites are
+obtained by post-filtering with the classifiers.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from importlib import resources
 
 from .chase import OBLIVIOUS, ChaseConfig, run_chase
 from .classify import classify_local, is_shy, sticky_marking
 from .core import Atom, Constant, Database, Ontology, Rule, Variable
 from .parse import Program
-
-CONFIG_RESOURCE = "harness_config.json"
 
 
 @dataclass(frozen=True)
@@ -35,14 +31,9 @@ class GeneratorConfig:
     # so rewritten theories stay small.
     max_rule_vars: int = 4
 
-    @staticmethod
-    def from_dict(data: dict) -> "GeneratorConfig":
-        return GeneratorConfig(**data)
-
 
 def default_config() -> GeneratorConfig:
-    text = resources.files(__package__).joinpath(CONFIG_RESOURCE).read_text()
-    return GeneratorConfig.from_dict(json.loads(text))
+    return GeneratorConfig()
 
 
 def _signature(rng: random.Random, cfg: GeneratorConfig) -> list:
@@ -141,11 +132,11 @@ def atom_scoped_joins(program: Program) -> bool:
     return True
 
 
-def grows_to(n_atoms: int, max_rounds: int = 80):
+def grows_to(n_atoms: int):
     """Filter: the oblivious chase reaches at least n_atoms within bounds."""
 
     def check(program: Program) -> bool:
-        cfg = ChaseConfig(OBLIVIOUS, max_atoms=n_atoms + 30, max_rounds=max_rounds)
+        cfg = ChaseConfig(OBLIVIOUS, max_atoms=n_atoms + 30, max_rounds=80)
         result = run_chase(program.database, program.ontology, cfg)
         return len(result.instance) >= n_atoms
 

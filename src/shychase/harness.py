@@ -1,13 +1,14 @@
 """Differential harness: one check per acceptance property, plus suites.
 
 Each check returns a CheckResult; the CLI aggregates them.  Randomized
-checks are pure functions of (seed, packaged generator config).
+checks are pure functions of the seed, under the default generator config.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import wraps
 from importlib import resources
 
 from .canonical import _tagged_atoms, partition_active_harmless, rewrite_theory, unpack
@@ -53,6 +54,7 @@ class CheckResult:
 
 def _timed(name):
     def wrap(fn):
+        @wraps(fn)
         def run(*args, **kwargs):
             t0 = time.perf_counter()
             passed, detail = fn(*args, **kwargs)
@@ -168,8 +170,7 @@ def check_golden_classification():
     return True, "appendix verdicts and linear/sticky split reproduced"
 
 
-def _canonical_chase_matches(program, other_onto=None, min_atoms=100,
-                             src_max=140, mode=OBLIVIOUS):
+def _canonical_chase_matches(program, other_onto=None):
     """Compare the source chase with the unpacked canonical chase (or the
     canonical chase against other_onto) on matched complete rounds.
 
@@ -186,17 +187,17 @@ def _canonical_chase_matches(program, other_onto=None, min_atoms=100,
     else:
         left_db, left_onto = dbc, other_onto
         translate = lambda inst: inst
-    cap = src_max
+    cap = 140
     while True:
-        left = run_chase(left_db, left_onto, ChaseConfig(mode, cap, 400))
+        left = run_chase(left_db, left_onto, ChaseConfig(OBLIVIOUS, cap, 400))
         prefix = left.prefix_at_round(left.complete_rounds)
-        if left.terminated or len(prefix) >= min_atoms or cap > 16 * src_max:
+        if left.terminated or len(prefix) >= 100 or cap > 16 * 140:
             break
         cap *= 2
-    if not left.terminated and len(prefix) < min_atoms:
+    if not left.terminated and len(prefix) < 100:
         return False, f"matched prefix too short ({len(prefix)} atoms)"
     right = run_chase(dbc, ontoc,
-                      ChaseConfig(mode, 4 * cap, left.complete_rounds))
+                      ChaseConfig(OBLIVIOUS, 4 * cap, left.complete_rounds))
     r = min(left.complete_rounds, right.complete_rounds)
     left_prefix = left.prefix_at_round(r)
     right_prefix = right.prefix_at_round(r)
@@ -208,10 +209,10 @@ def _canonical_chase_matches(program, other_onto=None, min_atoms=100,
 
 
 @_timed("chase commutation")
-def check_chase_commutation(seed: int = 42, count: int = 50):
+def check_chase_commutation(seed: int):
     cfg = default_config()
     programs = [load_paper_program("father.dlp"), load_paper_program("active.dlp")]
-    for i in range(count):
+    for i in range(50):
         programs.append(random_program_where(
             both(atom_scoped_joins, grows_to(100)), seed + 1000 * i, cfg
         ))
@@ -223,7 +224,7 @@ def check_chase_commutation(seed: int = 42, count: int = 50):
 
 
 @_timed("active partition chase")
-def check_active_partition(seed: int = 43, count: int = 30):
+def check_active_partition(seed: int):
     cfg = default_config()
     program = load_paper_program("active.dlp")
     dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
@@ -233,7 +234,7 @@ def check_active_partition(seed: int = 43, count: int = 30):
     fired = {s.rule_id for s in result.steps}
     if fired & harmless_ids:
         return False, f"harmless rules fired: {sorted(fired & harmless_ids)}"
-    for i in range(count):
+    for i in range(30):
         prog = random_program_where(
             both(is_shy_program, grows_to(100)), seed + 1000 * i, cfg
         )
@@ -242,37 +243,35 @@ def check_active_partition(seed: int = 43, count: int = 30):
         ok, detail = _canonical_chase_matches(prog, other_onto=active)
         if not ok:
             return False, f"shy theory {i}: {detail}"
-    return True, f"{count} shy theories agree with their active part"
+    return True, "30 shy theories agree with their active part"
 
 
 @_timed("fragment preservation")
-def check_fragment_preservation(seed: int = 44, shy_count: int = 50,
-                                linear_count: int = 30, sticky_count: int = 30):
+def check_fragment_preservation(seed: int):
     # Merging variable classes across body atoms can manufacture joins the
     # source rules never had, so preservation is checked on the same
     # atom-scoped-join families the chase commutation check uses.
     cfg = default_config()
-    for i in range(shy_count):
+    for i in range(50):
         prog = random_program_where(both(is_shy_program, atom_scoped_joins),
                                     seed + 1000 * i, cfg)
         _, ontoc, _ = rewrite_theory(prog.database, prog.ontology)
         if not is_shy(ontoc)[0]:
             return False, f"shy theory {i}: canonical form is not shy"
     linear_cfg = replace(cfg, max_body_atoms=1)
-    for i in range(linear_count):
+    for i in range(30):
         prog = random_program_where(is_linear_program, seed + 77 + 1000 * i, linear_cfg)
         _, ontoc, _ = rewrite_theory(prog.database, prog.ontology)
         verdicts = classify_local(ontoc)
         if not verdicts["inclusion-dependencies"][0]:
             return False, f"linear theory {i}: canonical form is not inclusion-dependencies"
-    for i in range(sticky_count):
+    for i in range(30):
         prog = random_program_where(both(is_sticky_program, atom_scoped_joins),
                                     seed + 155 + 1000 * i, cfg)
         _, ontoc, _ = rewrite_theory(prog.database, prog.ontology)
         if not sticky_marking(ontoc)[1]:
             return False, f"sticky theory {i}: canonical form is not sticky"
-    return True, (f"{shy_count} shy, {linear_count} linear and {sticky_count} "
-                  "sticky theories preserved")
+    return True, "50 shy, 30 linear and 30 sticky theories preserved"
 
 
 @_timed("entailment transfer")
@@ -312,8 +311,8 @@ def check_minimal_model_support():
     return True, f"{checked} minimal models all well-supported"
 
 
-def _wsf_model_of_active(dbc, active, budget=ModelBudget(2, 12)):
-    for model in enumerate_finite_models(dbc, active, budget):
+def _wsf_model_of_active(dbc, active):
+    for model in enumerate_finite_models(dbc, active, ModelBudget(2, 12)):
         ordering = find_support_ordering(model, dbc, active)
         if ordering is not None:
             return model, ordering
@@ -335,7 +334,7 @@ def _query_from_atoms(atoms) -> Query:
 
 
 @_timed("join-breaking repair")
-def check_disjoin_repair(seed: int = 45, count: int = 20):
+def check_disjoin_repair(seed: int):
     program = load_paper_program("theorem8.dlp")
     dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
     active, _ = partition_active_harmless(ontoc)
@@ -362,7 +361,7 @@ def check_disjoin_repair(seed: int = 45, count: int = 20):
         return False, "paper repair does not map back into the model"
     cfg = default_config()
     done = attempt = 0
-    while done < count and attempt < 40 * count:
+    while done < 20 and attempt < 800:
         prog = random_program_where(is_shy_program, seed + 1000 * attempt, cfg)
         attempt += 1
         dbc, ontoc, _ = rewrite_theory(prog.database, prog.ontology)
@@ -385,7 +384,7 @@ def check_disjoin_repair(seed: int = 45, count: int = 20):
         if satisfies_query(repaired, q) is not None and satisfies_query(model, q) is None:
             return False, f"random theory (attempt {attempt}): query transfer failed"
         done += 1
-    if done < count:
+    if done < 20:
         return False, f"only {done} usable random theories found"
     return True, f"paper construction plus {done} random repairs verified"
 

@@ -134,4 +134,3 @@ def test_null_factory_is_monotone():
     nulls = NullFactory()
     assert nulls.fresh() == Null(1)
     assert nulls.fresh() == Null(2)
-    assert NullFactory(start=7).fresh() == Null(8)

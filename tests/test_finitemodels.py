@@ -15,9 +15,12 @@ from shychase.finitemodels import (
     ModelBudget,
     StartingPoint,
     SupportStep,
+    _add_atom,
     _ev_values,
     _first_violation,
     _found_models,
+    _keyed_rules,
+    _least_violation,
     _minimal_by_embedding,
     disjoin_repair,
     enumerate_finite_models,
@@ -31,9 +34,8 @@ from shychase.finitemodels import (
 )
 from shychase.generate import default_config, is_shy_program, random_program, random_program_where
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import (_canonical_key, _index, _mapping_key, _match, _split, _violations,
-                         apply_mapping, find_homomorphism, homomorphisms, isomorphic,
-                         satisfies_query)
+from shychase.hom import (_canonical_key, _match, _split, apply_mapping, find_homomorphism,
+                         homomorphisms, isomorphic, satisfies_query)
 from shychase.parse import parse_program, parse_query
 
 CLOSURE = """
@@ -58,6 +60,18 @@ def test_is_model_flags_missing_fact_and_rule_violation():
     facts_only = Instance(program.database.atoms)
     ok, violation = is_model(facts_only, program.database, program.ontology)
     assert not ok and violation[0].id == "r1"
+
+
+def test_is_model_reports_the_least_violation():
+    """Of the two violating maps, the least under `_mapping_key` (X:a) is
+    reported, not the first in index order (X:c)."""
+    program = parse_program("e(a,c). e(b,a). e(Y,X) -> t(X).")
+    facts_only = Instance(program.database.atoms)
+    ok, (rule, h) = is_model(facts_only, program.database, program.ontology)
+    assert not ok and rule.id == "r1"
+    y, x = rule.body[0].args
+    assert h == {y: Constant("b"), x: Constant("a")}
+    assert _first_violation(facts_only, program.ontology) == (rule, h)
 
 
 def test_chase_fixpoint_is_a_model():
@@ -200,16 +214,6 @@ def test_embedding_minimality_matches_subset_scan_on_random(seed):
     _assert_minimality_agrees(program.database, program.ontology, ModelBudget(2, 8))
 
 
-def _rebuilt_first_violation(atoms, onto):
-    """Oracle: the first violation, indexing the whole state afresh."""
-    idx = _index(atoms)
-    for rule in sorted(onto, key=lambda r: r.id):
-        h = min(_violations(rule, idx, rule.body, {}), key=_mapping_key, default=None)
-        if h is not None:
-            return rule, h
-    return None
-
-
 def _repr_state_key(atoms: frozenset) -> tuple:
     """Oracle: rename the nulls by every permutation and keep the least
     sorted list of repr-based atom keys."""
@@ -243,7 +247,7 @@ def _rebuilt_found_models(db, onto, budget):
         if key in seen_states:
             continue
         seen_states.add(key)
-        violation = _rebuilt_first_violation(atoms, onto)
+        violation = _first_violation(atoms, onto)
         if violation is None:
             found.append(atoms)
         else:
@@ -312,8 +316,8 @@ def test_state_key_equal_exactly_when_repr_key_is(a, b, images):
     """[DERIVED] On small null-bearing states the canonical key is equal for
     two states exactly when the permutation-over-repr key is: for a random
     pair and for a state and its image under a map of the nulls, which is
-    a renaming when the map is a bijection.  The first violation agrees
-    with the one found on a fresh index."""
+    a renaming when the map is a bijection.  The least violation of a
+    table grown atom by atom with `_add_atom` is `_first_violation`'s."""
     mapped = frozenset(apply_mapping(dict(zip(_KEY_NULLS, images)), x) for x in a)
     codes: dict = {}
     key_a = _state_key(a, codes)
@@ -322,7 +326,14 @@ def test_state_key_equal_exactly_when_repr_key_is(a, b, images):
                 == (_repr_state_key(a) == _repr_state_key(other)))
     if sorted(images, key=term_key) == _KEY_NULLS:
         assert _state_key(mapped, codes) == key_a
-    assert _first_violation(a, _KEY_ONTOLOGY) == _rebuilt_first_violation(a, _KEY_ONTOLOGY)
+    rules = _keyed_rules(_KEY_ONTOLOGY)
+    idx, table = {}, ({},) * len(rules)
+    for x in a:
+        idx, table = _add_atom(idx, table, rules, x)
+    least = _least_violation(rules, table)
+    if least is not None:
+        least = least[0][0], least[1]
+    assert least == _first_violation(a, _KEY_ONTOLOGY)
 
 
 def test_state_key_tries_every_order_within_a_signature_class():
@@ -741,8 +752,9 @@ def test_supports_and_repair_match_the_oracles_on_curated(name):
 
 @pytest.mark.parametrize("k", range(20))
 def test_supports_and_repair_match_the_oracles_on_random_shy(k):
-    """[DERIVED] Same agreement on criterion 8's random shy theories
-    (seed 45 + 1000 k), at (2, 8)."""
+    """[DERIVED] Same agreement on the random shy theories at seeds
+    45 + 1000 k, at (2, 8).  This is not criterion 8's family, which the
+    harness draws from seed 42 + 1000 k (see the next test)."""
     program = random_program_where(is_shy_program, 45 + 1000 * k, default_config())
     dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
     active, _ = partition_active_harmless(ontoc)
@@ -751,10 +763,13 @@ def test_supports_and_repair_match_the_oracles_on_random_shy(k):
     _assert_repairs_agree(dbc, active, ontoc, budget)
 
 
-@pytest.mark.parametrize("seed", [19, 25, 50, 57, 108, 136, 149, 152, 162, 214, 258, 261])
+@pytest.mark.parametrize("seed", [19, 25, 42, 50, 57, 108, 136, 149, 152, 162, 214, 258, 261,
+                                  1042])
 def test_repair_matches_the_oracle_where_joins_break(seed):
-    """[DERIVED] Random shy theories whose repairs activate starting points
-    (the families above break joins in only two repairs), at (2, 8)."""
+    """[DERIVED] Random shy theories whose repairs activate starting points,
+    at (2, 8).  Seeds 42 and 1042 are criterion 8's attempts 0 and 1 (136
+    and 2 activating repairs); the families above break joins in only two
+    repairs, both curated."""
     program = random_program_where(is_shy_program, seed, default_config())
     dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
     active, _ = partition_active_harmless(ontoc)

@@ -1,5 +1,7 @@
 """Harness plumbing: suites, result formatting, packaged inputs."""
 
+import inspect
+
 import pytest
 
 from shychase.harness import (
@@ -48,6 +50,15 @@ def test_run_suite_passes_the_seed_to_the_random_checks_only(monkeypatch):
     assert {name for name, kwargs in calls.items() if kwargs} == set(SUITES["random"])
     assert len(SUITES["random"]) == 4
     assert all(calls[name] == {"seed": 7} for name in SUITES["random"])
+
+
+def test_random_checks_take_a_seed_and_no_other_option():
+    """The seed comes from `run_suite` (the CLI's --seed); the checks set
+    no default of their own and take no other parameter."""
+    for name in SUITES["random"]:
+        params = inspect.signature(CHECKS[name]).parameters
+        assert list(params) == ["seed"]
+        assert params["seed"].default is inspect.Parameter.empty
 
 
 def test_curated_suite_is_large_enough():
