@@ -238,7 +238,8 @@ def unpack(value):
         return Query(tuple(tuple(unpack_atom(a) for a in d) for d in value.disjuncts))
     if isinstance(value, (set, frozenset)):
         return type(value)(unpack_atom(a) for a in value)
-    if isinstance(value, (list, tuple)):
+    # terms and atoms are tuples too: only plain lists and tuples are containers
+    if type(value) in (list, tuple):
         return type(value)(unpack(a) for a in value)
     raise UnpackError(f"cannot unpack {type(value).__name__}")
 

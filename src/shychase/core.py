@@ -3,31 +3,49 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 
-@dataclass(frozen=True, order=True)
-class Constant:
-    name: str
+class _Term(tuple):
+    """A term as the tuple (kind rank, repr, value), kinds ranked constant
+    0, null 1, variable 2.  Tuples hash, compare and sort in C, and the
+    first two fields are the term's sort key (see `term_key`)."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        return (self[2],)
 
     def __repr__(self):
-        return f"Constant({self.name!r})"
+        return self[1]
 
 
-@dataclass(frozen=True, order=True)
-class Null:
-    id: int
+class Constant(_Term):
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"Null({self.id})"
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (0, f"Constant({name!r})", name))
+
+    name = property(itemgetter(2))
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    name: str
+class Null(_Term):
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"Variable({self.name!r})"
+    def __new__(cls, id: int):
+        return tuple.__new__(cls, (1, f"Null({id})", id))
+
+    id = property(itemgetter(2))
+
+
+class Variable(_Term):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (2, f"Variable({name!r})", name))
+
+    name = property(itemgetter(2))
 
 
 Term = Union[Constant, Null, Variable]
@@ -37,36 +55,37 @@ ShapeLabel = Union[str, int]
 Shape = tuple
 
 
-_KIND_RANK = {Constant: 0, Null: 1, Variable: 2}
-
-
-def term_kind(t) -> int:
-    """Total order rank over term kinds; unknown term-like objects rank as nulls."""
-    return _KIND_RANK.get(type(t), 1)
-
-
 def term_key(t):
-    """Deterministic sort key working across term kinds."""
-    return (term_kind(t), repr(t))
+    """Deterministic sort key working across term kinds: (kind rank, repr).
+    A term's own tuple order is this order."""
+    return t[:2]
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple = ()
-    shape: Optional[tuple] = None
+class Atom(tuple):
+    """An atom as the tuple (pred, args, shape); it hashes and compares as
+    that tuple."""
 
-    def __post_init__(self):
-        if self.shape is not None:
-            mu = len(set(l for l in self.shape if isinstance(l, int)))
-            if mu != len(self.args):
+    __slots__ = ()
+
+    def __new__(cls, pred: str, args: tuple = (), shape: Optional[tuple] = None):
+        if shape is not None:
+            mu = len(set(l for l in shape if isinstance(l, int)))
+            if mu != len(args):
                 raise ValueError(
-                    f"shape {self.shape!r} expects {mu} argument(s), got {len(self.args)}"
+                    f"shape {shape!r} expects {mu} argument(s), got {len(args)}"
                 )
+        return tuple.__new__(cls, (pred, args, shape))
+
+    pred = property(itemgetter(0))
+    args = property(itemgetter(1))
+    shape = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def arity(self) -> int:
-        return len(self.args)
+        return len(self[1])
 
     @property
     def predicate_name(self) -> str:
@@ -78,11 +97,11 @@ class Atom:
 
     @property
     def pred_key(self):
-        return (self.pred, self.shape)
+        return (self[0], self[2])
 
     def sort_key(self):
-        return (self.pred, () if self.shape is None else tuple(map(str, self.shape)),
-                tuple(term_key(t) for t in self.args))
+        pred, args, shape = self
+        return (pred, () if shape is None else tuple(map(str, shape)), args)
 
     def variables(self) -> Iterator[Variable]:
         for t in self.args:

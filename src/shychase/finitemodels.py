@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -411,18 +412,27 @@ def smooth_instance(model: Instance):
 # propagation orderings
 
 
-@dataclass(frozen=True, order=True)
-class StartingPoint:
+class StartingPoint(tuple):
     """Fresh term recording where an existentially supported term was born:
     atom_index is its 1-based rank in the ordering, position the 1-based
-    argument slot."""
+    argument slot.  Stored as (1, repr, term, atom_index, position), so it
+    sorts among terms as a null does, by its repr (see `core.term_key`)."""
 
-    term: object
-    atom_index: int
-    position: int
+    __slots__ = ()
+
+    def __new__(cls, term, atom_index: int, position: int):
+        return tuple.__new__(cls, (1, f"<{term!r},{atom_index},{position}>",
+                                   term, atom_index, position))
+
+    term = property(itemgetter(2))
+    atom_index = property(itemgetter(3))
+    position = property(itemgetter(4))
+
+    def __getnewargs__(self):
+        return self[2:]
 
     def __repr__(self):
-        return f"<{self.term!r},{self.atom_index},{self.position}>"
+        return self[1]
 
 
 def propagation_ordering(ordering: tuple, onto: Ontology) -> tuple:

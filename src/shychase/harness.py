@@ -477,7 +477,7 @@ SUITES = {
 SUITES["all"] = SUITES["paper"] + SUITES["random"] + SUITES["curated"]
 
 
-def run_suite(name: str, seed: int = 42) -> list:
+def run_suite(name: str, seed: int) -> list:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     results = []

@@ -30,7 +30,7 @@ def test_check_result_line_format():
 
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
-        run_suite("bogus")
+        run_suite("bogus", seed=42)
 
 
 def test_run_suite_passes_the_seed_to_the_random_checks_only(monkeypatch):
@@ -61,6 +61,11 @@ def test_random_checks_take_a_seed_and_no_other_option():
         assert params["seed"].default is inspect.Parameter.empty
 
 
+def test_run_suite_takes_the_seed_without_a_default():
+    """The CLI's --seed default is the one default for the suite seed."""
+    assert inspect.signature(run_suite).parameters["seed"].default is inspect.Parameter.empty
+
+
 def test_curated_suite_is_large_enough():
     programs = curated_programs()
     assert len(programs) >= 20
@@ -75,7 +80,7 @@ def test_paper_programs_load():
 
 
 def test_paper_suite_runs_green():
-    results = run_suite("paper")
+    results = run_suite("paper", seed=42)
     assert [r.name for r in results] == [
         "golden rewriting", "golden classification", "propagation ordering golden",
     ]
