@@ -12,7 +12,7 @@ the encoding atom by atom.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     Atom,
@@ -71,9 +71,9 @@ class SubstitutionPattern:
                 out[var] = reps.setdefault(target, var)
         return out
 
-    def apply(self, atom: Atom) -> Atom:
-        subst = self.as_substitution()
-        return Atom(atom.pred, tuple(subst.get(t, t) for t in atom.args))
+
+def _substitute(atom: Atom, subst: dict) -> Atom:
+    return Atom(atom.pred, tuple(subst.get(t, t) for t in atom.args))
 
 
 def _dedup(atoms: Iterable[Atom]) -> tuple:
@@ -82,6 +82,11 @@ def _dedup(atoms: Iterable[Atom]) -> tuple:
         if a not in out:
             out.append(a)
     return tuple(out)
+
+
+def _instantiate(atoms: Iterable[Atom], subst: dict) -> tuple:
+    """Canonical forms of the atoms under subst, duplicates dropped."""
+    return _dedup(canonical_atom(_substitute(a, subst)) for a in atoms)
 
 
 def _first_occurrence_vars(atoms: Iterable[Atom]) -> list:
@@ -136,9 +141,23 @@ def _tagged_atoms(rule: Rule) -> frozenset:
 
 def rewrite_rule(rule: Rule, pattern: SubstitutionPattern) -> Rule:
     """Canonical instantiation of one rule under one pattern."""
-    body = _dedup(canonical_atom(pattern.apply(a)) for a in rule.body)
-    head = canonical_atom(pattern.apply(rule.head))
-    return Rule(rule.id, body, head)
+    subst = pattern.as_substitution()
+    return Rule(rule.id, _instantiate(rule.body, subst),
+                canonical_atom(_substitute(rule.head, subst)))
+
+
+def _rewritten_patterns(rule: Rule, consts: Iterable[Constant]) -> Iterator[tuple]:
+    """(pattern, rewrite_rule(rule, pattern)) for one pattern per isomorphism
+    class, in enumeration order; the rule rewritten for the dedupe key is the
+    one yielded, so no pattern is rewritten twice."""
+    order = _first_occurrence_vars(rule.body)
+    constants = sorted(set(consts))
+    codes: dict = {}
+    seen: set = set()
+    for pattern in _assignments(order, constants):
+        rewritten = rewrite_rule(rule, pattern)
+        if _is_new(_tagged_atoms(rewritten), codes, seen):
+            yield pattern, rewritten
 
 
 def enumerate_safe_patterns(rule: Rule, consts: Iterable[Constant]) -> tuple:
@@ -148,12 +167,7 @@ def enumerate_safe_patterns(rule: Rule, consts: Iterable[Constant]) -> tuple:
     duplicates; a canonical key up to variable renaming removes the rest
     (symmetric bodies).
     """
-    order = _first_occurrence_vars(rule.body)
-    constants = sorted(set(consts))
-    codes: dict = {}
-    seen: set = set()
-    return tuple(pattern for pattern in _assignments(order, constants)
-                 if _is_new(_tagged_atoms(rewrite_rule(rule, pattern)), codes, seen))
+    return tuple(pattern for pattern, _ in _rewritten_patterns(rule, consts))
 
 
 def rewrite_database(db: Database) -> Database:
@@ -170,11 +184,10 @@ def rewrite_ontology(db: Database, onto: Ontology) -> Ontology:
     consts = sorted(constants_of(db, onto))
     out = []
     for rule in onto:
-        for i, pattern in enumerate(enumerate_safe_patterns(rule, consts), 1):
-            rewritten = replace(rewrite_rule(rule, pattern), id=f"{rule.id}.{i}")
+        for i, (_, rewritten) in enumerate(_rewritten_patterns(rule, consts), 1):
             if rewritten.head in rewritten.body:
                 continue
-            out.append(rewritten)
+            out.append(replace(rewritten, id=f"{rule.id}.{i}"))
     return Ontology(tuple(out))
 
 
@@ -187,7 +200,7 @@ def rewrite_query(q: Query, consts: Iterable[Constant]) -> Query:
     for disjunct in q.disjuncts:
         order = _first_occurrence_vars(disjunct)
         for pattern in _assignments(order, constants):
-            atoms = _dedup(canonical_atom(pattern.apply(a)) for a in disjunct)
+            atoms = _instantiate(disjunct, pattern.as_substitution())
             if _is_new(atoms, codes, seen):
                 disjuncts.append(atoms)
     return Query(tuple(disjuncts))

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 harness check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,8 +40,13 @@ def _checked(make, *args):
 
 
 def _read_program(path: str):
-    with open(path) as fh:
-        return parse_program(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_program(text)
 
 
 def _emit(payload, as_json: bool, text: str) -> None:
@@ -166,7 +172,10 @@ def _cmd_harness(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: `parse_args` returns a
+    fresh namespace each call and keeps nothing between calls."""
     parser = argparse.ArgumentParser(
         prog="shychase",
         description="Reasoning toolkit for existential rule ontologies.",

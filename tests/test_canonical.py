@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shychase import canonical
 from shychase.canonical import (
     SubstitutionPattern,
     UnpackError,
     _assignments,
     _dedup,
     _first_occurrence_vars,
+    _is_new,
     _tagged_atoms,
     canonical_atom,
     enumerate_safe_patterns,
@@ -21,9 +23,19 @@ from shychase.canonical import (
     unpack,
     unpack_atom,
 )
-from shychase.core import Atom, Constant, Instance, Null, Query, Variable, constants_of
+from shychase.core import (
+    Atom,
+    Constant,
+    Instance,
+    Null,
+    Ontology,
+    Query,
+    Rule,
+    Variable,
+    constants_of,
+)
 from shychase.generate import default_config, random_program
-from shychase.harness import load_paper_program
+from shychase.harness import curated_programs, load_paper_program
 from shychase.hom import isomorphic
 from shychase.parse import parse_program, parse_query
 
@@ -77,12 +89,18 @@ def test_unpack_traverses_containers():
     assert unpack([inst]) == [unpack(inst)]
 
 
+def _apply(pattern, atom):
+    """The pattern applied to one atom, its substitution rebuilt per call."""
+    subst = pattern.as_substitution()
+    return Atom(atom.pred, tuple(subst.get(t, t) for t in atom.args))
+
+
 def test_substitution_pattern_uses_first_member_as_representative():
     x, y = Variable("X"), Variable("Y")
     pattern = SubstitutionPattern(((x, 1), (y, 1)))
     assert pattern.as_substitution() == {x: x, y: x}
     frozen = SubstitutionPattern(((x, Constant("c")),))
-    assert frozen.apply(Atom("p", (x,))) == Atom("p", (Constant("c"),))
+    assert _apply(frozen, Atom("p", (x,))) == Atom("p", (Constant("c"),))
 
 
 def test_pattern_counts_for_father_rules():
@@ -156,7 +174,7 @@ def _query_by_pairwise_dedupe(q, consts) -> Query:
     kept = []
     for disjunct in q.disjuncts:
         for pattern in _assignments(_first_occurrence_vars(disjunct), sorted(set(consts))):
-            atoms = _dedup(canonical_atom(pattern.apply(a)) for a in disjunct)
+            atoms = _dedup(canonical_atom(_apply(pattern, a)) for a in disjunct)
             if not any(isomorphic(frozenset(atoms), frozenset(other)) for other in kept):
                 kept.append(atoms)
     return Query(tuple(kept))
@@ -171,6 +189,88 @@ def test_query_dedupe_matches_pairwise(seed):
     consts = sorted(constants_of(program.database, program.ontology))
     q = Query(tuple(rule.body for rule in program.ontology))
     assert rewrite_query(q, consts) == _query_by_pairwise_dedupe(q, consts)
+
+
+def _rewrite_rule_per_atom(rule, pattern) -> Rule:
+    """Oracle: rewrite_rule with the substitution rebuilt for every atom."""
+    body = _dedup(canonical_atom(_apply(pattern, a)) for a in rule.body)
+    return Rule(rule.id, body, canonical_atom(_apply(pattern, rule.head)))
+
+
+def _patterns_rewriting_twice(rule, consts) -> tuple:
+    """Oracle: the kept patterns, each rule instantiation built only for its
+    dedupe key."""
+    codes, seen = {}, set()
+    return tuple(
+        pattern
+        for pattern in _assignments(_first_occurrence_vars(rule.body), sorted(set(consts)))
+        if _is_new(_tagged_atoms(_rewrite_rule_per_atom(rule, pattern)), codes, seen))
+
+
+def _ontology_rewriting_twice(db, onto) -> Ontology:
+    """Oracle: every kept pattern's rule rewritten again after the dedupe."""
+    consts = sorted(constants_of(db, onto))
+    out = []
+    for rule in onto:
+        for i, pattern in enumerate(_patterns_rewriting_twice(rule, consts), 1):
+            rewritten = _rewrite_rule_per_atom(rule, pattern)
+            if rewritten.head not in rewritten.body:
+                out.append(Rule(f"{rule.id}.{i}", rewritten.body, rewritten.head))
+    return Ontology(tuple(out))
+
+
+_PAPER_THEORIES = ("active.dlp", "example_substitutions.dlp", "father.dlp",
+                   "linear_not_sticky.dlp", "propagation.dlp", "shy_appendix.dlp",
+                   "shy_appendix_i.dlp", "shy_appendix_ii.dlp", "theorem8.dlp")
+
+
+def _rewrite_once_theories():
+    yield from curated_programs()
+    for name in _PAPER_THEORIES:
+        yield name, load_paper_program(name)
+    for seed in range(100):
+        yield f"random {seed}", random_program(seed, default_config())
+
+
+def _rule_parts(onto) -> list:
+    return [(rule.id, rule.body, rule.head) for rule in onto]
+
+
+def test_rewrite_once_matches_rewriting_twice():
+    """[DERIVED] Rewriting each pattern once keeps the same patterns and
+    gives the same rule ids, order and atoms as rewriting each kept pattern
+    again, on the curated and paper theories and random seeds 0-99."""
+    theories = list(_rewrite_once_theories())
+    assert len(theories) == 20 + 9 + 100
+    for name, program in theories:
+        db, onto = program.database, program.ontology
+        consts = sorted(constants_of(db, onto))
+        for rule in onto:
+            assert enumerate_safe_patterns(rule, consts) == \
+                _patterns_rewriting_twice(rule, consts), (name, rule.id)
+        assert _rule_parts(rewrite_ontology(db, onto)) == \
+            _rule_parts(_ontology_rewriting_twice(db, onto)), name
+
+
+def test_rewrite_ontology_rewrites_each_enumerated_pattern_once(monkeypatch):
+    """rewrite_rule runs once per enumerated pattern, kept or not: the kept
+    rule is the one its dedupe key was built from."""
+    calls = []
+    real = canonical.rewrite_rule
+
+    def counting(rule, pattern):
+        calls.append((rule.id, pattern))
+        return real(rule, pattern)
+
+    monkeypatch.setattr(canonical, "rewrite_rule", counting)
+    for name in _PAPER_THEORIES:
+        program = load_paper_program(name)
+        consts = sorted(constants_of(program.database, program.ontology))
+        enumerated = [(rule.id, pattern) for rule in program.ontology
+                      for pattern in _assignments(_first_occurrence_vars(rule.body), consts)]
+        calls.clear()
+        rewrite_ontology(program.database, program.ontology)
+        assert calls == enumerated, name
 
 
 def test_rewrite_drops_tautological_variants():

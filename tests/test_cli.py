@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON determinism, command output."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -164,6 +165,18 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "chase", "answer", "rewrite", "fc-check"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    """Input is read as UTF-8 whatever the locale; an undecodable byte is an
+    input error, not a crash."""
+    path = tmp_path / "latin1.dlp"
+    path.write_bytes(b"p(a\xff).\n? p(a).\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 3)\n"
+
+
 def test_usage_error_exits_2(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
@@ -178,6 +191,64 @@ def test_harness_paper_suite_passes(capsys):
     code, out, _ = run(capsys, "harness", "--suite", "paper")
     assert code == 0
     assert out.count("[PASS]") == 3
+
+
+# restricted and oblivious chase disagree on the second query, and only the
+# second query has a finite countermodel
+TWO_QUERIES = """
+p(a).
+f(a,a).
+p(X) -> exists Y. f(X,Y).
+f(X,Y) -> p(Y).
+? f(a,a).
+? q(a).
+"""
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    """[DERIVED] Calls in one process that share the cached parser give the
+    same exit code, stdout and stderr as a parser built for each call:
+    no flag, mode or error carries over to the next call."""
+    path = tmp_path / "two.dlp"
+    path.write_text(TWO_QUERIES)
+    file = str(path)
+    sequence = [
+        ("answer", file, "--restricted", "--max-atoms", "10"),
+        ("answer", file, "--max-atoms", "10"),
+        ("fc-check", file, "--query", "2"),
+        ("fc-check", file),
+        ("chase", file, "--bogus"),
+        ("classify", file, "--json"),
+        ("--help",),
+        ("rewrite", file, "--partition"),
+        ("answer", file, "--max-atoms", "10"),
+    ]
+    cached = [run(capsys, *argv) for argv in sequence]
+    fresh_parser = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
+    monkeypatch.setattr(cli, "build_parser", fresh_parser)
+    fresh = [run(capsys, *argv) for argv in sequence]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert cached[0][1] != cached[1][1]  # restricted, then oblivious
+    assert cached[2][1] != cached[3][1]  # query 2, then the default query 1
+
+
+def test_main_builds_one_parser_per_process(father_file, capsys, monkeypatch):
+    """Fifty `main` calls, with errors and help among them, construct at
+    most one top-level parser (its subcommand parsers have their own prog)."""
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = [("classify", father_file), ("rewrite", father_file, "--json"),
+             ("frobnicate",), ("--help",), ("answer", father_file, "--max-atoms", "10")]
+    codes = [run(capsys, *calls[i % len(calls)])[0] for i in range(50)]
+    assert codes == [0, 0, 2, 0, 0] * 10
+    assert built.count("shychase") <= 1
 
 
 # predicate spellings with their arities, plain and shaped; terms are
