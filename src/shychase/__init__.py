@@ -27,7 +27,7 @@ from .chase import (
     entails,
     run_chase,
 )
-from .classify import FRAGMENTS, FragmentReport, ViolationWitness, classify, is_shy
+from .classify import FRAGMENTS, ViolationWitness, classify, is_shy
 from .core import (
     Atom,
     Constant,
@@ -56,7 +56,7 @@ from .parse import ParseError, Program, parse_program, print_program
 
 __all__ = [
     "Atom", "ChaseConfig", "ChaseResult", "Constant", "Database", "Entailment",
-    "FRAGMENTS", "FragmentReport", "Instance", "ModelBudget", "Null",
+    "FRAGMENTS", "Instance", "ModelBudget", "Null",
     "NullFactory", "OBLIVIOUS", "Ontology", "ParseError", "Program", "Query",
     "RESTRICTED", "Rule", "StartingPoint", "SubstitutionPattern", "UnpackError",
     "Variable", "Verdict", "ViolationWitness", "classify", "disjoin_repair",

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Ontology, Position, Rule, Variable, is_simple
+from .core import Ontology, Position, Variable, is_simple
 
 FRAGMENTS = (
     "datalog",
@@ -48,28 +48,14 @@ class ViolationWitness:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class FragmentReport:
-    verdicts: dict
-
-    def holds(self, fragment: str) -> bool:
-        return self.verdicts[fragment][0]
-
-    def witness(self, fragment: str) -> Optional[ViolationWitness]:
-        return self.verdicts[fragment][1]
+def _positions(atoms, var: Variable) -> list:
+    """Positions where var occurs in atoms, in atom and argument order."""
+    return [Position(atom.predicate_name, i)
+            for atom in atoms for i, t in enumerate(atom.args, 1) if t == var]
 
 
 # ---------------------------------------------------------------------------
 # local conditions
-
-
-def _body_positions(rule: Rule, var: Variable) -> list:
-    return [
-        Position(atom.predicate_name, i)
-        for atom in rule.body
-        for i, t in enumerate(atom.args, 1)
-        if t == var
-    ]
 
 
 def classify_local(onto: Ontology) -> dict:
@@ -77,38 +63,30 @@ def classify_local(onto: Ontology) -> dict:
     verdicts = {name: (True, None) for name in
                 ("datalog", "inclusion-dependencies", "linear", "guarded", "joinless")}
 
-    def fail(name, witness):
+    def fail(name, rule, condition, variables=(), positions=()):
+        """Record a violation of fragment name unless one is already
+        recorded; the witness lists the variables' names sorted."""
         if verdicts[name][0]:
-            verdicts[name] = (False, witness)
+            verdicts[name] = (False, ViolationWitness(
+                name, rule.id, condition, tuple(sorted(v.name for v in variables)), positions))
 
     for rule in onto:
         if rule.ev:
-            fail("datalog", ViolationWitness(
-                "datalog", rule.id, "head introduces existential variables",
-                tuple(sorted(v.name for v in rule.ev))))
+            fail("datalog", rule, "head introduces existential variables", rule.ev)
         if len(rule.body) != 1:
-            w = ViolationWitness("linear", rule.id, "body has more than one atom")
-            fail("linear", w)
-            fail("inclusion-dependencies", ViolationWitness(
-                "inclusion-dependencies", rule.id, "body has more than one atom"))
+            fail("linear", rule, "body has more than one atom")
+            fail("inclusion-dependencies", rule, "body has more than one atom")
         nonsimple = [a for a in rule.atoms() if not is_simple(a)]
         if nonsimple:
-            fail("inclusion-dependencies", ViolationWitness(
-                "inclusion-dependencies", rule.id, "atom repeats a term",
-                positions=(Position(nonsimple[0].predicate_name, 0),)))
+            fail("inclusion-dependencies", rule, "atom repeats a term",
+                 positions=(Position(nonsimple[0].predicate_name, 0),))
         if not any(rule.uv <= set(a.variables()) for a in rule.body):
-            fail("guarded", ViolationWitness(
-                "guarded", rule.id, "no body atom contains every universal variable",
-                tuple(sorted(v.name for v in rule.uv))))
+            fail("guarded", rule, "no body atom contains every universal variable", rule.uv)
         if not is_simple(rule.head):
-            fail("joinless", ViolationWitness(
-                "joinless", rule.id, "head is not a simple atom"))
-        body_terms = [t for a in rule.body for t in a.args]
-        repeated = sorted({t.name for t in body_terms
-                           if isinstance(t, Variable) and body_terms.count(t) > 1})
+            fail("joinless", rule, "head is not a simple atom")
+        repeated = [v for v in rule.uv if len(_positions(rule.body, v)) > 1]
         if repeated:
-            fail("joinless", ViolationWitness(
-                "joinless", rule.id, "body repeats a variable", tuple(repeated)))
+            fail("joinless", rule, "body repeats a variable", repeated)
     return verdicts
 
 
@@ -116,52 +94,37 @@ def classify_local(onto: Ontology) -> dict:
 # weak acyclicity
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    nodes: frozenset
-    edges: frozenset  # (Position, Position, "plain" | "special")
-
-
-def dependency_graph(onto: Ontology) -> DependencyGraph:
-    nodes = frozenset(onto.positions())
+def dependency_graph(onto: Ontology) -> frozenset:
+    """Edges (source, target, "plain" | "special") of the position graph."""
     edges = set()
     for rule in onto:
-        head = rule.head
-        head_pos = {v: [Position(head.predicate_name, j)
-                        for j, t in enumerate(head.args, 1) if t == v]
-                    for v in rule.uv}
-        ev_pos = [Position(head.predicate_name, j)
-                  for j, t in enumerate(head.args, 1) if t in rule.ev]
-        for v in sorted(rule.uv):
-            targets = head_pos.get(v) or []
+        head = (rule.head,)
+        ev_pos = [p for v in rule.ev for p in _positions(head, v)]
+        for v in rule.uv:
+            targets = _positions(head, v)
             if not targets:
                 continue
-            for src in _body_positions(rule, v):
-                for tgt in targets:
-                    edges.add((src, tgt, "plain"))
-                for tgt in ev_pos:
-                    edges.add((src, tgt, "special"))
-    return DependencyGraph(nodes, frozenset(edges))
+            for src in _positions(rule.body, v):
+                edges.update((src, tgt, "plain") for tgt in targets)
+                edges.update((src, tgt, "special") for tgt in ev_pos)
+    return frozenset(edges)
 
 
 def weakly_acyclic(onto: Ontology):
-    """(verdict, graph, special cycle or None); false iff a cycle crosses a special arc."""
-    graph = dependency_graph(onto)
+    """(verdict, edges, special cycle or None); false iff a cycle crosses a special arc."""
+    edges = dependency_graph(onto)
     adj: dict = {}
-    for p, q, lbl in graph.edges:
+    for p, q, lbl in edges:
         adj.setdefault(p, []).append((q, lbl))
     for lst in adj.values():
         lst.sort(key=lambda e: (str(e[0]), e[1]))
-    specials = sorted(((p, q) for p, q, lbl in graph.edges if lbl == "special"),
+    specials = sorted(((p, q) for p, q, lbl in edges if lbl == "special"),
                       key=lambda e: (str(e[0]), str(e[1])))
     for src, tgt in specials:
         path = _find_path(adj, tgt, src)
         if path is not None:
-            cycle = [(src, tgt, "special")]
-            for a, b, lbl in path:
-                cycle.append((a, b, lbl))
-            return False, graph, tuple(cycle)
-    return True, graph, None
+            return False, edges, ((src, tgt, "special"), *path)
+    return True, edges, None
 
 
 def _find_path(adj, start, goal):
@@ -187,112 +150,67 @@ def _find_path(adj, start, goal):
 # stickiness
 
 
-@dataclass(frozen=True)
-class MarkingTable:
-    marked: frozenset  # (rule id, variable name)
-
-    def __contains__(self, key):
-        return key in self.marked
-
-
 def sticky_marking(onto: Ontology):
-    """Least-fixpoint marking; sticky iff no marked variable repeats in its body."""
-    marked: set = set()
-    for rule in onto:
-        head_vars = set(rule.head.variables())
-        for v in rule.uv:
-            if v not in head_vars:
-                marked.add((rule.id, v.name))
+    """Least-fixpoint marking as a frozenset of (rule id, variable name) pairs;
+    sticky iff no marked variable repeats in its body."""
+    marked = {(rule.id, v.name) for rule in onto
+              for v in rule.uv - set(rule.head.variables())}
     changed = True
     while changed:
         changed = False
-        marked_positions = {
-            pos
-            for rule in onto
-            for (rid, name) in marked
-            if rid == rule.id
-            for pos in _body_positions(rule, Variable(name))
-        }
+        marked_positions = {pos for rule in onto for v in rule.uv
+                            if (rule.id, v.name) in marked
+                            for pos in _positions(rule.body, v)}
         for rule in onto:
-            for j, t in enumerate(rule.head.args, 1):
-                if not isinstance(t, Variable) or t in rule.ev:
-                    continue
-                if Position(rule.head.predicate_name, j) in marked_positions:
-                    if (rule.id, t.name) not in marked:
-                        marked.add((rule.id, t.name))
-                        changed = True
-    table = MarkingTable(frozenset(marked))
-    witness = None
+            for v in rule.uv:
+                if ((rule.id, v.name) not in marked
+                        and not marked_positions.isdisjoint(_positions((rule.head,), v))):
+                    marked.add((rule.id, v.name))
+                    changed = True
     for rule in onto:
-        body_terms = [t for a in rule.body for t in a.args]
         for v in sorted(rule.uv):
-            if (rule.id, v.name) in table.marked and body_terms.count(v) > 1:
-                witness = ViolationWitness(
+            positions = _positions(rule.body, v)
+            if (rule.id, v.name) in marked and len(positions) > 1:
+                return frozenset(marked), False, ViolationWitness(
                     "sticky", rule.id, "marked variable occurs multiple times in the body",
-                    (v.name,), tuple(_body_positions(rule, v)))
-                break
-        if witness:
-            break
-    return table, witness is None, witness
+                    (v.name,), tuple(positions))
+    return frozenset(marked), True, None
 
 
 # ---------------------------------------------------------------------------
 # shyness
 
 
-@dataclass(frozen=True)
-class InvasionTable:
-    invaded: dict  # Position -> frozenset of existential-variable ids (rule id, name)
-
-    def invaders(self, pos: Position) -> frozenset:
-        return self.invaded.get(pos, frozenset())
-
-
-def invasion_table(onto: Ontology) -> InvasionTable:
-    """Least fixpoint of the two invasion clauses over (position, ∃-variable) pairs."""
+def invasion_table(onto: Ontology) -> dict:
+    """Least fixpoint of the two invasion clauses: each invaded position maps
+    to the frozenset of (rule id, name) of the ∃-variables invading it."""
     invaded: dict = {}
-
-    def add(pos, ev_id):
-        cur = invaded.setdefault(pos, set())
-        if ev_id in cur:
-            return False
-        cur.add(ev_id)
-        return True
-
     changed = True
     while changed:
         changed = False
         for rule in onto:
-            head = rule.head
-            for j, t in enumerate(head.args, 1):
-                pos = Position(head.predicate_name, j)
+            for j, t in enumerate(rule.head.args, 1):
                 if t in rule.ev:
-                    if add(pos, (rule.id, t.name)):
-                        changed = True
+                    new = {(rule.id, t.name)}
                 elif isinstance(t, Variable):
-                    body_pos = _body_positions(rule, t)
-                    if not body_pos:
-                        continue
-                    common = set(invaded.get(body_pos[0], set()))
-                    for p in body_pos[1:]:
-                        common &= invaded.get(p, set())
-                    for ev_id in common:
-                        if add(pos, ev_id):
-                            changed = True
-    return InvasionTable({p: frozenset(s) for p, s in invaded.items()})
+                    new = attacked(rule.body, t, invaded)
+                else:
+                    continue
+                pos = Position(rule.head.predicate_name, j)
+                old = invaded.get(pos, frozenset())
+                if not new <= old:
+                    invaded[pos] = old | new
+                    changed = True
+    return invaded
 
 
-def attacked(atoms, var: Variable, table: InvasionTable) -> frozenset:
+def attacked(atoms, var: Variable, invaded: dict) -> frozenset:
     """∃-variables invading every position of the atoms (a rule body or a
     single atom) where var occurs."""
-    positions = [Position(atom.predicate_name, i)
-                 for atom in atoms for i, t in enumerate(atom.args, 1) if t == var]
+    positions = _positions(atoms, var)
     if not positions:
         return frozenset()
-    common = set(table.invaders(positions[0]))
-    for p in positions[1:]:
-        common &= table.invaders(p)
-    return frozenset(common)
+    return frozenset.intersection(*(invaded.get(p, frozenset()) for p in positions))
 
 
 def is_shy(onto: Ontology):
@@ -302,17 +220,17 @@ def is_shy(onto: Ontology):
     Condition (2): two head variables sitting in different body atoms must
     not be attacked there by one and the same existential variable.
     """
-    table = invasion_table(onto)
+    invaded = invasion_table(onto)
     for rule in onto:
         occurs_in = {v: [a for a in rule.body if v in set(a.variables())] for v in rule.uv}
         for v in sorted(rule.uv):
-            attackers = attacked(rule.body, v, table) if len(occurs_in[v]) > 1 else ()
+            attackers = attacked(rule.body, v, invaded) if len(occurs_in[v]) > 1 else ()
             if attackers:
                 attacker = sorted(attackers)[0]
                 return False, ViolationWitness(
                     "shy", rule.id,
                     "condition (i): variable joins body atoms but is not protected",
-                    (v.name,), tuple(_body_positions(rule, v)), attacker[1])
+                    (v.name,), tuple(_positions(rule.body, v)), attacker[1])
         head_vars = sorted(set(rule.head.variables()) & rule.uv)
         for x in head_vars:
             for y in head_vars:
@@ -322,7 +240,7 @@ def is_shy(onto: Ontology):
                     for ay in occurs_in[y]:
                         if ax is ay:
                             continue
-                        common = attacked((ax,), x, table) & attacked((ay,), y, table)
+                        common = attacked((ax,), x, invaded) & attacked((ay,), y, invaded)
                         if common:
                             attacker = sorted(common)[0]
                             return False, ViolationWitness(
@@ -330,7 +248,7 @@ def is_shy(onto: Ontology):
                                 "condition (ii): head variables in different body atoms "
                                 "attacked by the same variable",
                                 (x.name, y.name),
-                                tuple(_body_positions(rule, x) + _body_positions(rule, y)),
+                                tuple(_positions(rule.body, x) + _positions(rule.body, y)),
                                 attacker[1])
     return True, None
 
@@ -339,7 +257,8 @@ def is_shy(onto: Ontology):
 # full report
 
 
-def classify(onto: Ontology) -> FragmentReport:
+def classify(onto: Ontology) -> dict:
+    """{fragment: (holds, witness or None)} for every fragment of FRAGMENTS."""
     verdicts = classify_local(onto)
     wa_ok, _, cycle = weakly_acyclic(onto)
     if wa_ok:
@@ -350,6 +269,5 @@ def classify(onto: Ontology) -> FragmentReport:
             positions=tuple(p for p, _, _ in cycle)))
     _, sticky_ok, sticky_witness = sticky_marking(onto)
     verdicts["sticky"] = (sticky_ok, sticky_witness)
-    shy_ok, shy_witness = is_shy(onto)
-    verdicts["shy"] = (shy_ok, shy_witness)
-    return FragmentReport(verdicts)
+    verdicts["shy"] = is_shy(onto)
+    return verdicts

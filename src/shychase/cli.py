@@ -58,10 +58,9 @@ def _emit(payload, as_json: bool, text: str) -> None:
 
 def _cmd_classify(args) -> int:
     program = _read_program(args.file)
-    report = classify(program.ontology)
     lines = []
     payload = {}
-    for name, (holds, witness) in report.verdicts.items():
+    for name, (holds, witness) in classify(program.ontology).items():
         payload[name] = {"holds": holds}
         if witness is not None:
             payload[name]["witness"] = witness.describe()

@@ -156,14 +156,6 @@ class Ontology:
     def __len__(self):
         return len(self.rules)
 
-    def positions(self) -> set:
-        out = set()
-        for rule in self.rules:
-            for atom in rule.atoms():
-                for i in range(1, atom.arity + 1):
-                    out.add(Position(atom.predicate_name, i))
-        return out
-
 
 @dataclass(frozen=True)
 class Database:

@@ -46,8 +46,9 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[a-z]\w*)
   | (?P<var>[A-Z]\w*)
   | (?P<punct>[()\[\],.|?])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -55,37 +56,20 @@ _TOKEN_RE = re.compile(
 class _Token:
     kind: str
     text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok, line, col))
-        nl = tok.count("\n")
-        if nl:
-            line += nl
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    offset: int
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = [_Token(m.lastgroup, m.group(), m.start())
+                     for m in _TOKEN_RE.finditer(text) if m.lastgroup not in ("ws", "comment")]
+        self.toks.append(_Token("eof", "", len(text)))
         self.i = 0
         self.arities: dict = {}
+        bad = next((t for t in self.toks if t.kind == "bad"), None)
+        if bad:
+            self.error(f"unexpected character {bad.text!r}", bad)
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -96,8 +80,10 @@ class _Parser:
         return t
 
     def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        """Raise ParseError at tok's 1-based line and column, counted from its offset."""
+        offset = (tok or self.peek()).offset
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        raise ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def expect(self, text):
         t = self.next()
@@ -123,23 +109,28 @@ class _Parser:
             self.error("numeric terms are reserved for shape labels", t)
         self.error(f"expected a term, found {t.text or 'end of input'!r}", t)
 
+    def parse_label(self) -> _Token:
+        t = self.next()
+        if t.kind not in ("int", "ident"):
+            self.error("shape labels are positive integers or constants", t)
+        return t
+
     def parse_shape(self):
+        """`[l1,...,lm]`, or `[]` for a 0-ary canonical atom; the integer
+        labels lie in 1..μ, μ the number of distinct integer labels."""
         self.expect("[")
-        labels = []
-        while True:
-            t = self.next()
-            if t.kind == "int":
-                labels.append(int(t.text))
-            elif t.kind == "ident":
-                labels.append(t.text)
-            else:
-                self.error("shape labels are positive integers or constants", t)
-            if self.peek().text == ",":
+        tokens = []
+        if self.peek().text != "]":
+            tokens.append(self.parse_label())
+            while self.peek().text == ",":
                 self.next()
-            else:
-                break
+                tokens.append(self.parse_label())
         self.expect("]")
-        return tuple(labels)
+        mu = len({int(t.text) for t in tokens if t.kind == "int"})
+        for t in tokens:
+            if t.kind == "int" and not 1 <= int(t.text) <= mu:
+                self.error(f"shape label {t.text} is not in 1..{mu}", t)
+        return tuple(int(t.text) if t.kind == "int" else t.text for t in tokens)
 
     def parse_atom(self) -> Atom:
         tok = self.next()

@@ -37,7 +37,7 @@ from shychase.core import (
 from shychase.generate import default_config, random_program
 from shychase.harness import curated_programs, load_paper_program
 from shychase.hom import isomorphic
-from shychase.parse import parse_program, parse_query
+from shychase.parse import Program, parse_program, parse_query, print_program
 
 
 def test_canonical_atom_examples():
@@ -234,6 +234,31 @@ def _rewrite_once_theories():
 
 def _rule_parts(onto) -> list:
     return [(rule.id, rule.body, rule.head) for rule in onto]
+
+
+def _unfreshened(rule):
+    """Body and head with each variable X#i renamed back to X."""
+    def atom(a):
+        return Atom(a.pred, tuple(Variable(t.name.split("#")[0]) if isinstance(t, Variable)
+                                  else t for t in a.args), a.shape)
+    return tuple(map(atom, rule.body)), atom(rule.head)
+
+
+def test_printed_rewriting_parses_back():
+    """[DERIVED] The printed rewriting of a theory, the input `rewrite`
+    hands to `answer`, parses back to the same database, rules and queries;
+    a propositional theory gives 0-ary canonical atoms such as `start_[]`."""
+    propositional = parse_program("start. start -> exists Y. p(Y). ? p(X).")
+    theories = [*_rewrite_once_theories(), ("propositional", propositional)]
+    for name, program in theories:
+        rewritten = Program(*rewrite_theory(program.database, program.ontology,
+                                            program.queries))
+        again = parse_program(print_program(rewritten))
+        rules = list(map(_unfreshened, rewritten.ontology))
+        assert again.database == rewritten.database, name
+        assert list(map(_unfreshened, again.ontology)) == rules, name
+        assert again.queries == rewritten.queries, name
+    assert Atom("start", (), ()) in again.database
 
 
 def test_rewrite_once_matches_rewriting_twice():

@@ -10,7 +10,6 @@ from shychase.core import (
     Null,
     NullFactory,
     Ontology,
-    Position,
     Query,
     Rule,
     Variable,
@@ -101,18 +100,6 @@ def test_query_validation():
         Query(((),))
     with pytest.raises(ValueError):
         Query(((Atom("p", (Null(1),)),),))
-
-
-def test_ontology_positions_use_rendered_names():
-    rule = Rule(
-        "r1",
-        (Atom("p", (Variable("X"),), (1, "c")),),
-        Atom("q", (Variable("X"),)),
-    )
-    assert Ontology((rule,)).positions() == {
-        Position("p_[1,c]", 1),
-        Position("q", 1),
-    }
 
 
 def test_constants_of_collects_shape_labels():

@@ -108,12 +108,66 @@ def test_parse_query_helper():
     ("p(c), q(c).", "single atom"),
     ("p(c) q(c).", "expected"),
     ("$", "unexpected character"),
+    ("p_[0](a).", "shape label 0 is not in 1..1"),
+    ("p_[2](a).", "shape label 2 is not in 1..1"),
+    ("p_[1,3](a,b).", "shape label 3 is not in 1..2"),
+    ("p_[](c).", "shape [] expects 0 argument(s)"),
 ])
 def test_parse_errors_carry_position_and_message(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_program(text)
     assert fragment in str(err.value)
     assert err.value.line >= 1 and err.value.col >= 1
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("p(X.", 1, 4),
+    ("p(c) -> q(Y).", 1, 9),
+    ("p(X) -> exists X. q(X).", 1, 19),
+    ("p(c). p(c,c).", 1, 7),
+    ("p(1).", 1, 3),
+    ("p[1](X) -> q(X).", 1, 1),
+    ("p(X).", 1, 1),
+    ("p(c), q(c).", 1, 1),
+    ("p(c) q(c).", 1, 6),
+    ("$", 1, 1),
+    ("p(c).\nq(c).\nbroken(", 3, 8),
+    ("# only a comment\n  p(c).\n\tq(c) r", 3, 7),
+    ("p(c).\r\nq(X).", 2, 1),
+    ("p(c)", 1, 5),
+    ("p(", 1, 3),
+    ("-> q(c).", 1, 1),
+    ("p(c) -> exists c. q(c).", 1, 16),
+    ("p(X) -> exists Y q(X,Y).", 1, 18),
+    ("p_[1,c](X) -> q_[1,2](X).", 1, 15),
+    ("p_[1,c,](X) -> q(X).", 1, 8),
+    ("p(c).\n\n   p(c) -> ?", 3, 12),
+    ("p(c). # trailing comment\n? p(X) p(X).", 2, 8),
+    ("p(c).\n  q(c) -> exists Y. q(Y,Y).", 2, 21),
+    ("p(c).\n@", 2, 1),
+    ("p(c).\nq(X) -> r(X).\n  s(c) $", 3, 8),
+    ("p_[0](a).", 1, 4),
+    ("p(c).\n q_[c,2](a).", 2, 7),
+])
+def test_parse_error_positions_are_exact(text, line, col):
+    """Line and column, counted from the token's offset when the error is
+    raised, are those a tokenizer that tracked them per token reported; the
+    last two cases, out-of-range shape labels, point at the label."""
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).startswith(f"{line}:{col}: ")
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("? p(X). q(c).", 1, 9),
+    ("p(X).", 1, 1),
+    ("? p(X) |", 1, 9),
+])
+def test_parse_query_error_positions_are_exact(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_error_location_points_at_offending_line():
