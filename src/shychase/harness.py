@@ -170,9 +170,55 @@ def check_golden_classification():
     return True, "appendix verdicts and linear/sticky split reproduced"
 
 
+def _rounds(db, result, r: int, translate) -> list:
+    """Atoms of rounds 0..r of a chase through translate, round 0 the database."""
+    rounds = [[translate(a) for a in db]] + [[] for _ in range(r)]
+    for s in result.steps:
+        if s.round <= r:
+            rounds[s.round].append(translate(s.produced))
+    return rounds
+
+
+def _round_key(atom: Atom, names: dict) -> tuple:
+    """atom with named nulls renamed and fresh ones ranked -1, -2, ... by first occurrence."""
+    fresh: dict = {}
+    return atom.pred, atom.shape, tuple(
+        t if not isinstance(t, Null) else names[t] if t in names
+        else fresh.setdefault(t, -1 - len(fresh)) for t in atom.args)
+
+
+def _first_unmatched_round(left: list, right: list):
+    """The first round whose atoms differ between two chases given by
+    `_rounds`, up to a renaming of nulls built round by round, or None."""
+    names = ({}, {})
+    for k, pair in enumerate(zip(left, right)):
+        groups: dict = {}
+        for side, atoms in enumerate(pair):
+            for a in atoms:
+                groups.setdefault(_round_key(a, names[side]), ([], []))[side].append(a)
+        if any(len(xs) != len(ys) for xs, ys in groups.values()):
+            return k
+        for xs, ys in groups.values():
+            for x, y in zip(xs, ys):
+                for s, t in zip(x.args, y.args):
+                    if isinstance(s, Null) and s not in names[0]:
+                        names[0][s] = names[1][t] = len(names[0])
+    return None
+
+
 def _canonical_chase_matches(program, other_onto=None):
     """Compare the source chase with the unpacked canonical chase (or the
-    canonical chase against other_onto) on matched complete rounds.
+    canonical chase against other_onto) round by round, on their matched
+    complete rounds, or on every round when both terminated.
+
+    In a breadth-first round each produced atom holds older terms and only
+    its own fresh nulls.  So the databases must be equal, and each later
+    round's atoms are keyed by `_round_key` under the null names of the
+    rounds before: each key must occur equally often on both sides, and
+    pairing its atoms names their fresh nulls alike.  Atoms with one key
+    differ only in their fresh nulls, so any pairing of them serves.  Unlike
+    isomorphism of the two prefixes, this asks that each atom appear in the
+    same round on both sides.
 
     Exact commutation needs rule bodies whose variables pairwise share an
     atom (see atom_scoped_joins): otherwise two rewriting variants of one
@@ -186,7 +232,7 @@ def _canonical_chase_matches(program, other_onto=None):
         translate = unpack
     else:
         left_db, left_onto = dbc, other_onto
-        translate = lambda inst: inst
+        translate = lambda atom: atom
     cap = 140
     while True:
         left = run_chase(left_db, left_onto, ChaseConfig(OBLIVIOUS, cap, 400))
@@ -198,14 +244,13 @@ def _canonical_chase_matches(program, other_onto=None):
         return False, f"matched prefix too short ({len(prefix)} atoms)"
     right = run_chase(dbc, ontoc,
                       ChaseConfig(OBLIVIOUS, 4 * cap, left.complete_rounds))
-    r = min(left.complete_rounds, right.complete_rounds)
-    left_prefix = left.prefix_at_round(r)
-    right_prefix = right.prefix_at_round(r)
-    if left.terminated and right.terminated:
-        left_prefix, right_prefix = left.instance, right.instance
-    if not isomorphic(translate(right_prefix), left_prefix):
-        return False, f"prefix mismatch at round {r}"
-    return True, f"{len(left_prefix)} atoms agree"
+    r = (max(left.rounds, right.rounds) if left.terminated and right.terminated
+         else min(left.complete_rounds, right.complete_rounds))
+    left_rounds = _rounds(left_db, left, r, lambda atom: atom)
+    k = _first_unmatched_round(left_rounds, _rounds(dbc, right, r, translate))
+    if k is not None:
+        return False, f"prefix mismatch at round {k}"
+    return True, f"{sum(map(len, left_rounds))} atoms agree"
 
 
 @_timed("chase commutation")

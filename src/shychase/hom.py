@@ -1,5 +1,5 @@
 """Homomorphism search, query satisfaction, and isomorphism modulo null or
-variable renaming: a pairwise test and a canonical key.  `_violations` is
+variable renaming through one canonical key.  `_violations` is
 the one trigger routine (a rule's body matches without a head extension),
 which the chase, model checking and the model search all call."""
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
-from .core import Atom, Constant, Instance, Query, Rule, Variable, term_key
+from .core import Atom, Constant, Instance, Query, Rule, term_key
 
 
 def apply_mapping(mapping: dict, atom: Atom) -> Atom:
@@ -127,131 +127,24 @@ def satisfies_query(inst, q: Query) -> Optional[Witness]:
     return None
 
 
-def _color_step(atoms: set, colors: dict, intern: dict) -> dict:
-    sigs = {}
-    for x in atoms:
-        for i, t in enumerate(x.args):
-            if isinstance(t, Constant):
-                continue
-            ctx = tuple(
-                ("const", repr(v)) if isinstance(v, Constant) else ("term", colors[v])
-                for v in x.args
-            )
-            sigs.setdefault(t, []).append((x.pred, repr(x.shape), i, ctx))
-    return {
-        t: intern.setdefault((isinstance(t, Variable), tuple(sorted(occ))),
-                             len(intern))
-        for t, occ in sigs.items()
-    }
-
-
-def _joint_colors(a: set, b: set):
-    """Structural colors (Weisfeiler-Lehman style) for the non-constant terms
-    of both atom sets, refined in lockstep through a shared intern table so
-    equal colors mean structurally indistinguishable terms across the sets.
-    Terms with different colors cannot correspond under any isomorphism."""
-    intern: dict = {}
-    ca = {t: 0 for x in a for t in x.args if not isinstance(t, Constant)}
-    cb = {t: 0 for x in b for t in x.args if not isinstance(t, Constant)}
-    for _ in range(max(1, len(ca), len(cb))):
-        na = _color_step(a, ca, intern)
-        nb = _color_step(b, cb, intern)
-        stable = (len(set(na.values())) == len(set(ca.values()))
-                  and len(set(nb.values())) == len(set(cb.values())))
-        ca, cb = na, nb
-        if stable:
-            break
-    return ca, cb
-
-
 def isomorphic(a, b) -> bool:
-    """True iff a bijective renaming of nulls/variables maps atom set a onto b."""
-    if isinstance(a, Instance):
-        a = a.atoms
-    if isinstance(b, Instance):
-        b = b.atoms
-    a, b = set(a), set(b)
-    if len(a) != len(b) or (sorted(x.sort_key()[:2] for x in a)
-                            != sorted(x.sort_key()[:2] for x in b)):
-        return False
+    """True iff a bijective renaming of nulls/variables maps atom set a onto b,
+    nulls onto nulls and variables onto variables.
 
-    color_a, color_b = _joint_colors(a, b)
-    if sorted(color_a.values()) != sorted(color_b.values()):
-        return False
-
-    idx = _index(b)
-    pool = sorted(a, key=Atom.sort_key)
-
-    def extend(src: Atom, tgt: Atom, fwd: dict, used: set):
-        local: dict = {}
-        for s, t in zip(src.args, tgt.args):
-            if isinstance(s, Constant):
-                if s != t:
-                    return None
-            elif s in fwd:
-                if fwd[s] != t:
-                    return None
-            elif s in local:
-                if local[s] != t:
-                    return None
-            else:
-                if t in used or isinstance(t, Constant) or isinstance(t, Variable) != isinstance(s, Variable):
-                    return None
-                if color_a[s] != color_b[t] or t in local.values():
-                    return None
-                local[s] = t
-        return list(local.items())
-
-    # the partial renaming, the targets it uses, and the atoms it covers
-    fwd: dict = {}
-    used: set = set()
-    taken: set = set()
-
-    # prefer atoms whose terms are already pinned down, then scarce predicates;
-    # `min` keeps the first of equal ranks, so ties go by `pool`'s sort order
-    def rank(item):
-        _, src = item
-        bound = sum(1 for t in src.args if isinstance(t, Constant) or t in fwd)
-        return (-bound, len(idx.get(_key(src), ())))
-
-    def place(frame) -> bool:
-        """Undo the frame's atom's current target and map it onto the next
-        one that fits; False when none is left."""
-        src, _, targets, placed = frame
-        if placed:
-            tgt, new = placed.pop()
-            taken.discard(tgt)
-            for s, t in new:
-                del fwd[s]
-                used.discard(t)
-        for tgt in targets:
-            if tgt in taken:
-                continue
-            new = extend(src, tgt, fwd, used)
-            if new is None:
-                continue
-            for s, t in new:
-                fwd[s] = t
-                used.add(t)
-            taken.add(tgt)
-            placed.append((tgt, new))
-            return True
-        return False
-
-    # depth-first search on an explicit stack: one frame per mapped atom, as
-    # (atom, atoms left after it, its remaining targets, its current target)
-    stack: list = []
-    remaining = pool
-    while remaining:
-        i, src = min(enumerate(remaining), key=rank)
-        stack.append((src, remaining[:i] + remaining[i + 1:],
-                      iter(idx.get(_key(src), ())), []))
-        while stack and not place(stack[-1]):
-            stack.pop()
-        if not stack:
-            return False
-        remaining = stack[-1][1]
-    return True
+    Compares the two sets' `_canonical_key`s under one `codes`.  The cost is
+    exponential in the size of the largest class of same-signature terms, so
+    it suits rules, queries and small models, not large symmetric instances.
+    """
+    codes: dict = {}
+    keys = []
+    for atoms in (set(a), set(b)):
+        plain, coded = _split(atoms, codes)
+        # `_atom_code` numbers nulls and variables alike: one marker atom per
+        # variable keeps a renaming from carrying a variable onto a null
+        coded += [(codes.setdefault("variable", len(codes)), -3 - codes[v])
+                  for v in {v for x in atoms for v in x.variables()}]
+        keys.append(_canonical_key(frozenset(plain), tuple(coded)))
+    return keys[0] == keys[1]
 
 
 def _atom_code(a: Atom, codes: dict):
@@ -260,8 +153,8 @@ def _atom_code(a: Atom, codes: dict):
     `codes` interns predicates and terms as integers and caches each atom's
     result.  The tuple holds the predicate's number, then per argument 2i
     for a constant numbered i and -3 - i for a null or variable numbered i.
-    A coded set never mixes the two: it is an instance (no variables) or
-    the atoms of rules or queries (no nulls)."""
+    An instance has no variables and rules and queries have no nulls;
+    `isomorphic`, which takes both kinds, marks the variables apart."""
     code = codes.get(a)
     if code is None:
         code = False

@@ -36,8 +36,9 @@ from shychase.core import (
 )
 from shychase.generate import default_config, random_program
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import isomorphic
 from shychase.parse import Program, parse_program, parse_query, print_program
+
+from iso_oracle import isomorphic
 
 
 def test_canonical_atom_examples():

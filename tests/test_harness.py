@@ -1,9 +1,13 @@
 """Harness plumbing: suites, result formatting, packaged inputs."""
 
 import inspect
+from itertools import chain
 
 import pytest
 
+from shychase.canonical import rewrite_theory
+from shychase.chase import OBLIVIOUS, ChaseConfig, run_chase
+from shychase.core import Atom, Constant, Null, Ontology
 from shychase.harness import (
     CHECKS,
     SUITES,
@@ -12,6 +16,9 @@ from shychase.harness import (
     load_paper_program,
     run_suite,
 )
+from shychase.hom import find_homomorphism
+
+from iso_oracle import isomorphic as oracle_isomorphic
 
 
 def test_suite_names_cover_all_checks():
@@ -97,7 +104,7 @@ def test_harness_detects_corrupted_rewriting(monkeypatch):
 
     def corrupted(db, onto, queries=()):
         dbc, ontoc, qc = original(db, onto, queries)
-        from shychase.core import Ontology
+        from shychase.core import Atom, Constant, Null, Ontology
         return dbc, Ontology(ontoc.rules[:-1]), qc
 
     monkeypatch.setattr(harness, "rewrite_theory", corrupted)
@@ -121,3 +128,80 @@ def test_finite_countermodel_check_enumerates_once_per_theory(monkeypatch):
     result = CHECKS["finite-countermodels"]()
     assert result.passed
     assert len(calls) == len(curated_programs())
+
+
+def _rewriting_without_a_fired_rule(pick: int):
+    """rewrite_theory without one canonical rule that fires: the pick-th
+    (cyclically) of those whose body maps into a short canonical chase."""
+    def mutated(db, onto, queries=()):
+        dbc, ontoc, qc = rewrite_theory(db, onto, queries)
+        chased = run_chase(dbc, ontoc, ChaseConfig(OBLIVIOUS, 100, 3)).instance
+        fired = [r for r in ontoc if find_homomorphism(r.body, chased) is not None]
+        drop = fired[pick % len(fired)]
+        return dbc, Ontology(tuple(r for r in ontoc if r is not drop)), qc
+    return mutated
+
+
+def test_round_check_pairs_fresh_nulls_round_by_round():
+    """The round-by-round comparison renames nulls consistently across
+    rounds, tells apart which older null a later atom holds, and rejects an
+    atom produced one round late although the unions are isomorphic."""
+    from shychase.harness import _first_unmatched_round
+
+    c, n = Constant("c"), [Null(i) for i in range(8)]
+    db = [Atom("p", (c,))]
+    left = [db, [Atom("p", (n[1],)), Atom("r", (n[2], n[2]))], [Atom("q", (n[1], n[3]))]]
+    renamed = [db, [Atom("r", (n[6], n[6])), Atom("p", (n[5],))], [Atom("q", (n[5], n[7]))]]
+    other_null = [db, [Atom("p", (n[5],)), Atom("r", (n[6], n[6]))], [Atom("q", (n[6], n[7]))]]
+    assert _first_unmatched_round(left, renamed) is None
+    assert _first_unmatched_round(left, other_null) == 2
+    late = [db, [Atom("p", (n[1],))], [Atom("q", (c, c))]]
+    early = [db, [Atom("p", (n[5],)), Atom("q", (c, c))], []]
+    assert _first_unmatched_round(late, early) == 1
+    assert _first_unmatched_round([db], [db + [Atom("q", (c, c))]]) == 0
+
+
+def test_chase_commutation_detects_a_dropped_canonical_rule(monkeypatch):
+    """Mutation check: dropping one canonical rule that fires must trip the
+    round-by-round chase comparison of criterion 3."""
+    import shychase.harness as harness
+
+    monkeypatch.setattr(harness, "rewrite_theory", _rewriting_without_a_fired_rule(0))
+    result = CHECKS["chase-commutation"](seed=42)
+    assert not result.passed
+    assert "prefix mismatch" in result.detail
+
+
+def test_round_check_never_accepts_what_the_isomorphism_oracle_rejects(monkeypatch):
+    """[DERIVED] On the two chases of every theory criteria 3 and 4 check
+    at seed 42, the round-by-round comparison and the colour-refinement
+    oracle both accept.  Over mutants that each drop one canonical rule
+    that fires, the comparison accepts no pair the oracle rejects; it may
+    reject more, since it also asks that each atom appear in the same
+    round."""
+    import shychase.harness as harness
+
+    matches, first_unmatched = harness._canonical_chase_matches, harness._first_unmatched_round
+    theories, verdicts = [], []
+
+    def recording_matches(program, other_onto=None):
+        theories.append((program, other_onto))
+        return matches(program, other_onto)
+
+    def recording_round(left, right):
+        k = first_unmatched(left, right)
+        verdicts.append((k is None, oracle_isomorphic(set(chain(*left)), set(chain(*right)))))
+        return k
+
+    monkeypatch.setattr(harness, "_canonical_chase_matches", recording_matches)
+    monkeypatch.setattr(harness, "_first_unmatched_round", recording_round)
+    assert CHECKS["chase-commutation"](seed=42).passed
+    assert CHECKS["active-partition"](seed=42).passed
+    assert verdicts == [(True, True)] * len(theories) and len(theories) == 82
+    verdicts.clear()
+    for i, (program, other_onto) in enumerate(theories):
+        monkeypatch.setattr(harness, "rewrite_theory", _rewriting_without_a_fired_rule(i))
+        matches(program, other_onto)
+    assert all(oracle or not step for step, oracle in verdicts)
+    # some mutants leave the chase unchanged up to renaming, most do not
+    assert 0 < sum(step for step, _ in verdicts) < len(verdicts)

@@ -1,5 +1,5 @@
 """Homomorphism search, and isomorphism and the canonical key modulo
-renaming, against brute force."""
+renaming, against brute force and the colour-refinement oracle."""
 
 import sys
 from itertools import permutations, product
@@ -17,6 +17,8 @@ from shychase.hom import (
     isomorphic,
     satisfies_query,
 )
+
+from iso_oracle import isomorphic as oracle_isomorphic
 
 constants = st.sampled_from([Constant("a"), Constant("b")])
 nulls = st.sampled_from([Null(1), Null(2), Null(3)])
@@ -69,14 +71,18 @@ def test_find_homomorphism_none_when_predicate_missing():
 
 
 def brute_isomorphic(a, b):
-    """Try every bijection between the null sets (constants stay fixed)."""
+    """Try every bijection that maps nulls onto nulls and variables onto
+    variables (constants stay fixed)."""
     a, b = set(a), set(b)
-    na = sorted({t for x in a for t in x.args if isinstance(t, Null)}, key=repr)
-    nb = sorted({t for x in b for t in x.args if isinstance(t, Null)}, key=repr)
-    if len(na) != len(nb):
+
+    def terms(atoms, kind):
+        return sorted({t for x in atoms for t in x.args if isinstance(t, kind)}, key=repr)
+
+    na, nb, va, vb = terms(a, Null), terms(b, Null), terms(a, Variable), terms(b, Variable)
+    if len(na) != len(nb) or len(va) != len(vb):
         return False
-    for perm in permutations(nb):
-        ren = dict(zip(na, perm))
+    for nulls_perm, vars_perm in product(permutations(nb), permutations(vb)):
+        ren = {**dict(zip(na, nulls_perm)), **dict(zip(va, vars_perm))}
         if {apply_mapping(ren, x) for x in a} == b:
             return True
     return False
@@ -85,7 +91,17 @@ def brute_isomorphic(a, b):
 @settings(max_examples=60, deadline=None)
 @given(atoms(ground_terms, 4), atoms(ground_terms, 4))
 def test_isomorphic_matches_brute_force(a, b):
-    # [DERIVED] permutation search is the oracle
+    # [DERIVED] permutation search is the oracle, for the colour refinement too
+    assert isomorphic(set(a), set(b)) == brute_isomorphic(a, b) == oracle_isomorphic(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms(st.one_of(constants, nulls, variables), 4),
+       atoms(st.one_of(constants, nulls, variables), 4))
+def test_isomorphic_keeps_term_kinds_apart(a, b):
+    """[DERIVED] On atom sets that mix constants, nulls and variables,
+    `isomorphic` agrees with brute force over the renamings that map nulls
+    only onto nulls and variables only onto variables."""
     assert isomorphic(set(a), set(b)) == brute_isomorphic(a, b)
 
 
@@ -120,26 +136,27 @@ def test_isomorphic_on_instances_and_constants():
 
 
 def test_isomorphic_scales_to_similar_null_clusters():
-    """Many interchangeable nulls stay tractable through color pruning."""
+    """Many interchangeable nulls stay tractable in the oracle through color
+    pruning."""
     a = {Atom("p", (Null(i), Null(i + 100))) for i in range(40)}
     b = {Atom("p", (Null(i + 7), Null(i + 300))) for i in range(40)}
-    assert isomorphic(a, b)
+    assert oracle_isomorphic(a, b)
     c = set(b) | {Atom("p", (Null(5000), Null(5000)))}
     c.remove(Atom("p", (Null(7), Null(300))))
-    assert not isomorphic(a, c)
+    assert not oracle_isomorphic(a, c)
 
 
 def test_isomorphic_search_deeper_than_the_recursion_limit(monkeypatch):
-    """Two null chains of 1001 atoms map onto each other one atom per search
-    level, past Python's default recursion limit, without the process-wide
-    limit being raised."""
+    """In the oracle, two null chains of 1001 atoms map onto each other one
+    atom per search level, past Python's default recursion limit, without
+    the process-wide limit being raised."""
     def refuse(limit):
-        raise AssertionError("isomorphic changed the recursion limit")
+        raise AssertionError("the oracle changed the recursion limit")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     a = {Atom(f"e{i}", (Null(i), Null(i + 1))) for i in range(1, 1002)}
     b = {Atom(f"e{i}", (Null(5000 + i), Null(5001 + i))) for i in range(1, 1002)}
-    assert isomorphic(a, b)
+    assert oracle_isomorphic(a, b)
 
 
 def test_satisfies_query_reports_first_disjunct():
@@ -156,8 +173,8 @@ def test_satisfies_query_reports_first_disjunct():
 
 
 def test_isomorphic_ranks_without_a_sort_key_per_remaining_atom(monkeypatch):
-    """Picking the next atom to map reads no `Atom.sort_key` of the atoms
-    left: on two n-atom null chains the calls stay linear in n."""
+    """The oracle, picking the next atom to map, reads no `Atom.sort_key` of
+    the atoms left: on two n-atom null chains the calls stay linear in n."""
     n = 200
     calls = 0
     sort_key = Atom.sort_key
@@ -170,7 +187,7 @@ def test_isomorphic_ranks_without_a_sort_key_per_remaining_atom(monkeypatch):
     monkeypatch.setattr(Atom, "sort_key", counted)
     a = {Atom("e", (Null(i), Null(i + 1))) for i in range(n)}
     b = {Atom("e", (Null(1000 + i), Null(1001 + i))) for i in range(n)}
-    assert isomorphic(a, b)
+    assert oracle_isomorphic(a, b)
     assert calls < 10 * n
 
 
@@ -186,19 +203,30 @@ def _key(atoms, codes):
     return _canonical_key(frozenset(plain), tuple(coded))
 
 
+def test_isomorphic_does_not_rename_a_variable_into_a_null():
+    """`_canonical_key` numbers nulls and variables alike, so a plain key
+    comparison calls these pairs equal; `isomorphic` tells them apart."""
+    x, n = Variable("X"), Null(1)
+    for a, b in (({Atom("p", (x,))}, {Atom("p", (n,))}),
+                 ({Atom("p", (x, n))}, {Atom("p", (n, x))})):
+        codes: dict = {}
+        assert _key(a, codes) == _key(b, codes)
+        assert not isomorphic(a, b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_variable_atom_sets, _variable_atom_sets,
        st.lists(variables, min_size=3, max_size=3))
 def test_canonical_key_equal_exactly_when_isomorphic_on_variables(a, b, images):
     """[DERIVED] On small sets of variable and constant atoms, as rule
-    patterns and query disjuncts are, the key is equal exactly when
-    `isomorphic` says so: for a random pair, and for a set and its image
+    patterns and query disjuncts are, the key is equal exactly when the
+    oracle says so: for a random pair, and for a set and its image
     under a map of its variables, which is a renaming when the map is a
     bijection."""
     mapped = frozenset(apply_mapping(dict(zip(_KEY_VARIABLES, images)), x) for x in a)
     codes: dict = {}
     key_a = _key(a, codes)
     for other in (b, mapped):
-        assert (key_a == _key(other, codes)) == isomorphic(a, other)
+        assert (key_a == _key(other, codes)) == oracle_isomorphic(a, other)
     if sorted(images) == _KEY_VARIABLES:
         assert _key(mapped, codes) == key_a
