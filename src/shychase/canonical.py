@@ -24,7 +24,7 @@ from .core import (
     Rule,
     constants_of,
 )
-from .hom import _canonical_key, _split
+from .hom import _canonical_key, _split, apply_mapping
 
 
 class UnpackError(ValueError):
@@ -72,10 +72,6 @@ class SubstitutionPattern:
         return out
 
 
-def _substitute(atom: Atom, subst: dict) -> Atom:
-    return Atom(atom.pred, tuple(subst.get(t, t) for t in atom.args))
-
-
 def _dedup(atoms: Iterable[Atom]) -> tuple:
     out = []
     for a in atoms:
@@ -86,7 +82,7 @@ def _dedup(atoms: Iterable[Atom]) -> tuple:
 
 def _instantiate(atoms: Iterable[Atom], subst: dict) -> tuple:
     """Canonical forms of the atoms under subst, duplicates dropped."""
-    return _dedup(canonical_atom(_substitute(a, subst)) for a in atoms)
+    return _dedup(canonical_atom(apply_mapping(subst, a)) for a in atoms)
 
 
 def _first_occurrence_vars(atoms: Iterable[Atom]) -> list:
@@ -143,7 +139,7 @@ def rewrite_rule(rule: Rule, pattern: SubstitutionPattern) -> Rule:
     """Canonical instantiation of one rule under one pattern."""
     subst = pattern.as_substitution()
     return Rule(rule.id, _instantiate(rule.body, subst),
-                canonical_atom(_substitute(rule.head, subst)))
+                canonical_atom(apply_mapping(subst, rule.head)))
 
 
 def _rewritten_patterns(rule: Rule, consts: Iterable[Constant]) -> Iterator[tuple]:

@@ -7,7 +7,7 @@ from enum import Enum
 from typing import Optional
 
 from .core import Atom, Database, Instance, NullFactory, Ontology, Query
-from .hom import (Witness, _index, _key, _mapping_key, _search, _violations, apply_mapping,
+from .hom import (Witness, _added, _index, _mapping_key, _search, _violations, apply_mapping,
                   satisfies_query)
 
 OBLIVIOUS = "oblivious"
@@ -52,23 +52,25 @@ class ChaseResult:
 
 
 def applicable_steps(onto: Ontology, idx: dict, fired: set, mode: str) -> list:
-    """(rule, body homomorphism) pairs not yet fired, in deterministic order.
+    """(trigger, rule, body homomorphism) triples not yet fired, in
+    deterministic order: rules in program order, each rule's matches by
+    `_mapping_key`.  A trigger is named (rule id, `_mapping_key` of the
+    match); a match binds exactly the body's variables, so two matches of
+    one rule share a name exactly when their body images are equal.
 
-    idx indexes the instance under `hom._key`, in any order within a list:
-    each rule's body matches are sorted by their images of the body
-    variables, which tell any two apart, so the index order never shows.
-    In restricted mode, a pair is kept only if `_violations` finds no head
-    extension for it; fired pairs are dropped before that check.
+    idx indexes the instance (see `hom._index`).  In restricted mode, a
+    trigger is kept only if `_violations` finds no head extension for it;
+    fired triggers are dropped before that check.
     """
     out = []
     for rule in onto:
-        for h in sorted(_search(rule.body, {}, idx), key=_mapping_key):
-            key = (rule.id, tuple(apply_mapping(h, a) for a in rule.body))
-            if key in fired:
+        for key, h in sorted((_mapping_key(h), h) for h in _search(rule.body, {}, idx)):
+            trigger = (rule.id, key)
+            if trigger in fired:
                 continue
             if mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
                 continue
-            out.append((rule, h))
+            out.append((trigger, rule, h))
     return out
 
 
@@ -79,11 +81,6 @@ def run_chase(db: Database, onto: Ontology, cfg: ChaseConfig) -> ChaseResult:
     lexicographic witness order; every step draws fresh nulls from one
     monotone counter.  Hitting a bound is not an error: the result simply
     carries terminated=False.
-
-    One index serves the whole run: built from the database, it gets each
-    produced atom appended to its list, unsorted.  Order stays
-    deterministic since `applicable_steps` sorts each rule's matches and
-    the restricted re-check only asks whether a head extension exists.
     """
     atoms = set(db.atoms)
     idx = _index(atoms)
@@ -98,8 +95,8 @@ def run_chase(db: Database, onto: Ontology, cfg: ChaseConfig) -> ChaseResult:
         if not pending or rounds == cfg.max_rounds:
             break
         rounds += 1
-        for rule, h in pending:
-            fired.add((rule.id, tuple(apply_mapping(h, a) for a in rule.body)))
+        for trigger, rule, h in pending:
+            fired.add(trigger)
             # an atom produced earlier in the round may satisfy the head now
             if cfg.mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
                 continue
@@ -113,7 +110,7 @@ def run_chase(db: Database, onto: Ontology, cfg: ChaseConfig) -> ChaseResult:
                 truncated = True
                 break
             atoms.add(produced)
-            idx.setdefault(_key(produced), []).append(produced)
+            idx = _added(idx, produced)
             steps.append(ChaseStep(rule.id, full, produced, rounds))
     complete = rounds - 1 if truncated else rounds
     return ChaseResult(Instance(frozenset(atoms)), not pending, rounds, tuple(steps), complete)

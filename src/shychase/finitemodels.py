@@ -6,7 +6,6 @@ theory into one of the full theory.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -24,7 +23,7 @@ from .core import (
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
-from .hom import (_canonical_key, _index, _key, _mapping_key, _match, _search, _split,
+from .hom import (_added, _canonical_key, _index, _key, _mapping_key, _match, _search, _split,
                   _violations, apply_mapping, satisfies_query)
 
 
@@ -86,12 +85,6 @@ def _supports(rules: list, atom: Atom, idx: dict) -> Iterator[tuple]:
                 yield rule, h
 
 
-def _grow(idx: dict, a: Atom) -> None:
-    """Insert a into the index in place, keeping each list in the order
-    `_index` gives it."""
-    insort(idx.setdefault(_key(a), []), a, key=Atom.sort_key)
-
-
 def _support_step(atom: Atom, db_atoms: set, rules: list, idx: dict) -> Optional[SupportStep]:
     """The step placing atom after the indexed prefix: a database atom, or
     the first support by rule id; None if neither."""
@@ -119,7 +112,7 @@ def find_support_ordering(inst: Instance, db: Database, onto: Ontology) -> Optio
         if step is None:
             return None
         placed.append(step)
-        _grow(idx, step.atom)
+        idx = _added(idx, step.atom)
         remaining.remove(step.atom)
     return tuple(placed)
 
@@ -135,7 +128,7 @@ def ordering_from_sequence(atoms: Iterable[Atom], db: Database, onto: Ontology) 
         if step is None:
             raise ValueError(f"atom {atom!r} is not supported by its prefix")
         steps.append(step)
-        _grow(idx, atom)
+        idx = _added(idx, atom)
     return tuple(steps)
 
 
@@ -175,15 +168,14 @@ def _add_atom(idx: dict, table: tuple, rules: list, a: Atom) -> tuple:
     """(index, violation table) of an instance plus an atom a it lacks,
     derived from the instance's own; neither input is changed.
 
-    The index maps `_key` to atoms, in no particular order.  The table
-    holds one dict per rule of `rules` (see `_keyed_rules`), from
-    `_mapping_key` to body map, of the rule's violations.  A violation
-    stays unless the rule's head maps onto a.  The new ones are the body
-    matches that use a: each body atom that matches a seeds a search of
-    the rest of the body.
+    The table holds one dict per rule of `rules` (see `_keyed_rules`),
+    from `_mapping_key` to body map, of the rule's violations.  A
+    violation stays unless the rule's head maps onto a.  The new ones are
+    the body matches that use a: each body atom that matches a seeds a
+    search of the rest of the body.
     """
     pk = _key(a)
-    idx = {**idx, pk: [*idx.get(pk, ()), a]}
+    idx = _added(idx, a)
     out = []
     for (rule, head_key, body_keys, _), viols in zip(rules, table):
         if viols and head_key == pk:
@@ -469,7 +461,7 @@ def propagation_ordering(ordering: tuple, onto: Ontology) -> tuple:
                 args.append(t)
         annotated.append(Atom(atom.pred, tuple(args), atom.shape))
         rank.setdefault(atom, j)
-        _grow(idx, atom)
+        idx = _added(idx, atom)
     return tuple(annotated)
 
 

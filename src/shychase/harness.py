@@ -209,7 +209,8 @@ def _first_unmatched_round(left: list, right: list):
 def _canonical_chase_matches(program, other_onto=None):
     """Compare the source chase with the unpacked canonical chase (or the
     canonical chase against other_onto) round by round, on their matched
-    complete rounds, or on every round when both terminated.
+    complete rounds, or on every round when both terminated.  When the
+    first chase terminates, the second must terminate within as many rounds.
 
     In a breadth-first round each produced atom holds older terms and only
     its own fresh nulls.  So the databases must be equal, and each later
@@ -244,6 +245,8 @@ def _canonical_chase_matches(program, other_onto=None):
         return False, f"matched prefix too short ({len(prefix)} atoms)"
     right = run_chase(dbc, ontoc,
                       ChaseConfig(OBLIVIOUS, 4 * cap, left.complete_rounds))
+    if left.terminated and not right.terminated:
+        return False, f"canonical chase runs past round {left.rounds}"
     r = (max(left.rounds, right.rounds) if left.terminated and right.terminated
          else min(left.complete_rounds, right.complete_rounds))
     left_rounds = _rounds(left_db, left, r, lambda atom: atom)

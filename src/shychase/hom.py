@@ -1,15 +1,18 @@
 """Homomorphism search, query satisfaction, and isomorphism modulo null or
 variable renaming through one canonical key.  `_violations` is
 the one trigger routine (a rule's body matches without a head extension),
-which the chase, model checking and the model search all call."""
+which the chase, model checking and the model search all call.  They all
+search an index that `_index` builds and `_added` grows, the one index
+update."""
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
-from .core import Atom, Constant, Instance, Query, Rule, term_key
+from .core import Atom, Constant, Query, Rule, term_key
 
 
 def apply_mapping(mapping: dict, atom: Atom) -> Atom:
@@ -29,6 +32,15 @@ def _index(atoms: Iterable[Atom]) -> dict:
     for lst in idx.values():
         lst.sort(key=Atom.sort_key)
     return idx
+
+
+def _added(idx: dict, atom: Atom) -> dict:
+    """A copy of the index with atom inserted in `Atom.sort_key` order;
+    idx itself is left unchanged, so a caller may keep it."""
+    k = _key(atom)
+    lst = list(idx.get(k, ()))
+    insort(lst, atom, key=Atom.sort_key)
+    return {**idx, k: lst}
 
 
 def _match(src: Atom, tgt: Atom, mapping: dict) -> Optional[dict]:
@@ -97,8 +109,6 @@ def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:
 
     Indexes `target` by predicate, in lexicographic order, and runs `_search`.
     """
-    if isinstance(target, Instance):
-        target = target.atoms
     yield from _search(list(src), dict(seed) if seed else {}, _index(target))
 
 
@@ -113,9 +123,6 @@ def find_homomorphism(src, target, seed: Optional[dict] = None) -> Optional[dict
 class Witness:
     disjunct: int  # 0-based index into the query's disjuncts
     mapping: dict
-
-    def __iter__(self):
-        return iter((self.disjunct, self.mapping))
 
 
 def satisfies_query(inst, q: Query) -> Optional[Witness]:

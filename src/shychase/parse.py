@@ -343,6 +343,4 @@ def to_jsonable(obj):
             "kind": "database",
             "atoms": [_atom_json(a) for a in sorted(obj, key=Atom.sort_key)],
         }
-    if isinstance(obj, dict):
-        return {"schema": JSON_SCHEMA, "kind": "report", **obj}
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -139,10 +139,15 @@ def test_rejected_bound_exits_2(father_file, capsys, argv):
 
 def test_rewrite_of_shaped_input_exits_2(tmp_path, father_file, capsys):
     """A shaped atom cannot be canonicalised again; `rewrite` reports it as
-    an input error, on a hand-written file and on its own output."""
+    an input error, in a fact, a rule body, a rule head or a query of a
+    hand-written file and on its own output."""
     code, rewritten, _ = run(capsys, "rewrite", father_file)
     assert code == 0
-    for name, text in (("shaped.dlp", "p_[1](a).\n"), ("rewritten.dlp", rewritten)):
+    for name, text in (("shaped.dlp", "p_[1](a).\n"),
+                       ("body.dlp", "p_[1](X) -> q_[1,1](X).\n? q_[1,1](X).\n"),
+                       ("head.dlp", "p(X) -> q_[1](X).\n"),
+                       ("query.dlp", "p(c).\n? q_[1,1](X).\n"),
+                       ("rewritten.dlp", rewritten)):
         path = tmp_path / name
         path.write_text(text)
         for flags in ((), ("--partition",), ("--json",)):

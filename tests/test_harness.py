@@ -17,6 +17,7 @@ from shychase.harness import (
     run_suite,
 )
 from shychase.hom import find_homomorphism
+from shychase.parse import parse_program
 
 from iso_oracle import isomorphic as oracle_isomorphic
 
@@ -170,6 +171,25 @@ def test_chase_commutation_detects_a_dropped_canonical_rule(monkeypatch):
     result = CHECKS["chase-commutation"](seed=42)
     assert not result.passed
     assert "prefix mismatch" in result.detail
+
+
+def test_chase_commutation_detects_rounds_only_the_canonical_chase_reaches(monkeypatch):
+    """Mutation check: a canonical rule that fires only after the source
+    chase has terminated must trip the comparison, although every round
+    the source chase reaches agrees."""
+    import shychase.harness as harness
+
+    extra = parse_program("q_[c] -> r_[c].").ontology.rules
+
+    def mutated(db, onto, queries=()):
+        dbc, ontoc, qc = rewrite_theory(db, onto, queries)
+        return dbc, Ontology(ontoc.rules + extra), qc
+
+    program = parse_program("p(c). p(X) -> q(X).")
+    assert harness._canonical_chase_matches(program) == (True, "2 atoms agree")
+    monkeypatch.setattr(harness, "rewrite_theory", mutated)
+    assert harness._canonical_chase_matches(program) == (
+        False, "canonical chase runs past round 1")
 
 
 def test_round_check_never_accepts_what_the_isomorphism_oracle_rejects(monkeypatch):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from shychase.core import Atom, Constant, Instance, Null, Query, Variable
 from shychase.hom import (
+    _added,
     _canonical_key,
+    _index,
     _split,
     apply_mapping,
     find_homomorphism,
@@ -54,6 +56,29 @@ def test_homomorphisms_match_brute_force(src, target):
     got = {frozenset(h.items()) for h in homomorphisms(src, target)}
     want = {frozenset(h.items()) for h in brute_homomorphisms(src, target)}
     assert got == want
+
+
+_index_atoms = st.lists(st.one_of(
+    st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from("pq"), ground_terms, ground_terms),
+    st.builds(lambda t: Atom("p", (t,)), ground_terms),
+    st.builds(lambda t: Atom("q", (t,), (1,)), ground_terms)), unique=True, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_index_atoms, st.data())
+def test_added_grows_the_index_that_index_builds(atoms_, data):
+    """[DERIVED] Adding the atoms one by one with `_added`, in any order,
+    gives `_index` of them, and each call leaves the index it was given
+    as it was, so an index kept from before a call stays valid."""
+    order = data.draw(st.permutations(atoms_))
+    idx: dict = {}
+    kept = []
+    for a in order:
+        kept.append((idx, {k: list(v) for k, v in idx.items()}))
+        idx = _added(idx, a)
+    assert idx == _index(atoms_)
+    for i, (before, copy) in enumerate(kept):
+        assert before == copy == _index(order[:i])
 
 
 def test_homomorphism_seed_is_respected():
