@@ -6,16 +6,23 @@ Grammar (one statement per `.`, `#` starts a line comment):
     rule      a1, ..., an -> exists V1,...,Vk. head.
     query     ? a1, ..., am | b1, ..., bk.
 
-Lowercase identifiers are constants/predicates, uppercase are variables.
-Canonical predicates are written `base_[l1,...,lm]` with the bracketed
-shape part of the predicate identity.  Bare numerals are reserved for
-shape labels and are rejected as terms.
+Lowercase identifiers are constants/predicates, uppercase are variables;
+`exists` opens the existential clause only before a variable, and otherwise
+names the head predicate.  Canonical predicates are written
+`base_[l1,...,lm]` with the bracketed shape part of the predicate identity.
+Bare numerals are reserved for shape labels and are rejected as terms.
+
+The text is read in one regex scan into token strings, each told apart by
+its first character; a position is computed only for an error, by scanning
+again up to its token.  Terms are interned per statement, and the variables
+of the i-th rule are read as `X#i`, so distinct rules share no variable.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (Atom, Constant, Database, Instance, Null, Ontology, Query,
                    Rule, Variable)
@@ -37,209 +44,192 @@ class Program:
     queries: tuple = ()
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<int>\d+)
-  | (?P<ident>[a-z]\w*)
-  | (?P<var>[A-Z]\w*)
-  | (?P<punct>[()\[\],.|?])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+_TOKENS = r"->|\d+|[a-z]\w*|[A-Z]\w*|[()\[\],.|?]"
+# Each match skips the whitespace and comments before a token and captures
+# the token in group 1: a token of a kind above, any other character alone
+# (a bad one), or the empty string at the end of the text (end of input).
+_TOKEN_RE = re.compile(rf"(?:\s+|#[^\n]*)*({_TOKENS}|.|\Z)", re.DOTALL)
+_GOOD_RE = re.compile(rf"(?:{_TOKENS})?")
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    offset: int
+def _is_var(t: str) -> bool:
+    return "A" <= t[:1] <= "Z"
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = [_Token(m.lastgroup, m.group(), m.start())
-                     for m in _TOKEN_RE.finditer(text) if m.lastgroup not in ("ws", "comment")]
-        self.toks.append(_Token("eof", "", len(text)))
+        self.toks = toks = _TOKEN_RE.findall(text)
         self.i = 0
-        self.arities: dict = {}
-        bad = next((t for t in self.toks if t.kind == "bad"), None)
+        self.arities, self.terms, self.suffix = {}, {}, ""
+        bad = [t for t in set(toks) if not _GOOD_RE.fullmatch(t)]
         if bad:
-            self.error(f"unexpected character {bad.text!r}", bad)
+            k = min(map(toks.index, bad))
+            self.error(f"unexpected character {toks[k]!r}", k)
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def next(self) -> _Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def error(self, message, tok=None):
-        """Raise ParseError at tok's 1-based line and column, counted from its offset."""
-        offset = (tok or self.peek()).offset
+    def error(self, message, k=None):
+        """Raise ParseError at the 1-based line and column of token k (by
+        default the next one); only errors need an offset, so it comes from
+        scanning the text again up to that token."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), self.i if k is None else k, None))
+        offset = m.start(1)
         line_start = self.text.rfind("\n", 0, offset) + 1
         raise ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def expect(self, text):
-        t = self.next()
-        if t.text != text:
-            self.error(f"expected {text!r}, found {t.text or 'end of input'!r}", t)
-        return t
+        t = self.toks[self.i]
+        self.i += 1
+        if t != text:
+            self.error(f"expected {text!r}, found {t or 'end of input'!r}", self.i - 1)
 
-    def check_arity(self, atom: Atom, tok: _Token):
-        name = atom.predicate_name
-        seen = self.arities.setdefault(name, atom.arity)
-        if seen != atom.arity:
-            self.error(
-                f"predicate {name!r} used with arity {atom.arity}, previously {seen}", tok
-            )
+    def term(self, k):
+        """The term that token k names, read for the first time in this
+        statement; terms are interned per statement."""
+        t = self.toks[k]
+        if "a" <= t[:1] <= "z":
+            term = Constant(t)
+        elif _is_var(t):
+            term = Variable(t + self.suffix)
+        elif t[:1].isdecimal():
+            self.error("numeric terms are reserved for shape labels", k)
+        else:
+            self.error(f"expected a term, found {t or 'end of input'!r}", k)
+        self.terms[t] = term
+        return term
 
-    def parse_term(self):
-        t = self.next()
-        if t.kind == "ident":
-            return Constant(t.text)
-        if t.kind == "var":
-            return Variable(t.text)
-        if t.kind == "int":
-            self.error("numeric terms are reserved for shape labels", t)
-        self.error(f"expected a term, found {t.text or 'end of input'!r}", t)
-
-    def parse_label(self) -> _Token:
-        t = self.next()
-        if t.kind not in ("int", "ident"):
-            self.error("shape labels are positive integers or constants", t)
-        return t
+    def parse_label(self) -> int:
+        k = self.i
+        c = self.toks[k][:1]
+        if not ("a" <= c <= "z" or c.isdecimal()):
+            self.error("shape labels are positive integers or constants", k)
+        self.i = k + 1
+        return k
 
     def parse_shape(self):
-        """`[l1,...,lm]`, or `[]` for a 0-ary canonical atom; the integer
-        labels lie in 1..μ, μ the number of distinct integer labels."""
+        """`[l1,...,lm]`, or `[]` for a 0-ary canonical atom, and its μ: the
+        number of distinct integer labels, each of which lies in 1..μ."""
+        toks = self.toks
         self.expect("[")
-        tokens = []
-        if self.peek().text != "]":
-            tokens.append(self.parse_label())
-            while self.peek().text == ",":
-                self.next()
-                tokens.append(self.parse_label())
+        ks = []
+        if toks[self.i] != "]":
+            ks.append(self.parse_label())
+            while toks[self.i] == ",":
+                self.i += 1
+                ks.append(self.parse_label())
         self.expect("]")
-        mu = len({int(t.text) for t in tokens if t.kind == "int"})
-        for t in tokens:
-            if t.kind == "int" and not 1 <= int(t.text) <= mu:
-                self.error(f"shape label {t.text} is not in 1..{mu}", t)
-        return tuple(int(t.text) if t.kind == "int" else t.text for t in tokens)
+        labels = [int(toks[k]) if toks[k][0].isdecimal() else toks[k] for k in ks]
+        mu = len({l for l in labels if isinstance(l, int)})
+        for k, l in zip(ks, labels):
+            if isinstance(l, int) and not 1 <= l <= mu:
+                self.error(f"shape label {toks[k]} is not in 1..{mu}", k)
+        return tuple(labels), mu
 
     def parse_atom(self) -> Atom:
-        tok = self.next()
-        if tok.kind != "ident":
-            self.error(f"expected a predicate, found {tok.text or 'end of input'!r}", tok)
-        name, shape = tok.text, None
-        if self.peek().text == "[":
+        toks, k = self.toks, self.i
+        name, shape, args = toks[k], None, ()
+        if not "a" <= name[:1] <= "z":
+            self.error(f"expected a predicate, found {name or 'end of input'!r}", k)
+        i = self.i = k + 1
+        if toks[i] == "[":
             if not name.endswith("_"):
-                self.error("canonical predicates are written base_[...]", tok)
+                self.error("canonical predicates are written base_[...]", k)
             name = name[:-1]
-            shape = self.parse_shape()
-        args = ()
-        if self.peek().text == "(":
-            self.next()
-            if self.peek().text == ")":
-                self.next()
+            shape, mu = self.parse_shape()
+            i = self.i
+        if toks[i] == "(":
+            if toks[i + 1] == ")":
+                i += 2
             else:
-                terms = [self.parse_term()]
-                while self.peek().text == ",":
-                    self.next()
-                    terms.append(self.parse_term())
+                get, terms = self.terms.get, []
+                while True:
+                    terms.append(get(toks[i + 1]) or self.term(i + 1))
+                    i += 2
+                    if toks[i] != ",":
+                        break
+                self.i = i
                 self.expect(")")
-                args = tuple(terms)
+                i, args = self.i, tuple(terms)
+        self.i = i
+        # A shape fixes its predicate's arity, so only plain predicates can
+        # change arity between atoms.
         if shape is not None:
-            mu = len({l for l in shape if isinstance(l, int)})
             if mu != len(args):
-                self.error(f"shape [{','.join(map(str, shape))}] expects {mu} argument(s)", tok)
-        atom = Atom(name, args, shape)
-        self.check_arity(atom, tok)
-        return atom
+                self.error(f"shape [{','.join(map(str, shape))}] expects {mu} argument(s)", k)
+        elif self.arities.setdefault(name, len(args)) != len(args):
+            self.error(f"predicate {name!r} used with arity {len(args)}, "
+                       f"previously {self.arities[name]}", k)
+        return Atom(name, args, shape)
 
     def parse_atom_list(self):
         atoms = [self.parse_atom()]
-        while self.peek().text == ",":
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             atoms.append(self.parse_atom())
         return atoms
 
     def parse_query(self) -> Query:
         self.expect("?")
         disjuncts = [tuple(self.parse_atom_list())]
-        while self.peek().text == "|":
-            self.next()
+        while self.toks[self.i] == "|":
+            self.i += 1
             disjuncts.append(tuple(self.parse_atom_list()))
         self.expect(".")
         return Query(tuple(disjuncts))
 
     def parse_statement(self, facts, rules, queries):
-        if self.peek().text == "?":
+        toks, start = self.toks, self.i
+        self.terms = {}
+        self.suffix = ""
+        if toks[start] == "?":
             queries.append(self.parse_query())
             return
-        start = self.peek()
+        try:
+            end = toks.index(".", start)
+        except ValueError:
+            end = len(toks)
+        if "->" in toks[start:end]:
+            self.suffix = f"#{len(rules) + 1}"
         atoms = self.parse_atom_list()
-        t = self.next()
-        if t.text == ".":
+        t = toks[self.i]
+        self.i += 1
+        if t == ".":
             if len(atoms) != 1:
                 self.error("a fact is a single atom", start)
-            atom = atoms[0]
-            if any(isinstance(a, Variable) for a in atom.args):
+            if any(isinstance(a, Variable) for a in atoms[0].args):
                 self.error("facts must be variable-free", start)
-            facts.append(atom)
+            facts.append(atoms[0])
             return
-        if t.text != "->":
-            self.error(f"expected '->' or '.', found {t.text or 'end of input'!r}", t)
-        evs = []
-        if self.peek().text == "exists":
-            self.next()
+        if t != "->":
+            self.error(f"expected '->' or '.', found {t or 'end of input'!r}", self.i - 1)
+        body_terms, evs = set(self.terms.values()), []
+        if toks[self.i] == "exists" and _is_var(toks[self.i + 1]):
+            self.i += 1
             while True:
-                vt = self.next()
-                if vt.kind != "var":
-                    self.error("expected a variable after 'exists'", vt)
-                evs.append(Variable(vt.text))
-                if self.peek().text == ",":
-                    self.next()
-                else:
+                if not _is_var(toks[self.i]):
+                    self.error("expected a variable after 'exists'")
+                evs.append(self.terms.get(toks[self.i]) or self.term(self.i))
+                self.i += 1
+                if toks[self.i] != ",":
                     break
+                self.i += 1
             self.expect(".")
-        head_tok = self.peek()
+        head_k = self.i
         head = self.parse_atom()
         self.expect(".")
-        body_vars = {v for a in atoms for v in a.variables()}
         for v in head.variables():
-            if v not in body_vars and v not in evs:
-                self.error(f"head variable {v.name} is neither universal nor listed in 'exists'",
-                           head_tok)
+            if v not in body_terms and v not in evs:
+                self.error(f"head variable {print_term(v)} is neither universal nor listed "
+                           "in 'exists'", head_k)
         for v in evs:
-            if v in body_vars:
-                self.error(f"'exists' variable {v.name} also occurs in the body", head_tok)
-        rules.append((tuple(atoms), head))
+            if v in body_terms:
+                self.error(f"'exists' variable {print_term(v)} also occurs in the body", head_k)
+        rules.append(Rule(f"r{len(rules) + 1}", tuple(atoms), head))
 
     def parse_program(self) -> Program:
         facts, rules, queries = [], [], []
-        while self.peek().kind != "eof":
+        while self.toks[self.i]:
             self.parse_statement(facts, rules, queries)
-        onto = Ontology(tuple(
-            _freshen(Rule(f"r{i + 1}", body, head), i + 1)
-            for i, (body, head) in enumerate(rules)
-        ))
-        return Program(Database(frozenset(facts)), onto, tuple(queries))
-
-
-def _freshen(rule: Rule, index: int) -> Rule:
-    """Rename variables X -> X#index so distinct rules share no variable."""
-    sub = {v: Variable(f"{v.name}#{index}") for a in rule.atoms() for v in a.variables()}
-
-    def rn(atom):
-        return Atom(atom.pred, tuple(sub.get(t, t) for t in atom.args), atom.shape)
-
-    return Rule(rule.id, tuple(rn(a) for a in rule.body), rn(rule.head))
+        return Program(Database(frozenset(facts)), Ontology(tuple(rules)), tuple(queries))
 
 
 def parse_program(text: str) -> Program:
@@ -250,7 +240,7 @@ def parse_query(text: str) -> Query:
     """Parse a single `? ...` statement (convenience for tests and CLI)."""
     p = _Parser(text)
     q = p.parse_query()
-    if p.peek().kind != "eof":
+    if p.toks[p.i]:
         p.error("trailing input after query")
     return q
 

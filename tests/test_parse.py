@@ -40,6 +40,31 @@ def test_rule_variables_are_freshened_per_rule():
     assert not (r1.uv & r2.uv)
 
 
+def test_rule_variables_are_named_by_rule_index_as_they_are_read():
+    """The i-th rule's variables are X#i, counting rules only; a query's
+    variables keep their bare names."""
+    program = parse_program("p(a). p(X) -> q(X). ? q(X). q(X) -> exists Y. r(X,Y).")
+    r1, r2 = program.ontology
+    assert r1.body[0].args == (Variable("X#1"),) == r1.head.args
+    assert r2.body[0].args == (Variable("X#2"),)
+    assert r2.head.args == (Variable("X#2"), Variable("Y#2"))
+    assert program.queries[0].disjuncts[0][0].args == (Variable("X"),)
+
+
+@pytest.mark.parametrize("text, head", [
+    ("p(a). p(X) -> exists(X).", Atom("exists", (Variable("X#1"),))),
+    ("p -> exists.", Atom("exists", ())),
+    ("p(X) -> exists Y. exists(Y).", Atom("exists", (Variable("Y#1"),))),
+])
+def test_exists_names_a_head_predicate_unless_a_variable_follows(text, head):
+    assert parse_program(text).ontology.rules[-1].head == head
+
+
+def test_exists_before_a_constant_is_a_head_predicate_then_a_missing_dot():
+    with pytest.raises(ParseError, match="^1:16: expected '.', found 'c'$"):
+        parse_program("p(c) -> exists c. q(c).")
+
+
 def test_existential_variables_come_from_exists():
     program = parse_program("p(X) -> exists Y,Z. q(X,Y,Z).")
     rule = program.ontology.rules[0]
