@@ -3,7 +3,8 @@ variable renaming through one canonical key.  `_violations` is
 the one trigger routine (a rule's body matches without a head extension),
 which the chase, model checking and the model search all call.  They all
 search an index that `_index` builds and `_added` grows, the one index
-update."""
+update.  Past `_FILED` atoms a predicate's atoms are also filed by
+(predicate, position, term), so a join scans only the atoms that agree."""
 
 from __future__ import annotations
 
@@ -24,23 +25,38 @@ def _key(a: Atom) -> tuple:
     return a.pred_key, a.arity
 
 
+_FILED = 8  # a key with more atoms than this also files them by position
+
+
 def _index(atoms: Iterable[Atom]) -> dict:
-    """The atoms by `_key`, each list in `Atom.sort_key` order."""
+    """The atoms by `_key`, each list in `Atom.sort_key` order; a key k with
+    more than `_FILED` atoms also lists them by (k, position, term)."""
     idx: dict = {}
     for a in atoms:
         idx.setdefault(_key(a), []).append(a)
-    for lst in idx.values():
+    for k, lst in list(idx.items()):
         lst.sort(key=Atom.sort_key)
+        if len(lst) > _FILED:
+            for a in lst:
+                for pos in enumerate(a.args):
+                    idx.setdefault((k, *pos), []).append(a)
     return idx
 
 
 def _added(idx: dict, atom: Atom) -> dict:
-    """A copy of the index with atom inserted in `Atom.sort_key` order;
-    idx itself is left unchanged, so a caller may keep it."""
+    """A copy of the index with atom inserted in `Atom.sort_key` order and,
+    past `_FILED` (the add that crosses it files all the key's atoms), by
+    position; idx itself is left unchanged, so a caller may keep it."""
     k = _key(atom)
     lst = list(idx.get(k, ()))
     insort(lst, atom, key=Atom.sort_key)
-    return {**idx, k: lst}
+    idx = {**idx, k: lst}
+    if len(lst) > _FILED:
+        for a in lst if len(lst) == _FILED + 1 else (atom,):
+            for pos in enumerate(a.args):
+                filed = idx[(k, *pos)] = list(idx.get((k, *pos), ()))
+                insort(filed, a, key=Atom.sort_key)
+    return idx
 
 
 def _match(src: Atom, tgt: Atom, mapping: dict) -> Optional[dict]:
@@ -66,8 +82,11 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
     `idx` (see `_index`) extending `mapping`.
 
     Backtracking search, most-constrained-atom-first; candidate order is
-    the index order, so enumeration is deterministic.  Callers that search
-    one instance many times build its index once and call this directly.
+    the index order, so enumeration is deterministic.  Candidates come from
+    the shortest filed list of a bound position (a constant or mapped term),
+    a sublist of the predicate's list that loses only atoms `_match` would
+    reject.  Callers that search one instance many times build its index
+    once and call this directly.
     """
     if not remaining:
         yield mapping
@@ -75,8 +94,15 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
     # pick the atom with the fewest extensions under the current mapping
     best_i, best_exts = None, None
     for i, atom in enumerate(remaining):
+        k = _key(atom)
+        candidates = idx.get(k, ())
+        if len(candidates) > _FILED:
+            for pos, t in enumerate(atom.args):
+                t = t if isinstance(t, Constant) else mapping.get(t)
+                if t is not None:
+                    candidates = min(candidates, idx.get((k, pos, t), ()), key=len)
         exts = []
-        for tgt in idx.get(_key(atom), ()):
+        for tgt in candidates:
             ext = _match(atom, tgt, mapping)
             if ext is not None:
                 exts.append(ext)
@@ -107,7 +133,7 @@ def _mapping_key(h: dict) -> tuple:
 def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:
     """All homomorphisms from the atom set `src` into `target` extending `seed`.
 
-    Indexes `target` by predicate, in lexicographic order, and runs `_search`.
+    Indexes `target` with `_index` and runs `_search`.
     """
     yield from _search(list(src), dict(seed) if seed else {}, _index(target))
 
@@ -126,9 +152,10 @@ class Witness:
 
 
 def satisfies_query(inst, q: Query) -> Optional[Witness]:
-    """Witness for the first satisfied disjunct, or None."""
+    """Witness for the first satisfied disjunct, or None; one index serves all."""
+    idx = _index(inst)
     for j, disjunct in enumerate(q.disjuncts):
-        h = find_homomorphism(disjunct, inst)
+        h = next(_search(list(disjunct), {}, idx), None)
         if h is not None:
             return Witness(j, h)
     return None

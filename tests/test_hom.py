@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from shychase.core import Atom, Constant, Instance, Null, Query, Variable
 from shychase.hom import (
+    _FILED,
     _added,
     _canonical_key,
     _index,
+    _search,
     _split,
     apply_mapping,
     find_homomorphism,
@@ -21,6 +23,7 @@ from shychase.hom import (
 )
 
 from iso_oracle import isomorphic as oracle_isomorphic
+from search_oracle import search as oracle_search
 
 constants = st.sampled_from([Constant("a"), Constant("b")])
 nulls = st.sampled_from([Null(1), Null(2), Null(3)])
@@ -64,12 +67,27 @@ _index_atoms = st.lists(st.one_of(
     st.builds(lambda t: Atom("q", (t,), (1,)), ground_terms)), unique=True, max_size=12)
 
 
+def _binary(pred, terms):
+    return st.builds(lambda s, t: Atom(pred, (s, t)), terms, terms)
+
+
+# One key crowded past `_FILED` from a small term pool, beside a few atoms
+# of another key, so the adds cover the one that crosses and those after it.
+_few_terms = st.sampled_from([Constant("a"), Null(1), Null(2), Null(3)])
+_crowded_atoms = st.tuples(
+    st.lists(_binary("p", _few_terms), unique=True, min_size=_FILED + 1, max_size=16),
+    st.lists(st.builds(lambda t: Atom("p", (t,)), _few_terms), unique=True, max_size=3),
+).map(lambda lists: lists[0] + lists[1])
+
+
 @settings(max_examples=100, deadline=None)
-@given(_index_atoms, st.data())
+@given(st.one_of(_index_atoms, _crowded_atoms), st.data())
 def test_added_grows_the_index_that_index_builds(atoms_, data):
     """[DERIVED] Adding the atoms one by one with `_added`, in any order,
     gives `_index` of them, and each call leaves the index it was given
-    as it was, so an index kept from before a call stays valid."""
+    as it was, so an index kept from before a call stays valid.  That
+    holds too when a key grows past `_FILED` and its atoms get filed by
+    position."""
     order = data.draw(st.permutations(atoms_))
     idx: dict = {}
     kept = []
@@ -79,6 +97,49 @@ def test_added_grows_the_index_that_index_builds(atoms_, data):
     assert idx == _index(atoms_)
     for i, (before, copy) in enumerate(kept):
         assert before == copy == _index(order[:i])
+
+
+def _filed_by_scan(idx: dict) -> dict:
+    """The predicate lists of idx, plus, for each list longer than
+    `_FILED`, its atoms with term t at position i under (key, i, t)."""
+    lists = {k: v for k, v in idx.items() if len(k) == 2}
+    filed = {(k, i, t): [b for b in lst if b.args[i] == t]
+             for k, lst in lists.items() if len(lst) > _FILED
+             for a in lst for i, t in enumerate(a.args)}
+    return {**lists, **filed}
+
+
+_search_ground = st.sampled_from([Constant("a"), Constant("b"), Constant("c"),
+                                  Null(1), Null(2), Null(3)])
+# Pattern terms: constants, variables, and nulls searched as `_embeds`
+# searches them, as terms to map.
+_pattern_terms = st.sampled_from([Constant("a"), Constant("b"), Null(1), Null(2),
+                                  Variable("X"), Variable("Y"), Variable("Z")])
+
+# p always holds more than `_FILED` atoms and q never does.
+_search_instances = st.tuples(
+    st.lists(_binary("p", _search_ground), unique=True, min_size=_FILED + 1, max_size=30),
+    st.lists(_binary("q", _search_ground), unique=True, max_size=_FILED),
+).map(lambda lists: lists[0] + lists[1])
+_patterns = st.lists(st.one_of(_binary("p", _pattern_terms), _binary("q", _pattern_terms)),
+                     min_size=1, max_size=3)
+_seeds = st.dictionaries(st.sampled_from([Variable("X"), Variable("Y"), Null(1)]),
+                         _search_ground, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_instances, _patterns, _seeds)
+def test_search_yields_the_oracle_maps_in_order(instance, pattern, seed):
+    """[DERIVED] `_search`, which takes a bound position's filed list,
+    yields the same maps in the same order as the predicate-scan oracle,
+    for patterns with constants, repeated variables, nulls and seeded
+    bindings, over a key filed by position and a key that is not.  The
+    filed lists are the predicate list's atoms that agree there."""
+    idx = _index(instance)
+    assert idx == _filed_by_scan(idx)
+    assert any(len(k) == 3 for k in idx)
+    got = list(_search(pattern, dict(seed), idx))
+    assert got == list(oracle_search(pattern, dict(seed), idx))
 
 
 def test_homomorphism_seed_is_respected():
