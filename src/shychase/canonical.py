@@ -11,7 +11,7 @@ the encoding atom by atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (
@@ -24,7 +24,7 @@ from .core import (
     Rule,
     constants_of,
 )
-from .hom import _canonical_key, _split, apply_mapping
+from .hom import _is_new_key, _split, apply_mapping
 
 
 class UnpackError(ValueError):
@@ -121,12 +121,7 @@ def _assignments(variables: list, constants: list):
 def _is_new(atoms: Iterable[Atom], codes: dict, seen: set) -> bool:
     """Record the atoms' `_canonical_key` in seen unless an atom set equal up
     to variable renaming is there; calls that share seen share codes."""
-    plain, coded = _split(atoms, codes)
-    key = _canonical_key(frozenset(plain), tuple(coded))
-    if key in seen:
-        return False
-    seen.add(key)
-    return True
+    return _is_new_key(*_split(atoms, codes), seen)
 
 
 def _tagged_atoms(rule: Rule) -> frozenset:
@@ -145,23 +140,33 @@ def rewrite_rule(rule: Rule, pattern: SubstitutionPattern) -> Rule:
 def _rewritten_patterns(rule: Rule, consts: Iterable[Constant]) -> Iterator[tuple]:
     """(pattern, rewrite_rule(rule, pattern)) for one pattern per isomorphism
     class, in enumeration order; the rule rewritten for the dedupe key is the
-    one yielded, so no pattern is rewritten twice."""
+    one yielded, so no pattern is rewritten twice.
+
+    Only a rule that repeats a body predicate is keyed.  Otherwise a
+    renaming between two patterns' rewritings sends each body atom to the
+    one with its predicate, so their shapes agree on constants and on equal
+    positions, and, being injective, it keeps equalities across atoms too.
+    So the patterns group the variables alike and, both in restricted
+    growth order, are one pattern.
+    """
     order = _first_occurrence_vars(rule.body)
     constants = sorted(set(consts))
     codes: dict = {}
     seen: set = set()
+    keyed = len({a.pred for a in rule.body}) < len(rule.body)
     for pattern in _assignments(order, constants):
         rewritten = rewrite_rule(rule, pattern)
-        if _is_new(_tagged_atoms(rewritten), codes, seen):
+        if not keyed or _is_new(_tagged_atoms(rewritten), codes, seen):
             yield pattern, rewritten
 
 
 def enumerate_safe_patterns(rule: Rule, consts: Iterable[Constant]) -> tuple:
     """One pattern per isomorphism class of canonical instantiations of the rule.
 
-    Enumerating equality classes in restricted growth order avoids most
-    duplicates; a canonical key up to variable renaming removes the rest
-    (symmetric bodies).
+    Enumerating equality classes in restricted growth order avoids every
+    duplicate of a rule whose body predicates are pairwise distinct (see
+    `_rewritten_patterns`); for a rule that repeats one, a canonical key up
+    to variable renaming removes the rest.
     """
     return tuple(pattern for pattern, _ in _rewritten_patterns(rule, consts))
 
@@ -183,7 +188,7 @@ def rewrite_ontology(db: Database, onto: Ontology) -> Ontology:
         for i, (_, rewritten) in enumerate(_rewritten_patterns(rule, consts), 1):
             if rewritten.head in rewritten.body:
                 continue
-            out.append(replace(rewritten, id=f"{rule.id}.{i}"))
+            out.append(Rule(f"{rule.id}.{i}", rewritten.body, rewritten.head))
     return Ontology(tuple(out))
 
 

@@ -43,6 +43,14 @@ class ChaseResult:
     steps: tuple
     complete_rounds: int = 0  # rounds fully processed before any bound tripped
 
+    @property
+    def stop_reason(self) -> str:
+        """What ended the chase: "fixpoint", or the bound that tripped,
+        "max_atoms" (inside a round) or "max_rounds"."""
+        if self.terminated:
+            return "fixpoint"
+        return "max_atoms" if self.complete_rounds < self.rounds else "max_rounds"
+
     def prefix_at_round(self, r: int) -> Instance:
         """Instance after round r (round 0 is the database)."""
         produced = {s.produced for s in self.steps}

@@ -49,11 +49,10 @@ def _read_program(path: str):
     return parse_program(text)
 
 
-def _emit(payload, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _emit(as_json: bool, payload, text) -> None:
+    """Print the JSON form or the text form; both are given as functions of
+    no arguments, so only the selected form is built."""
+    print(json.dumps(payload(), indent=2, sort_keys=True) if as_json else text())
 
 
 def _cmd_classify(args) -> int:
@@ -66,7 +65,7 @@ def _cmd_classify(args) -> int:
             payload[name]["witness"] = witness.describe()
         mark = "yes" if holds else f"no ({witness.describe()})"
         lines.append(f"{name}: {mark}")
-    _emit(payload, args.json, "\n".join(lines))
+    _emit(args.json, lambda: payload, lambda: "\n".join(lines))
     return 0
 
 
@@ -75,16 +74,14 @@ def _cmd_chase(args) -> int:
     mode = RESTRICTED if args.restricted else OBLIVIOUS
     cfg = _checked(ChaseConfig, mode, args.max_atoms, args.max_rounds)
     result = run_chase(program.database, program.ontology, cfg)
-    payload = {
+    _emit(args.json, lambda: {
         "terminated": result.terminated,
         "rounds": result.rounds,
         "atoms": to_jsonable(result.instance),
-    }
-    text = "\n".join(
+    }, lambda: "\n".join(
         [f"terminated: {result.terminated}", f"rounds: {result.rounds}"]
         + [print_atom(a) for a in result.instance.sorted_atoms()]
-    )
-    _emit(payload, args.json, text)
+    ))
     return 0
 
 
@@ -102,7 +99,7 @@ def _cmd_answer(args) -> int:
         result = entailment_in(chase, q)
         payload.append({"query": print_query(q), "verdict": result.verdict.value})
         lines.append(f"{print_query(q)}  => {result.verdict.value}")
-    _emit(payload, args.json, "\n".join(lines))
+    _emit(args.json, lambda: payload, lambda: "\n".join(lines))
     return 0
 
 
@@ -113,20 +110,18 @@ def _cmd_rewrite(args) -> int:
     )
     if args.partition:
         active, harmless = partition_active_harmless(ontoc)
-        payload = {
+        _emit(args.json, lambda: {
             "database": to_jsonable(dbc),
             "active": [print_rule(r) for r in active],
             "harmless": [print_rule(r) for r in harmless],
-        }
-        text = "\n".join(
+        }, lambda: "\n".join(
             [print_atom(a) + "." for a in sorted(dbc, key=lambda a: a.sort_key())]
             + ["# active"] + [print_rule(r) for r in active]
             + ["# harmless"] + [print_rule(r) for r in harmless]
-        )
+        ))
     else:
-        payload = to_jsonable(Program(dbc, ontoc, queries))
-        text = print_program(Program(dbc, ontoc, queries))
-    _emit(payload, args.json, text)
+        program = Program(dbc, ontoc, queries)
+        _emit(args.json, lambda: to_jsonable(program), lambda: print_program(program))
     return 0
 
 
@@ -143,31 +138,28 @@ def _cmd_fc_check(args) -> int:
     q = program.queries[index - 1]
     counter = find_finite_countermodel(program.database, program.ontology, q, budget)
     if counter is None:
-        _emit({"countermodel": None}, args.json, "no countermodel within budget")
+        _emit(args.json, lambda: {"countermodel": None},
+              lambda: "no countermodel within budget")
         return 0
     ordering = find_support_ordering(counter, program.database, program.ontology)
-    payload = {
+    _emit(args.json, lambda: {
         "countermodel": to_jsonable(counter),
         "well_supported": ordering is not None,
-    }
-    text = "\n".join(
+    }, lambda: "\n".join(
         ["countermodel:"]
         + ["  " + print_atom(a) for a in counter.sorted_atoms()]
         + [f"well supported: {ordering is not None}"]
-    )
-    _emit(payload, args.json, text)
+    ))
     return 0
 
 
 def _cmd_harness(args) -> int:
     results = run_suite(args.suite, seed=args.seed)
-    payload = [
+    _emit(args.json, lambda: [
         {"name": r.name, "passed": r.passed, "detail": r.detail,
          "seconds": round(r.seconds, 3)}
         for r in results
-    ]
-    text = "\n".join(r.line() for r in results)
-    _emit(payload, args.json, text)
+    ], lambda: "\n".join(r.line() for r in results))
     return 0 if all(r.passed for r in results) else 1
 
 

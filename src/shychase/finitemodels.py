@@ -23,7 +23,7 @@ from .core import (
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
-from .hom import (_added, _canonical_key, _index, _key, _mapping_key, _match, _search, _split,
+from .hom import (_added, _index, _is_new_key, _key, _mapping_key, _match, _search, _split,
                   _violations, apply_mapping, satisfies_query)
 
 
@@ -242,10 +242,17 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
     is dropped.
 
     Each state is its parent plus the repairing atom, which is new since
-    the rule it repairs was violated.  A stack frame keeps its state's
-    index, violation table and `_split` form, and a child derives its own
-    from them: `_add_atom` updates the index and table, and only the new
-    atom is coded.  The root is the empty state plus the database.
+    the rule it repairs was violated.  So a full state, one of max_atoms
+    atoms, that is not a model has only successors past the budget, and
+    none is opened.  A full state is keyed only once it is found to be a
+    model: a renaming of a full non-model is one too, so leaving those out
+    of the seen keys blocks no state that could lead to a model, and the
+    search finds the same models in the same order.
+
+    A stack frame keeps its state's index, violation table and `_split`
+    form, and a child derives its own from them: `_add_atom` updates the
+    index and table, and only the new atom is coded.  The root is the
+    empty state plus the database.
     """
     consts = sorted(constants_of(db, onto))
     base_ids = [t.id for a in db for t in a.args if isinstance(t, Null)]
@@ -273,16 +280,16 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
             continue
         new_plain, new_coded = _split(added, codes)
         plain, coded = plain.union(new_plain), coded + tuple(new_coded)
-        key = _canonical_key(plain, coded)
-        if key in seen_states:
+        full = len(atoms) == budget.max_atoms
+        if not full and not _is_new_key(plain, coded, seen_states):
             continue
-        seen_states.add(key)
         for a in added:
             idx, table = _add_atom(idx, table, rules, a)
         violation = _least_violation(rules, table)
         if violation is None:
-            found.append(atoms)
-        else:
+            if not full or _is_new_key(plain, coded, seen_states):
+                found.append(atoms)
+        elif not full:
             terms = terms.union(t for a in added for t in a.args)
             stack.append(((atoms, terms, plain, coded, idx, table),
                           _repairs(terms, fresh_used, violation, consts, fresh_pool)))

@@ -240,3 +240,14 @@ def _canonical_key(plain: frozenset, coded: tuple) -> tuple:
         if best is None or candidate < best:
             best = candidate
     return plain, best
+
+
+def _is_new_key(plain, coded, seen: set) -> bool:
+    """Record the `_canonical_key` of an atom set given by `_split` in seen,
+    unless a renaming of the set is there already; calls that share seen
+    must share the `codes` of their `_split`."""
+    key = _canonical_key(frozenset(plain), tuple(coded))
+    if key in seen:
+        return False
+    seen.add(key)
+    return True

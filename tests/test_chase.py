@@ -130,6 +130,20 @@ def test_atom_bound_reports_unterminated_with_complete_rounds():
     assert len(result.instance) <= 7
 
 
+def test_stop_reason_names_the_fixpoint_or_the_bound_that_tripped():
+    """father.dlp never terminates, so an atom bound or a round bound ends
+    it; the closure of a path reaches its fixpoint."""
+    program = load_paper_program("father.dlp")
+    for cfg, reason in ((ChaseConfig(OBLIVIOUS, 37, 50), "max_atoms"),
+                        (ChaseConfig(RESTRICTED, 200, 3), "max_rounds")):
+        result = run_chase(program.database, program.ontology, cfg)
+        assert (result.terminated, result.stop_reason) == (False, reason)
+    program = parse_program("e(a,b). e(b,c). e(X,Y) -> tc(X,Y). tc(X,Y), e(Y,Z) -> tc(X,Z).")
+    result = run_chase(program.database, program.ontology, ChaseConfig(OBLIVIOUS, 200, 50))
+    assert (result.terminated, result.stop_reason) == (True, "fixpoint")
+    assert len(result.instance) == 5
+
+
 def test_oblivious_fires_each_trigger_once():
     program = parse_program("p(c). p(X) -> q(X). q(X) -> q(X).")
     result = run_chase(program.database, program.ontology, ChaseConfig(OBLIVIOUS, 50, 50))
@@ -221,13 +235,6 @@ def _oracle_run_chase(db, onto, cfg):
     return ChaseResult(Instance(frozenset(atoms)), terminated, rounds, tuple(steps), complete)
 
 
-def _stop(result) -> str:
-    """Which bound, if any, ended the chase."""
-    if result.terminated:
-        return "fixpoint"
-    return "max_atoms" if result.complete_rounds < result.rounds else "max_rounds"
-
-
 _PAPER = ("active.dlp", "example_substitutions.dlp", "father.dlp", "linear_not_sticky.dlp",
           "propagation.dlp", "shy_appendix.dlp", "shy_appendix_i.dlp",
           "shy_appendix_ii.dlp", "theorem8.dlp")
@@ -252,7 +259,7 @@ def _assert_same_chases(program) -> set:
             assert got.steps == want.steps  # rule id, mapping, produced atom, round
             assert (got.terminated, got.rounds, got.complete_rounds) == (
                 want.terminated, want.rounds, want.complete_rounds)
-            stops.add(_stop(got))
+            stops.add(got.stop_reason)
     return stops
 
 
