@@ -130,6 +130,16 @@ def _tagged_atoms(rule: Rule) -> frozenset:
     return frozenset(rule.body) | {head}
 
 
+def _repeats_a_predicate(atoms: tuple) -> bool:
+    """True iff two atoms share a predicate; only then can two equality
+    patterns give rewritings equal up to renaming.  Otherwise a renaming
+    between them sends each atom to the one with its predicate, so their
+    shapes agree on constants and on equal positions, and, being injective,
+    it keeps equalities across atoms too: the patterns group the variables
+    alike and, both in restricted growth order, are one pattern."""
+    return len({a.pred for a in atoms}) < len(atoms)
+
+
 def rewrite_rule(rule: Rule, pattern: SubstitutionPattern) -> Rule:
     """Canonical instantiation of one rule under one pattern."""
     subst = pattern.as_substitution()
@@ -142,18 +152,14 @@ def _rewritten_patterns(rule: Rule, consts: Iterable[Constant]) -> Iterator[tupl
     class, in enumeration order; the rule rewritten for the dedupe key is the
     one yielded, so no pattern is rewritten twice.
 
-    Only a rule that repeats a body predicate is keyed.  Otherwise a
-    renaming between two patterns' rewritings sends each body atom to the
-    one with its predicate, so their shapes agree on constants and on equal
-    positions, and, being injective, it keeps equalities across atoms too.
-    So the patterns group the variables alike and, both in restricted
-    growth order, are one pattern.
+    Only a rule that repeats a body predicate is keyed (see
+    `_repeats_a_predicate`).
     """
     order = _first_occurrence_vars(rule.body)
     constants = sorted(set(consts))
     codes: dict = {}
     seen: set = set()
-    keyed = len({a.pred for a in rule.body}) < len(rule.body)
+    keyed = _repeats_a_predicate(rule.body)
     for pattern in _assignments(order, constants):
         rewritten = rewrite_rule(rule, pattern)
         if not keyed or _is_new(_tagged_atoms(rewritten), codes, seen):
@@ -165,7 +171,7 @@ def enumerate_safe_patterns(rule: Rule, consts: Iterable[Constant]) -> tuple:
 
     Enumerating equality classes in restricted growth order avoids every
     duplicate of a rule whose body predicates are pairwise distinct (see
-    `_rewritten_patterns`); for a rule that repeats one, a canonical key up
+    `_repeats_a_predicate`); for a rule that repeats one, a canonical key up
     to variable renaming removes the rest.
     """
     return tuple(pattern for pattern, _ in _rewritten_patterns(rule, consts))
@@ -193,16 +199,19 @@ def rewrite_ontology(db: Database, onto: Ontology) -> Ontology:
 
 
 def rewrite_query(q: Query, consts: Iterable[Constant]) -> Query:
-    """Expand each disjunct over all equality patterns of its variables."""
+    """Expand each disjunct over all equality patterns of its variables, one
+    per class up to renaming; a lone disjunct is keyed only if it repeats a
+    predicate (`_repeats_a_predicate`)."""
     constants = sorted(set(consts))
     disjuncts = []
     codes: dict = {}
     seen: set = set()
     for disjunct in q.disjuncts:
+        keyed = len(q.disjuncts) > 1 or _repeats_a_predicate(disjunct)
         order = _first_occurrence_vars(disjunct)
         for pattern in _assignments(order, constants):
             atoms = _instantiate(disjunct, pattern.as_substitution())
-            if _is_new(atoms, codes, seen):
+            if not keyed or _is_new(atoms, codes, seen):
                 disjuncts.append(atoms)
     return Query(tuple(disjuncts))
 

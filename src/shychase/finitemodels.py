@@ -85,76 +85,64 @@ def _supports(rules: list, atom: Atom, idx: dict) -> Iterator[tuple]:
                 yield rule, h
 
 
-def _support_step(atom: Atom, db_atoms: set, rules: list, idx: dict) -> Optional[SupportStep]:
-    """The step placing atom after the indexed prefix: a database atom, or
-    the first support by rule id; None if neither."""
-    if atom in db_atoms:
-        return SupportStep(atom, None)
-    for rule, h in _supports(rules, atom, idx):
-        return SupportStep(atom, rule.id, h)
-    return None
+def _placements(atoms: list, db: Database, onto: Ontology) -> Iterator[SupportStep]:
+    """The support walk: each step places the first unplaced listed atom
+    that is a database atom or has a support in the atoms placed before it,
+    taking the first support by rule id, until no atom has one.  Support
+    only grows with the prefix, so the walk places the greatest subset of
+    the atoms that has a well-supported ordering."""
+    remaining = list(atoms)
+    db_atoms = set(db.atoms)
+    rules = sorted(onto, key=lambda r: r.id)
+    idx: dict = {}
+    while True:
+        for i, atom in enumerate(remaining):
+            if atom in db_atoms:
+                step = SupportStep(atom, None)
+                break
+            support = next(_supports(rules, atom, idx), None)
+            if support is not None:
+                step = SupportStep(atom, support[0].id, support[1])
+                break
+        else:
+            return
+        yield step
+        del remaining[i]
+        idx = _added(idx, atom)
 
 
 def find_support_ordering(inst: Instance, db: Database, onto: Ontology) -> Optional[tuple]:
-    """Greedy saturation into a well-supported ordering, or None.
-
-    Support against a prefix only grows as the prefix grows, so appending
-    any currently supported atom never blocks another one.
-    """
-    remaining = inst.sorted_atoms()
-    placed: list = []
-    idx: dict = {}
-    db_atoms = set(db.atoms)
-    rules = sorted(onto, key=lambda r: r.id)
-    while remaining:
-        steps = (_support_step(atom, db_atoms, rules, idx) for atom in remaining)
-        step = next(filter(None, steps), None)
-        if step is None:
-            return None
-        placed.append(step)
-        idx = _added(idx, step.atom)
-        remaining.remove(step.atom)
-    return tuple(placed)
+    """The support walk over the sorted atoms as a well-supported ordering,
+    or None if it leaves an atom unplaced."""
+    atoms = inst.sorted_atoms()
+    steps = tuple(_placements(atoms, db, onto))
+    return steps if len(steps) == len(atoms) else None
 
 
 def ordering_from_sequence(atoms: Iterable[Atom], db: Database, onto: Ontology) -> tuple:
-    """Justify a given atom sequence as a well-supported ordering, or raise."""
-    steps: list = []
-    idx: dict = {}
-    db_atoms = set(db.atoms)
-    rules = sorted(onto, key=lambda r: r.id)
+    """Justify a given atom sequence as a well-supported ordering, or raise
+    at its first atom that its prefix does not support: the walk tries the
+    atoms in the given order, so it leaves the sequence exactly there."""
+    atoms = list(atoms)
+    walk = _placements(atoms, db, onto)
+    steps = []
     for atom in atoms:
-        step = _support_step(atom, db_atoms, rules, idx)
-        if step is None:
+        step = next(walk, None)
+        if step is None or step.atom != atom:
             raise ValueError(f"atom {atom!r} is not supported by its prefix")
         steps.append(step)
-        idx = _added(idx, atom)
     return tuple(steps)
 
 
 def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optional[Instance]:
-    """Greedy shrink of a finite model to a well-supported submodel.
-
-    Repeatedly drops an atom whose removal leaves a model containing the
-    database, then checks the survivor for a support ordering.
-    """
-    ok, _ = is_model(inst, db, onto)
-    if not ok:
+    """The greatest well-supported submodel of a finite model containing the
+    database, the atoms the support walk places; None if inst is not such a
+    model.  The placed atoms form a model: they contain the database, and a
+    body match into them is one into inst, so it extends to a head atom of
+    inst, which the match supports and the walk therefore places."""
+    if not is_model(inst, db, onto)[0]:
         return None
-    atoms = set(inst.atoms)
-    db_atoms = set(db.atoms)
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(atoms - db_atoms, key=Atom.sort_key):
-            if _first_violation(atoms - {a}, onto) is None:
-                atoms.discard(a)
-                changed = True
-                break
-    core = Instance(frozenset(atoms))
-    if find_support_ordering(core, db, onto) is None:
-        return None
-    return core
+    return Instance(frozenset(step.atom for step in _placements(inst.sorted_atoms(), db, onto)))
 
 
 def _keyed_rules(onto: Ontology) -> list:

@@ -353,7 +353,7 @@ def check_minimal_model_support():
         for model in enumerate_finite_models(program.database, program.ontology, budget):
             if find_support_ordering(model, program.database, program.ontology) is None:
                 return False, f"{name}: minimal model without support ordering"
-            if well_supported_core(model, program.database, program.ontology) is None:
+            if well_supported_core(model, program.database, program.ontology) != model:
                 return False, f"{name}: model without well-supported core"
             checked += 1
     return True, f"{checked} minimal models all well-supported"

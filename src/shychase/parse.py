@@ -237,7 +237,7 @@ def parse_program(text: str) -> Program:
 
 
 def parse_query(text: str) -> Query:
-    """Parse a single `? ...` statement (convenience for tests and CLI)."""
+    """Parse a single `? ...` statement."""
     p = _Parser(text)
     q = p.parse_query()
     if p.toks[p.i]:

@@ -217,7 +217,9 @@ def test_distinct_body_predicates_give_patterns_distinct_up_to_renaming(rule, co
 def test_rewriting_keys_only_rules_that_repeat_a_body_predicate(monkeypatch):
     """Counted `_canonical_key` calls of `rewrite_theory` over the curated
     suite: 1,248 when every pattern is keyed, 322 when only the rules that
-    repeat a body predicate are."""
+    repeat a body predicate are.  With the queries, 575 when every disjunct
+    pattern is keyed, 332 when only a disjunct of a query with several, or
+    one that repeats a predicate, is."""
     calls = 0
     key = hom._canonical_key
 
@@ -232,6 +234,10 @@ def test_rewriting_keys_only_rules_that_repeat_a_body_predicate(monkeypatch):
     for _, program in curated_programs():
         rewrite_theory(program.database, program.ontology)
     assert 0 < calls <= 330
+    calls = 0
+    for _, program in curated_programs():
+        rewrite_theory(program.database, program.ontology, program.queries)
+    assert 0 < calls <= 340
 
 
 def _query_by_pairwise_dedupe(q, consts) -> Query:
@@ -250,11 +256,19 @@ def _query_by_pairwise_dedupe(q, consts) -> Query:
 def test_query_dedupe_matches_pairwise(seed):
     """[DERIVED] On a query with one disjunct per rule body of a random
     program, deduplicating by the canonical key keeps exactly the
-    disjuncts, in the same order, that the all-pairs scan keeps."""
+    disjuncts, in the same order, that the all-pairs scan keeps.  So it
+    does on each body as a query of its own, keyed only if it repeats a
+    predicate, and on `p(X), p(Y), p(Z)`, whose five patterns without
+    constants fall into three classes."""
     program = random_program(seed, default_config())
     consts = sorted(constants_of(program.database, program.ontology))
     q = Query(tuple(rule.body for rule in program.ontology))
     assert rewrite_query(q, consts) == _query_by_pairwise_dedupe(q, consts)
+    triple = tuple(Atom("p", (Variable(v),)) for v in "XYZ")
+    for body in [rule.body for rule in program.ontology] + [triple]:
+        lone = Query((body,))
+        assert rewrite_query(lone, consts) == _query_by_pairwise_dedupe(lone, consts)
+    assert len(rewrite_query(Query((triple,)), ()).disjuncts) == 3
 
 
 def _rewrite_rule_per_atom(rule, pattern) -> Rule:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from shychase import finitemodels, hom
 from shychase.canonical import partition_active_harmless, rewrite_theory, unpack
-from shychase.chase import OBLIVIOUS, ChaseConfig, run_chase
+from shychase.chase import OBLIVIOUS, RESTRICTED, ChaseConfig, run_chase
 from shychase.classify import classify_local
 from shychase.core import Atom, Constant, Database, Instance, Null, Variable, constants_of, term_key
 from shychase.finitemodels import (
@@ -113,6 +113,10 @@ def test_ordering_from_sequence_validates_prefix_support():
     assert steps[1].rule_id == "r1"
     with pytest.raises(ValueError):
         ordering_from_sequence([Atom("t", (a, b))], program.database, program.ontology)
+    # t(a,b) before its own support: the error names t(a,b), not e(a,b)
+    with pytest.raises(ValueError) as err:
+        ordering_from_sequence([good[1], good[0]], program.database, program.ontology)
+    assert str(err.value) == f"atom {good[1]!r} is not supported by its prefix"
 
 
 def test_well_supported_core_drops_unfounded_extras():
@@ -129,6 +133,16 @@ def test_well_supported_core_drops_unfounded_extras():
     assert Atom("r", (Constant("c"),)) not in core
     assert well_supported_core(Instance(frozenset()), program.database,
                                program.ontology) is None
+
+
+def test_well_supported_core_drops_a_self_supporting_cycle():
+    """p(c) and q(c) support only each other, so the core is {s(c)}.
+    Dropping either one alone leaves a rule violated."""
+    program = parse_program("s(c). p(X) -> q(X). q(X) -> p(X).")
+    s, p, q = (Atom(pred, (Constant("c"),)) for pred in "spq")
+    core = well_supported_core(Instance(frozenset({s, p, q})), program.database,
+                               program.ontology)
+    assert core == Instance(frozenset({s}))
 
 
 def test_enumerate_finite_models_on_datalog_gives_the_fixpoint():
@@ -802,3 +816,51 @@ def test_repair_matches_the_oracle_where_joins_break(seed):
     dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
     active, _ = partition_active_harmless(ontoc)
     assert _assert_repairs_agree(dbc, active, ontoc, ModelBudget(2, 8)) > 0
+
+
+def _oracle_well_supported_core(inst, db, onto):
+    """Saturation from nothing: add any atom of inst that is a database atom
+    or that a `homomorphisms` search over the whole prefix supports, until
+    nothing changes."""
+    core: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for atom in inst.atoms - core:
+            if atom in db.atoms or any(next(_oracle_head_supports(rule, atom, core), None)
+                                       is not None for rule in onto):
+                core.add(atom)
+                changed = True
+    return Instance(frozenset(core))
+
+
+def _assert_core_matches_the_oracle(model, db, onto):
+    """On the model and database, and on the database less its least atom,
+    for which the model is still a model containing it, the core is the
+    oracle's and a model."""
+    smaller = Database(frozenset(sorted(db.atoms, key=Atom.sort_key)[1:]))
+    for base in (db, smaller):
+        core = well_supported_core(model, base, onto)
+        assert core == _oracle_well_supported_core(model, base, onto)
+        assert is_model(core, base, onto)[0]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
+def test_well_supported_core_matches_the_oracle_on_curated(name):
+    """[DERIVED] On each curated theory's minimal models at (2, 10)."""
+    program = dict(curated_programs())[name]
+    for model in enumerate_finite_models(program.database, program.ontology,
+                                         ModelBudget(2, 10)):
+        assert well_supported_core(model, program.database, program.ontology) == model
+        _assert_core_matches_the_oracle(model, program.database, program.ontology)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_well_supported_core_matches_the_oracle_on_random_chases(seed):
+    """[DERIVED] On the terminating oblivious and restricted chases of
+    seeded random theories, up to 40 atoms."""
+    program = random_program(seed, default_config())
+    for mode in (OBLIVIOUS, RESTRICTED):
+        result = run_chase(program.database, program.ontology, ChaseConfig(mode, 40, 40))
+        if result.terminated:
+            _assert_core_matches_the_oracle(result.instance, program.database, program.ontology)

@@ -7,7 +7,7 @@ import pytest
 
 from shychase.canonical import rewrite_theory
 from shychase.chase import OBLIVIOUS, ChaseConfig, run_chase
-from shychase.core import Atom, Constant, Null, Ontology
+from shychase.core import Atom, Constant, Instance, Null, Ontology
 from shychase.harness import (
     CHECKS,
     SUITES,
@@ -129,6 +129,23 @@ def test_finite_countermodel_check_enumerates_once_per_theory(monkeypatch):
     result = CHECKS["finite-countermodels"]()
     assert result.passed
     assert len(calls) == len(curated_programs())
+
+
+def test_minimal_model_support_fails_when_the_core_drops_an_atom(monkeypatch):
+    """Criterion 7 requires each minimal model to be its own well-supported
+    core, not only to have one."""
+    import shychase.harness as harness
+
+    original = harness.well_supported_core
+
+    def dropping(inst, db, onto):
+        core = original(inst, db, onto)
+        return Instance(frozenset(core.sorted_atoms()[:-1]))
+
+    monkeypatch.setattr(harness, "well_supported_core", dropping)
+    result = CHECKS["minimal-model-support"]()
+    assert not result.passed
+    assert "without well-supported core" in result.detail
 
 
 def _rewriting_without_a_fired_rule(pick: int):
