@@ -5,14 +5,11 @@ well-supported finite models and a differential check harness.
 """
 
 from .canonical import (
-    SubstitutionPattern,
     UnpackError,
-    enumerate_safe_patterns,
     partition_active_harmless,
     rewrite_database,
     rewrite_ontology,
     rewrite_query,
-    rewrite_rule,
     rewrite_theory,
     unpack,
 )
@@ -49,22 +46,19 @@ from .finitemodels import (
     find_support_ordering,
     is_model,
     propagation_ordering,
-    smooth_instance,
 )
-from .hom import find_homomorphism, homomorphisms, isomorphic, satisfies_query
+from .hom import homomorphisms, isomorphic, satisfies_query
 from .parse import ParseError, Program, parse_program, print_program
 
 __all__ = [
     "Atom", "ChaseConfig", "ChaseResult", "Constant", "Database", "Entailment",
-    "FRAGMENTS", "Instance", "ModelBudget", "Null",
-    "NullFactory", "OBLIVIOUS", "Ontology", "ParseError", "Program", "Query",
-    "RESTRICTED", "Rule", "StartingPoint", "SubstitutionPattern", "UnpackError",
-    "Variable", "Verdict", "ViolationWitness", "classify", "disjoin_repair",
-    "entailment_in", "entails", "enumerate_finite_models", "enumerate_safe_patterns",
-    "find_finite_countermodel", "find_homomorphism", "find_support_ordering",
+    "FRAGMENTS", "Instance", "ModelBudget", "Null", "NullFactory", "OBLIVIOUS",
+    "Ontology", "ParseError", "Program", "Query", "RESTRICTED", "Rule",
+    "StartingPoint", "UnpackError", "Variable", "Verdict", "ViolationWitness",
+    "classify", "disjoin_repair", "entailment_in", "entails",
+    "enumerate_finite_models", "find_finite_countermodel", "find_support_ordering",
     "homomorphisms", "is_model", "is_shy", "isomorphic",
     "partition_active_harmless", "parse_program", "print_program",
     "propagation_ordering", "rewrite_database", "rewrite_ontology",
-    "rewrite_query", "rewrite_rule", "rewrite_theory", "run_chase",
-    "satisfies_query", "smooth_instance", "unpack",
+    "rewrite_query", "rewrite_theory", "run_chase", "satisfies_query", "unpack",
 ]

@@ -11,7 +11,6 @@ the encoding atom by atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (
@@ -53,25 +52,6 @@ def canonical_atom(atom: Atom) -> Atom:
     return Atom(atom.pred, tuple(args), tuple(labels))
 
 
-@dataclass(frozen=True)
-class SubstitutionPattern:
-    """Grouping of a rule's universal variables into equality classes or
-    known constants; existential variables are left alone."""
-
-    assignment: tuple  # pairs (Variable, Constant | int class id), class ids by first use
-
-    def as_substitution(self) -> dict:
-        """Variable-to-term map; each class is represented by its first member."""
-        reps: dict = {}
-        out: dict = {}
-        for var, target in self.assignment:
-            if isinstance(target, Constant):
-                out[var] = target
-            else:
-                out[var] = reps.setdefault(target, var)
-        return out
-
-
 def _dedup(atoms: Iterable[Atom]) -> tuple:
     out = []
     for a in atoms:
@@ -94,28 +74,23 @@ def _first_occurrence_vars(atoms: Iterable[Atom]) -> list:
     return order
 
 
-def _assignments(variables: list, constants: list):
-    """All maps var -> equality class or constant, classes in restricted
-    growth order (a new class id is one past the largest id used so far)."""
+def _substitutions(variables: list, constants: list) -> Iterator[dict]:
+    """Every map of the variables to an equality class or a constant, a class
+    standing for its first member, in restricted growth order: each variable
+    joins an earlier class, opens a new one or takes a constant, in that
+    order."""
+    subst: dict = {}
 
-    def rec(i, classes, current):
+    def rec(i, reps):
         if i == len(variables):
-            yield SubstitutionPattern(tuple(current))
+            yield dict(subst)
             return
         v = variables[i]
-        for k in range(1, classes + 1):
-            current.append((v, k))
-            yield from rec(i + 1, classes, current)
-            current.pop()
-        current.append((v, classes + 1))
-        yield from rec(i + 1, classes + 1, current)
-        current.pop()
-        for c in constants:
-            current.append((v, c))
-            yield from rec(i + 1, classes, current)
-            current.pop()
+        for target in (*reps, v, *constants):
+            subst[v] = target
+            yield from rec(i + 1, reps + (v,) if target == v else reps)
 
-    yield from rec(0, 0, [])
+    yield from rec(0, ())
 
 
 def _is_new(atoms: Iterable[Atom], codes: dict, seen: set) -> bool:
@@ -124,10 +99,9 @@ def _is_new(atoms: Iterable[Atom], codes: dict, seen: set) -> bool:
     return _is_new_key(*_split(atoms, codes), seen)
 
 
-def _tagged_atoms(rule: Rule) -> frozenset:
+def _tagged_atoms(body: tuple, head: Atom) -> frozenset:
     # the space in the predicate name cannot clash with parsed predicates
-    head = Atom(rule.head.pred + " head", rule.head.args, rule.head.shape)
-    return frozenset(rule.body) | {head}
+    return frozenset(body) | {Atom(head.pred + " head", head.args, head.shape)}
 
 
 def _repeats_a_predicate(atoms: tuple) -> bool:
@@ -140,41 +114,23 @@ def _repeats_a_predicate(atoms: tuple) -> bool:
     return len({a.pred for a in atoms}) < len(atoms)
 
 
-def rewrite_rule(rule: Rule, pattern: SubstitutionPattern) -> Rule:
-    """Canonical instantiation of one rule under one pattern."""
-    subst = pattern.as_substitution()
-    return Rule(rule.id, _instantiate(rule.body, subst),
-                canonical_atom(apply_mapping(subst, rule.head)))
-
-
-def _rewritten_patterns(rule: Rule, consts: Iterable[Constant]) -> Iterator[tuple]:
-    """(pattern, rewrite_rule(rule, pattern)) for one pattern per isomorphism
-    class, in enumeration order; the rule rewritten for the dedupe key is the
-    one yielded, so no pattern is rewritten twice.
-
-    Only a rule that repeats a body predicate is keyed (see
-    `_repeats_a_predicate`).
-    """
-    order = _first_occurrence_vars(rule.body)
-    constants = sorted(set(consts))
-    codes: dict = {}
-    seen: set = set()
-    keyed = _repeats_a_predicate(rule.body)
-    for pattern in _assignments(order, constants):
-        rewritten = rewrite_rule(rule, pattern)
-        if not keyed or _is_new(_tagged_atoms(rewritten), codes, seen):
-            yield pattern, rewritten
-
-
-def enumerate_safe_patterns(rule: Rule, consts: Iterable[Constant]) -> tuple:
-    """One pattern per isomorphism class of canonical instantiations of the rule.
+def _rewritten_rules(rule: Rule, consts: Iterable[Constant]) -> Iterator[tuple]:
+    """(body, head) of the rule's canonical instantiation under one
+    substitution per isomorphism class, in enumeration order.
 
     Enumerating equality classes in restricted growth order avoids every
     duplicate of a rule whose body predicates are pairwise distinct (see
     `_repeats_a_predicate`); for a rule that repeats one, a canonical key up
     to variable renaming removes the rest.
     """
-    return tuple(pattern for pattern, _ in _rewritten_patterns(rule, consts))
+    codes: dict = {}
+    seen: set = set()
+    keyed = _repeats_a_predicate(rule.body)
+    for subst in _substitutions(_first_occurrence_vars(rule.body), sorted(set(consts))):
+        body = _instantiate(rule.body, subst)
+        head = canonical_atom(apply_mapping(subst, rule.head))
+        if not keyed or _is_new(_tagged_atoms(body, head), codes, seen):
+            yield body, head
 
 
 def rewrite_database(db: Database) -> Database:
@@ -191,10 +147,9 @@ def rewrite_ontology(db: Database, onto: Ontology) -> Ontology:
     consts = sorted(constants_of(db, onto))
     out = []
     for rule in onto:
-        for i, (_, rewritten) in enumerate(_rewritten_patterns(rule, consts), 1):
-            if rewritten.head in rewritten.body:
-                continue
-            out.append(Rule(f"{rule.id}.{i}", rewritten.body, rewritten.head))
+        for i, (body, head) in enumerate(_rewritten_rules(rule, consts), 1):
+            if head not in body:
+                out.append(Rule(f"{rule.id}.{i}", body, head))
     return Ontology(tuple(out))
 
 
@@ -209,8 +164,8 @@ def rewrite_query(q: Query, consts: Iterable[Constant]) -> Query:
     for disjunct in q.disjuncts:
         keyed = len(q.disjuncts) > 1 or _repeats_a_predicate(disjunct)
         order = _first_occurrence_vars(disjunct)
-        for pattern in _assignments(order, constants):
-            atoms = _instantiate(disjunct, pattern.as_substitution())
+        for subst in _substitutions(order, constants):
+            atoms = _instantiate(disjunct, subst)
             if not keyed or _is_new(atoms, codes, seen):
                 disjuncts.append(atoms)
     return Query(tuple(disjuncts))

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 harness check failure, 2 usage or parse error.
+Exit codes: 0 success, 1 harness check failure, 2 usage or parse error,
+including input too long for the recursive searches.
 """
 
 from __future__ import annotations
@@ -224,6 +225,10 @@ def main(argv=None) -> int:
         return 2
     except (OSError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too long: a rule body, query disjunct or variable "
+              "list exceeds the recursion limit", file=sys.stderr)
         return 2
 
 

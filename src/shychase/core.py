@@ -196,9 +196,6 @@ class Instance:
     def sorted_atoms(self) -> list:
         return sorted(self.atoms, key=Atom.sort_key)
 
-    def terms(self) -> set:
-        return {t for a in self.atoms for t in a.args}
-
 
 @dataclass(frozen=True)
 class Query:

@@ -1,7 +1,7 @@
 """Finite-model machinery: model checking, well-supported orderings, bounded
-minimal-model enumeration, smooth instances, propagation orderings, and the
-join-breaking repair that turns a model of the active part of a canonical
-theory into one of the full theory.
+minimal-model enumeration, propagation orderings, and the join-breaking
+repair that turns a model of the active part of a canonical theory into one
+of the full theory.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     Atom,
-    Constant,
     Database,
     Instance,
     Null,
@@ -377,22 +376,6 @@ def find_finite_countermodel(db: Database, onto: Ontology, q: Query,
         if satisfies_query(model, q) is None:
             return model
     return None
-
-
-def smooth_instance(model: Instance):
-    """Copy of the instance with argument constants replaced by fresh nulls;
-    returns (instance, bijection on terms).  Shape labels are untouched."""
-    null_ids = [t.id for t in model.terms() if isinstance(t, Null)]
-    next_id = max(null_ids, default=0) + 1
-    mapping: dict = {}
-    for t in sorted(model.terms(), key=term_key):
-        if isinstance(t, Constant):
-            mapping[t] = Null(next_id)
-            next_id += 1
-        else:
-            mapping[t] = t
-    atoms = frozenset(apply_mapping(mapping, a) for a in model)
-    return Instance(atoms), mapping
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,9 @@ def _base_name(name: str) -> str:
 
 
 def _same_rules_modulo_renaming(got, expected) -> bool:
-    remaining = [_tagged_atoms(r) for r in expected]
+    remaining = [_tagged_atoms(r.body, r.head) for r in expected]
     for rule in got:
-        sig = _tagged_atoms(rule)
+        sig = _tagged_atoms(rule.body, rule.head)
         for i, other in enumerate(remaining):
             if isomorphic(sig, other):
                 del remaining[i]

@@ -138,13 +138,6 @@ def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:
     yield from _search(list(src), dict(seed) if seed else {}, _index(target))
 
 
-def find_homomorphism(src, target, seed: Optional[dict] = None) -> Optional[dict]:
-    """First homomorphism from src into target extending seed, or None."""
-    for h in homomorphisms(src, target, seed):
-        return h
-    return None
-
-
 @dataclass(frozen=True)
 class Witness:
     disjunct: int  # 0-based index into the query's disjuncts

@@ -6,19 +6,17 @@ from hypothesis import strategies as st
 
 from shychase import canonical, hom
 from shychase.canonical import (
-    SubstitutionPattern,
     UnpackError,
-    _assignments,
     _dedup,
     _first_occurrence_vars,
     _is_new,
+    _rewritten_rules,
+    _substitutions,
     _tagged_atoms,
     canonical_atom,
-    enumerate_safe_patterns,
     partition_active_harmless,
     rewrite_ontology,
     rewrite_query,
-    rewrite_rule,
     rewrite_theory,
     unpack,
     unpack_atom,
@@ -40,6 +38,7 @@ from shychase.hom import _canonical_key, _split
 from shychase.parse import Program, parse_program, parse_query, print_program
 
 from iso_oracle import isomorphic
+from pattern_oracle import substitutions as oracle_substitutions
 
 
 def test_canonical_atom_examples():
@@ -91,18 +90,44 @@ def test_unpack_traverses_containers():
     assert unpack([inst]) == [unpack(inst)]
 
 
-def _apply(pattern, atom):
-    """The pattern applied to one atom, its substitution rebuilt per call."""
-    subst = pattern.as_substitution()
+def _apply(subst, atom):
+    """The substitution applied to one atom, term by term."""
     return Atom(atom.pred, tuple(subst.get(t, t) for t in atom.args))
 
 
 def test_substitution_pattern_uses_first_member_as_representative():
     x, y = Variable("X"), Variable("Y")
-    pattern = SubstitutionPattern(((x, 1), (y, 1)))
-    assert pattern.as_substitution() == {x: x, y: x}
-    frozen = SubstitutionPattern(((x, Constant("c")),))
+    assert list(_substitutions([x, y], [])) == [{x: x, y: x}, {x: x, y: y}]
+    frozen = list(_substitutions([x], [Constant("c")]))[1]
     assert _apply(frozen, Atom("p", (x,))) == Atom("p", (Constant("c"),))
+
+
+_SIX_VARIABLES = [Variable(v) for v in "UVWXYZ"]
+
+
+@pytest.mark.parametrize("n_vars", range(6))
+@pytest.mark.parametrize("n_consts", range(3))
+def test_substitutions_match_the_pattern_oracle(n_vars, n_consts):
+    """[DERIVED] `_substitutions` yields the maps of the former pattern
+    enumerator, in its order, for 0-5 variables and 0-2 constants."""
+    variables = _SIX_VARIABLES[:n_vars]
+    constants = [Constant("a"), Constant("b")][:n_consts]
+    assert list(_substitutions(variables, constants)) == \
+        oracle_substitutions(variables, constants)
+
+
+def test_substitutions_match_the_pattern_oracle_on_every_body_and_disjunct():
+    """[DERIVED] The same agreement on every rule body and query disjunct of
+    the packaged theories and of random seeds 0-99, with the theory's
+    constants."""
+    for name, program in _rewrite_once_theories():
+        consts = sorted(constants_of(program.database, program.ontology))
+        atom_lists = [rule.body for rule in program.ontology]
+        atom_lists += [d for q in program.queries for d in q.disjuncts]
+        for atoms in atom_lists:
+            variables = _first_occurrence_vars(atoms)
+            assert list(_substitutions(variables, consts)) == \
+                oracle_substitutions(variables, consts), name
 
 
 def test_pattern_counts_for_father_rules():
@@ -110,7 +135,7 @@ def test_pattern_counts_for_father_rules():
     first rule; ten isomorphism classes for the two-variable second rule."""
     program = load_paper_program("father.dlp")
     consts = sorted(constants_of(program.database, program.ontology))
-    counts = [len(enumerate_safe_patterns(r, consts)) for r in program.ontology]
+    counts = [len(list(_rewritten_rules(r, consts))) for r in program.ontology]
     assert counts == [3, 10]
 
 
@@ -143,31 +168,43 @@ def test_wide_head_substitution_golden():
     want = parse_program(
         "r_[1,c3](X), p_[1,2,2,2](Y,X) -> exists T. g_[1,1,2,1,c3](X,T)."
     ).ontology.rules[0]
-    variants = [rewrite_rule(rule, p) for p in enumerate_safe_patterns(rule, consts)]
-    assert any(isomorphic(_tagged_atoms(v), _tagged_atoms(want)) for v in variants)
+    want_sig = _tagged_atoms(want.body, want.head)
+    assert any(isomorphic(_tagged_atoms(body, head), want_sig)
+               for body, head in _rewritten_rules(rule, consts))
 
 
-def _patterns_by_pairwise_dedupe(rule, consts) -> tuple:
-    """Oracle: keep a pattern unless its instantiation is isomorphic to any
-    kept one, testing every earlier instantiation."""
+def _oracle_substitutions_of(rule, consts) -> list:
+    return oracle_substitutions(_first_occurrence_vars(rule.body), sorted(set(consts)))
+
+
+def _rewrite_per_atom(rule, subst) -> tuple:
+    """Oracle: the rule's (body, head) under subst, applied atom by atom."""
+    body = _dedup(canonical_atom(_apply(subst, a)) for a in rule.body)
+    return body, canonical_atom(_apply(subst, rule.head))
+
+
+def _rules_by_pairwise_dedupe(rule, consts) -> tuple:
+    """Oracle: keep an instantiation unless it is isomorphic to any kept
+    one, testing every earlier instantiation."""
     kept, signatures = [], []
-    for pattern in _assignments(_first_occurrence_vars(rule.body), sorted(set(consts))):
-        sig = _tagged_atoms(rewrite_rule(rule, pattern))
+    for subst in _oracle_substitutions_of(rule, consts):
+        body, head = _rewrite_per_atom(rule, subst)
+        sig = _tagged_atoms(body, head)
         if not any(isomorphic(sig, other) for other in signatures):
             signatures.append(sig)
-            kept.append(pattern)
+            kept.append((body, head))
     return tuple(kept)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_bucketed_pattern_dedupe_matches_pairwise(seed):
     """[DERIVED] Deduplicating by the canonical key, one bucket per key,
-    keeps exactly the patterns, in the same order, that the all-pairs scan
-    keeps."""
+    keeps exactly the instantiations, in the same order, that the all-pairs
+    scan keeps."""
     program = random_program(seed, default_config())
     consts = sorted(constants_of(program.database, program.ontology))
     for rule in program.ontology:
-        assert enumerate_safe_patterns(rule, consts) == _patterns_by_pairwise_dedupe(rule, consts)
+        assert tuple(_rewritten_rules(rule, consts)) == _rules_by_pairwise_dedupe(rule, consts)
 
 
 def test_pattern_dedupe_matches_pairwise_on_the_packaged_theories():
@@ -179,8 +216,8 @@ def test_pattern_dedupe_matches_pairwise_on_the_packaged_theories():
     for name, program in theories:
         consts = sorted(constants_of(program.database, program.ontology))
         for rule in program.ontology:
-            assert enumerate_safe_patterns(rule, consts) == \
-                _patterns_by_pairwise_dedupe(rule, consts), (name, rule.id)
+            assert tuple(_rewritten_rules(rule, consts)) == \
+                _rules_by_pairwise_dedupe(rule, consts), (name, rule.id)
 
 
 _BODY_TERMS = [Variable("X"), Variable("Y"), Variable("Z"), Variable("W"), Constant("a")]
@@ -204,12 +241,12 @@ def _distinct_predicate_rules(draw):
                 max_size=2, unique=True))
 def test_distinct_body_predicates_give_patterns_distinct_up_to_renaming(rule, consts):
     """[DERIVED] The argument behind keying only rules that repeat a body
-    predicate: every pattern of such a rule keeps a tagged `_canonical_key`
-    of its own."""
+    predicate: every substitution of such a rule keeps a tagged
+    `_canonical_key` of its own."""
     codes: dict = {}
     keys = []
-    for pattern in _assignments(_first_occurrence_vars(rule.body), sorted(consts)):
-        plain, coded = _split(_tagged_atoms(rewrite_rule(rule, pattern)), codes)
+    for subst in _substitutions(_first_occurrence_vars(rule.body), sorted(consts)):
+        plain, coded = _split(_tagged_atoms(*_rewrite_per_atom(rule, subst)), codes)
         keys.append(_canonical_key(frozenset(plain), tuple(coded)))
     assert len(set(keys)) == len(keys)
 
@@ -245,8 +282,8 @@ def _query_by_pairwise_dedupe(q, consts) -> Query:
     one, testing every earlier disjunct."""
     kept = []
     for disjunct in q.disjuncts:
-        for pattern in _assignments(_first_occurrence_vars(disjunct), sorted(set(consts))):
-            atoms = _dedup(canonical_atom(_apply(pattern, a)) for a in disjunct)
+        for subst in oracle_substitutions(_first_occurrence_vars(disjunct), sorted(set(consts))):
+            atoms = _dedup(canonical_atom(_apply(subst, a)) for a in disjunct)
             if not any(isomorphic(frozenset(atoms), frozenset(other)) for other in kept):
                 kept.append(atoms)
     return Query(tuple(kept))
@@ -271,31 +308,24 @@ def test_query_dedupe_matches_pairwise(seed):
     assert len(rewrite_query(Query((triple,)), ()).disjuncts) == 3
 
 
-def _rewrite_rule_per_atom(rule, pattern) -> Rule:
-    """Oracle: rewrite_rule with the substitution rebuilt for every atom."""
-    body = _dedup(canonical_atom(_apply(pattern, a)) for a in rule.body)
-    return Rule(rule.id, body, canonical_atom(_apply(pattern, rule.head)))
-
-
-def _patterns_rewriting_twice(rule, consts) -> tuple:
-    """Oracle: the kept patterns, each rule instantiation built only for its
-    dedupe key."""
+def _substitutions_rewriting_twice(rule, consts) -> tuple:
+    """Oracle: the kept substitutions, each rule instantiation built only for
+    its dedupe key."""
     codes, seen = {}, set()
     return tuple(
-        pattern
-        for pattern in _assignments(_first_occurrence_vars(rule.body), sorted(set(consts)))
-        if _is_new(_tagged_atoms(_rewrite_rule_per_atom(rule, pattern)), codes, seen))
+        subst for subst in _oracle_substitutions_of(rule, consts)
+        if _is_new(_tagged_atoms(*_rewrite_per_atom(rule, subst)), codes, seen))
 
 
 def _ontology_rewriting_twice(db, onto) -> Ontology:
-    """Oracle: every kept pattern's rule rewritten again after the dedupe."""
+    """Oracle: every kept substitution's rule rewritten again after the dedupe."""
     consts = sorted(constants_of(db, onto))
     out = []
     for rule in onto:
-        for i, pattern in enumerate(_patterns_rewriting_twice(rule, consts), 1):
-            rewritten = _rewrite_rule_per_atom(rule, pattern)
-            if rewritten.head not in rewritten.body:
-                out.append(Rule(f"{rule.id}.{i}", rewritten.body, rewritten.head))
+        for i, subst in enumerate(_substitutions_rewriting_twice(rule, consts), 1):
+            body, head = _rewrite_per_atom(rule, subst)
+            if head not in body:
+                out.append(Rule(f"{rule.id}.{i}", body, head))
     return Ontology(tuple(out))
 
 
@@ -342,40 +372,50 @@ def test_printed_rewriting_parses_back():
 
 
 def test_rewrite_once_matches_rewriting_twice():
-    """[DERIVED] Rewriting each pattern once keeps the same patterns and
-    gives the same rule ids, order and atoms as rewriting each kept pattern
-    again, on the curated and paper theories and random seeds 0-99."""
+    """[DERIVED] Rewriting each substitution once keeps the instantiations
+    of the same substitutions and gives the same rule ids, order and atoms
+    as rewriting each kept substitution again, on the curated and paper
+    theories and random seeds 0-99."""
     theories = list(_rewrite_once_theories())
     assert len(theories) == 20 + 9 + 100
     for name, program in theories:
         db, onto = program.database, program.ontology
         consts = sorted(constants_of(db, onto))
         for rule in onto:
-            assert enumerate_safe_patterns(rule, consts) == \
-                _patterns_rewriting_twice(rule, consts), (name, rule.id)
+            kept = tuple(_rewrite_per_atom(rule, subst)
+                         for subst in _substitutions_rewriting_twice(rule, consts))
+            assert tuple(_rewritten_rules(rule, consts)) == kept, (name, rule.id)
         assert _rule_parts(rewrite_ontology(db, onto)) == \
             _rule_parts(_ontology_rewriting_twice(db, onto)), name
 
 
 def test_rewrite_ontology_rewrites_each_enumerated_pattern_once(monkeypatch):
-    """rewrite_rule runs once per enumerated pattern, kept or not: the kept
-    rule is the one its dedupe key was built from."""
-    calls = []
-    real = canonical.rewrite_rule
+    """A rule body is instantiated once per enumerated substitution, kept or
+    not: the kept rule is built from the atoms its dedupe key was built
+    from.  Each kept rule is constructed once, under its final id."""
+    instantiated, built = [], []
+    instantiate, rule_type = canonical._instantiate, canonical.Rule
 
-    def counting(rule, pattern):
-        calls.append((rule.id, pattern))
-        return real(rule, pattern)
+    def counting_instantiate(atoms, subst):
+        instantiated.append((atoms, subst))
+        return instantiate(atoms, subst)
 
-    monkeypatch.setattr(canonical, "rewrite_rule", counting)
+    def counting_rule(*args):
+        built.append(args[0])
+        return rule_type(*args)
+
+    monkeypatch.setattr(canonical, "_instantiate", counting_instantiate)
+    monkeypatch.setattr(canonical, "Rule", counting_rule)
     for name in _PAPER_THEORIES:
         program = load_paper_program(name)
         consts = sorted(constants_of(program.database, program.ontology))
-        enumerated = [(rule.id, pattern) for rule in program.ontology
-                      for pattern in _assignments(_first_occurrence_vars(rule.body), consts)]
-        calls.clear()
-        rewrite_ontology(program.database, program.ontology)
-        assert calls == enumerated, name
+        enumerated = [(rule.body, subst) for rule in program.ontology
+                      for subst in _oracle_substitutions_of(rule, consts)]
+        instantiated.clear()
+        built.clear()
+        ontoc = rewrite_ontology(program.database, program.ontology)
+        assert instantiated == enumerated, name
+        assert built == [rule.id for rule in ontoc], name
 
 
 def test_rewrite_drops_tautological_variants():

@@ -19,7 +19,7 @@ from shychase.chase import (
 from shychase.core import Atom, Constant, Instance, Null, NullFactory, term_key
 from shychase.generate import default_config, random_program
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import apply_mapping, find_homomorphism, homomorphisms
+from shychase.hom import apply_mapping, homomorphisms
 from shychase.parse import parse_program, parse_query, print_atom
 
 FATHER = """
@@ -180,7 +180,7 @@ def _oracle_mapping_key(rule, h):
 
 def _oracle_head_satisfied(rule, h, inst):
     seed = {v: h[v] for v in rule.uv if v in h}
-    return find_homomorphism([rule.head], inst, seed) is not None
+    return next(homomorphisms([rule.head], inst, seed), None) is not None
 
 
 def _oracle_applicable_steps(onto, inst, fired, mode):

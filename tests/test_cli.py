@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,24 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 3)\n"
+
+
+@pytest.mark.parametrize("command, where", [
+    ("chase", "body"), ("answer", "body"), ("rewrite", "body"), ("fc-check", "body"),
+    ("answer", "query"), ("rewrite", "query"), ("fc-check", "query"),
+])
+def test_input_too_long_for_the_recursion_limit_exits_2(tmp_path, capsys, command, where):
+    """A chain of recursion limit + 200 atoms in a rule body or a query
+    disjunct overflows the searches and the substitution enumerator, which
+    recurse once per atom or variable: an input error, exit 2, and not a
+    traceback with exit 1."""
+    chain = ", ".join(f"e(X{i},X{i + 1})" for i in range(sys.getrecursionlimit() + 200))
+    text = {"body": f"e(a,a). {chain} -> q(X0). ? q(X).", "query": f"e(a,a). ? {chain}."}
+    path = tmp_path / "long.dlp"
+    path.write_text(text[where])
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error: input too long")
 
 
 def test_usage_error_exits_2(capsys):

@@ -30,13 +30,12 @@ from shychase.finitemodels import (
     is_model,
     ordering_from_sequence,
     propagation_ordering,
-    smooth_instance,
     well_supported_core,
 )
 from shychase.generate import default_config, is_shy_program, random_program, random_program_where
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import (_canonical_key, _match, _split, apply_mapping, find_homomorphism,
-                         homomorphisms, isomorphic, satisfies_query)
+from shychase.hom import (_canonical_key, _match, _split, apply_mapping, homomorphisms,
+                         isomorphic, satisfies_query)
 from shychase.parse import parse_program, parse_query
 
 CLOSURE = """
@@ -405,28 +404,6 @@ def test_find_finite_countermodel_is_sound():
                                     ModelBudget(2, 6)) is None
 
 
-def test_smooth_instance_renames_constants_bijectively():
-    inst = Instance(frozenset({
-        Atom("p", (Constant("a"), Null(1)), (1, 2)),
-        Atom("q", (Constant("b"),), (1,)),
-    }))
-    smooth, mapping = smooth_instance(inst)
-    assert len(set(mapping.values())) == len(mapping)
-    assert all(isinstance(t, Null) for t in smooth.terms())
-    assert {a.shape for a in smooth} == {a.shape for a in inst}
-
-
-def test_smooth_instance_of_canonical_model_is_a_model():
-    """[DERIVED] Constant-free canonical rules cannot tell constants from
-    nulls, so smoothing preserves modelhood."""
-    program = load_paper_program("theorem8.dlp")
-    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
-    chase = run_chase(dbc, ontoc, ChaseConfig(OBLIVIOUS, 100, 50))
-    assert chase.terminated
-    smooth, _ = smooth_instance(chase.instance)
-    assert is_model(smooth, Database(frozenset()), ontoc)[0]
-
-
 def test_propagation_ordering_requires_joinless():
     program = parse_program("p(c). p(X), q(X) -> r(X).")
     with pytest.raises(ValueError):
@@ -698,7 +675,7 @@ def _oracle_disjoin_repair(model, ordering, full_onto):
             return False
         rule, h = violation
         seed = {v: mapped_back(h[v]) for v in rule.uv if v in h}
-        ext = find_homomorphism([rule.head], model, seed)
+        ext = next(homomorphisms([rule.head], model, seed), None)
         if ext is None:
             raise ValueError(f"repair cannot satisfy rule {rule.id} inside the model")
         args = []

@@ -16,7 +16,7 @@ from shychase.harness import (
     load_paper_program,
     run_suite,
 )
-from shychase.hom import find_homomorphism
+from shychase.hom import homomorphisms
 from shychase.parse import parse_program
 
 from iso_oracle import isomorphic as oracle_isomorphic
@@ -154,7 +154,7 @@ def _rewriting_without_a_fired_rule(pick: int):
     def mutated(db, onto, queries=()):
         dbc, ontoc, qc = rewrite_theory(db, onto, queries)
         chased = run_chase(dbc, ontoc, ChaseConfig(OBLIVIOUS, 100, 3)).instance
-        fired = [r for r in ontoc if find_homomorphism(r.body, chased) is not None]
+        fired = [r for r in ontoc if next(homomorphisms(r.body, chased), None) is not None]
         drop = fired[pick % len(fired)]
         return dbc, Ontology(tuple(r for r in ontoc if r is not drop)), qc
     return mutated

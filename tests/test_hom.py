@@ -16,7 +16,6 @@ from shychase.hom import (
     _search,
     _split,
     apply_mapping,
-    find_homomorphism,
     homomorphisms,
     isomorphic,
     satisfies_query,
@@ -151,9 +150,9 @@ def test_homomorphism_seed_is_respected():
     assert maps == [{Variable("X"): Constant("b"), Variable("Y"): Constant("b")}]
 
 
-def test_find_homomorphism_none_when_predicate_missing():
-    assert find_homomorphism([Atom("r", (Variable("X"),))],
-                             [Atom("p", (Constant("a"),))]) is None
+def test_no_homomorphism_when_predicate_missing():
+    assert next(homomorphisms([Atom("r", (Variable("X"),))],
+                              [Atom("p", (Constant("a"),))]), None) is None
 
 
 def brute_isomorphic(a, b):

@@ -22,6 +22,13 @@ def test_every_traced_name_is_a_callable_of_its_layer():
             assert callable(getattr(module, name, None)), f"shychase.{layer}.{name}"
 
 
+def test_every_exported_name_resolves():
+    """Each name in `shychase.__all__` is an attribute of the package, so a
+    removed function cannot leave a dangling export."""
+    package = importlib.import_module("shychase")
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
 def _unused_imports(path: Path) -> list:
     """Names the module at path imports and never loads."""
     tree = ast.parse(path.read_text())
