@@ -21,6 +21,7 @@ from .core import (
     Ontology,
     Query,
     Rule,
+    _atom,
     constants_of,
 )
 from .hom import _is_new_key, _split, apply_mapping
@@ -49,7 +50,7 @@ def canonical_atom(atom: Atom) -> Atom:
             seen[t] = len(seen) + 1
             labels.append(seen[t])
     args = sorted(seen, key=seen.get)
-    return Atom(atom.pred, tuple(args), tuple(labels))
+    return _atom(atom.pred, tuple(args), tuple(labels))
 
 
 def _dedup(atoms: Iterable[Atom]) -> tuple:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
@@ -112,6 +113,12 @@ class Atom(tuple):
         return f"Atom({self.predicate_name}, {self.args!r})"
 
 
+def _atom(pred: str, args: tuple, shape: Optional[tuple]) -> Atom:
+    """An Atom built without `Atom.__new__`'s shape check, for callers whose
+    shape and arity already agree."""
+    return tuple.__new__(Atom, (pred, args, shape))
+
+
 @dataclass(frozen=True)
 class Position:
     predicate: str  # rendered name, shape included
@@ -134,11 +141,12 @@ class Rule:
         if bad:
             raise ValueError(f"rule {self.id}: nulls are not allowed in rules")
 
-    @property
+    # cached in the instance dict; eq, hash and repr read only the fields
+    @cached_property
     def uv(self) -> frozenset:
         return frozenset(v for a in self.body for v in a.variables())
 
-    @property
+    @cached_property
     def ev(self) -> frozenset:
         return frozenset(self.head.variables()) - self.uv
 

@@ -146,8 +146,10 @@ def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optiona
 
 def _keyed_rules(onto: Ontology) -> list:
     """The rules by id, each as (rule, `_key` of its head, of its body
-    atoms, its existential variables sorted)."""
-    return [(r, _key(r.head), tuple(map(_key, r.body)), sorted(r.ev))
+    atoms, its existential variables sorted, the head's frontier: its
+    non-existential arguments)."""
+    return [(r, _key(r.head), tuple(map(_key, r.body)), sorted(r.ev),
+             tuple(t for t in r.head.args if t not in r.ev))
             for r in sorted(onto, key=lambda r: r.id)]
 
 
@@ -164,7 +166,7 @@ def _add_atom(idx: dict, table: tuple, rules: list, a: Atom) -> tuple:
     pk = _key(a)
     idx = _added(idx, a)
     out = []
-    for (rule, head_key, body_keys, _), viols in zip(rules, table):
+    for (rule, head_key, body_keys, _, _), viols in zip(rules, table):
         if viols and head_key == pk:
             viols = {k: h for k, h in viols.items() if _match(rule.head, a, h) is None}
         if pk in body_keys:
@@ -189,6 +191,18 @@ def _least_violation(rules: list, table: tuple):
     return None
 
 
+def _atoms_needed(rules: list, table: tuple) -> int:
+    """A lower bound on the atoms any model containing the instance with
+    this violation table must add: per head key, the most distinct
+    frontier images (see `_keyed_rules`) among one rule's violations."""
+    most: dict = {}
+    for (_, head_key, _, _, frontier), viols in zip(rules, table):
+        if viols:
+            images = len({tuple(h.get(t, t) for t in frontier) for h in viols.values()})
+            most[head_key] = max(most.get(head_key, 0), images)
+    return sum(most.values())
+
+
 def _ev_values(k: int, pool: list, fresh: list, drawn: int = 0) -> Iterator[tuple]:
     """Values for k existential variables, in search order, with the count
     of fresh nulls drawn.  Each value is a term of pool, a fresh null an
@@ -208,7 +222,7 @@ def _repairs(terms: frozenset, fresh_used: int, violation, consts: list,
     rule's head: its existential variables range over the current terms,
     the known constants and the unused fresh nulls (`_ev_values`).  The
     violation is as `_least_violation` gives it."""
-    (rule, _, _, evs), h = violation
+    (rule, _, _, evs, _), h = violation
     pool = sorted(terms, key=term_key)
     pool += [c for c in consts if c not in terms]
     for values, drawn in _ev_values(len(evs), pool, fresh_pool[fresh_used:]):
@@ -228,13 +242,23 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
     renaming by `_canonical_key`; a state with more than max_atoms atoms
     is dropped.
 
-    Each state is its parent plus the repairing atom, which is new since
-    the rule it repairs was violated.  So a full state, one of max_atoms
-    atoms, that is not a model has only successors past the budget, and
-    none is opened.  A full state is keyed only once it is found to be a
-    model: a renaming of a full non-model is one too, so leaving those out
-    of the seen keys blocks no state that could lead to a model, and the
-    search finds the same models in the same order.
+    A state X is opened only if len(X) + `_atoms_needed` fits max_atoms.
+    The count is a lower bound on the atoms any model M containing X adds:
+    a violation of a rule under h stays until M has an atom of the head's
+    key that agrees with h on the frontier, two frontier images of one
+    rule need two atoms, and an atom has one key.  When the violations are
+    no more than the room left, neither is the bound, so it is not
+    computed.  A full state, one of max_atoms atoms, that is not a model
+    is never opened, and is keyed only once it is found to be a model.
+
+    So what is skipped is dead: every model containing it exceeds the
+    budget.  Dead states are closed under supersets and null renaming (a
+    renaming maps models containing one onto models containing the other,
+    keeping sizes), so a live state descends only from live ones, a seen
+    key that blocks a live state was made by a live state, and only dead
+    states are blocked or explored differently.  The live states, and so
+    the found models and their order, are those of the search that opens
+    and keys every state within the budget.
 
     A stack frame keeps its state's index, violation table and `_split`
     form, and a child derives its own from them: `_add_atom` updates the
@@ -267,16 +291,16 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
             continue
         new_plain, new_coded = _split(added, codes)
         plain, coded = plain.union(new_plain), coded + tuple(new_coded)
-        full = len(atoms) == budget.max_atoms
-        if not full and not _is_new_key(plain, coded, seen_states):
+        room = budget.max_atoms - len(atoms)
+        if room and not _is_new_key(plain, coded, seen_states):
             continue
         for a in added:
             idx, table = _add_atom(idx, table, rules, a)
         violation = _least_violation(rules, table)
         if violation is None:
-            if not full or _is_new_key(plain, coded, seen_states):
+            if room or _is_new_key(plain, coded, seen_states):
                 found.append(atoms)
-        elif not full:
+        elif room and (sum(map(len, table)) <= room or _atoms_needed(rules, table) <= room):
             terms = terms.union(t for a in added for t in a.args)
             stack.append(((atoms, terms, plain, coded, idx, table),
                           _repairs(terms, fresh_used, violation, consts, fresh_pool)))

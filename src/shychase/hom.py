@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
-from .core import Atom, Constant, Query, Rule, term_key
+from .core import Atom, Constant, Query, Rule, _atom, term_key
 
 
 def apply_mapping(mapping: dict, atom: Atom) -> Atom:
-    return Atom(atom.pred, tuple(mapping.get(t, t) for t in atom.args), atom.shape)
+    return _atom(atom.pred, tuple(mapping.get(t, t) for t in atom.args), atom.shape)
 
 
 def _key(a: Atom) -> tuple:

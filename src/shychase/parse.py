@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (Atom, Constant, Database, Instance, Null, Ontology, Query,
-                   Rule, Variable)
+                   Rule, Variable, _atom)
 
 JSON_SCHEMA = "shychase/1"
 
@@ -158,7 +158,7 @@ class _Parser:
         elif self.arities.setdefault(name, len(args)) != len(args):
             self.error(f"predicate {name!r} used with arity {len(args)}, "
                        f"previously {self.arities[name]}", k)
-        return Atom(name, args, shape)
+        return _atom(name, args, shape)
 
     def parse_atom_list(self):
         atoms = [self.parse_atom()]

@@ -1,5 +1,7 @@
 """Value-type invariants for terms, atoms, rules and containers."""
 
+import pickle
+
 import pytest
 
 from shychase.core import (
@@ -13,6 +15,7 @@ from shychase.core import (
     Query,
     Rule,
     Variable,
+    _atom,
     constants_of,
     is_simple,
     term_key,
@@ -38,6 +41,17 @@ def test_atom_shape_argument_count_is_validated():
     Atom("p", (Variable("X"),), (1, "c", 1))
     with pytest.raises(ValueError):
         Atom("p", (Variable("X"), Variable("Y")), (1, "c", 1))
+
+
+def test_only_the_private_constructor_skips_the_shape_check():
+    """`_atom` builds the atom `Atom` builds, and the public constructor
+    still rejects a shape whose argument count disagrees, with the same
+    message."""
+    x, y = Variable("X"), Variable("Y")
+    assert _atom("p", (x,), (1, "c", 1)) == Atom("p", (x,), (1, "c", 1))
+    assert type(_atom("p", (x,), None)) is Atom
+    with pytest.raises(ValueError, match=r"^shape \(1, 'c', 1\) expects 1 argument\(s\), got 2$"):
+        Atom("p", (x, y), (1, "c", 1))
 
 
 def test_atom_predicate_name_renders_shape():
@@ -69,6 +83,28 @@ def test_rule_variable_partition():
     )
     assert rule.uv == {Variable("X"), Variable("Z")}
     assert rule.ev == {Variable("Y")}
+
+
+def test_cached_variable_partition_matches_a_recomputation():
+    """`uv` and `ev` are computed once per rule: on every rule of the
+    curated theories and of their canonical rewritings they equal a fresh
+    recomputation, before and after a pickle round trip, and the cache
+    changes no rule's eq, hash or repr."""
+    from shychase.canonical import rewrite_theory
+    from shychase.harness import curated_programs
+
+    rules = []
+    for _, p in curated_programs():
+        rules += [*p.ontology, *rewrite_theory(p.database, p.ontology)[1]]
+    assert len(rules) > 50
+    for rule in rules:
+        uv = frozenset(v for a in rule.body for v in a.variables())
+        ev = frozenset(rule.head.variables()) - uv
+        assert (rule.uv, rule.ev) == (uv, ev) and rule.uv is rule.uv
+        fresh = Rule(rule.id, rule.body, rule.head)
+        assert (fresh == rule, hash(fresh), repr(fresh)) == (True, hash(rule), repr(rule))
+        copy = pickle.loads(pickle.dumps(rule))
+        assert copy == rule and (copy.uv, copy.ev) == (uv, ev)
 
 
 def test_database_requires_constants():

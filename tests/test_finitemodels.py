@@ -17,6 +17,7 @@ from shychase.finitemodels import (
     StartingPoint,
     SupportStep,
     _add_atom,
+    _atoms_needed,
     _ev_values,
     _first_violation,
     _found_models,
@@ -242,9 +243,10 @@ def _repr_state_key(atoms: frozenset) -> tuple:
     return best if best is not None else tuple(sorted(a.sort_key() for a in atoms))
 
 
-def _rebuilt_found_models(db, onto, budget):
+def _rebuilt_found_models(db, onto, budget, visited=None):
     """Oracle: the repair search with every state indexed, checked and
-    keyed from scratch."""
+    keyed from scratch, and every state within the budget opened; each
+    state it keys is appended to the list visited, if one is given."""
     consts = sorted(constants_of(db, onto))
     fresh_pool = [Null(1 + i) for i in range(budget.max_extra_nulls)]
     found, seen_states = [], set()
@@ -261,6 +263,8 @@ def _rebuilt_found_models(db, onto, budget):
         if key in seen_states:
             continue
         seen_states.add(key)
+        if visited is not None:
+            visited.append(atoms)
         violation = _first_violation(atoms, onto)
         if violation is None:
             found.append(atoms)
@@ -304,13 +308,69 @@ def test_incremental_search_matches_rebuild_on_random(seed):
             == _rebuilt_found_models(program.database, program.ontology, budget))
 
 
+def _assert_atoms_needed_is_a_lower_bound(db, onto, budget):
+    """Every state X the oracle search visits and every model M it finds
+    with X <= M have len(M) - len(X) >= `_atoms_needed` of X's violation
+    table, built atom by atom."""
+    visited: list = []
+    found = _rebuilt_found_models(db, onto, budget, visited)
+    rules = _keyed_rules(onto)
+    for atoms in visited:
+        idx, table = {}, ({},) * len(rules)
+        for a in atoms:
+            idx, table = _add_atom(idx, table, rules, a)
+        need = _atoms_needed(rules, table)
+        for model in found:
+            if atoms <= model:
+                assert len(model) - len(atoms) >= need, (sorted(atoms), sorted(model))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
+def test_atoms_needed_bounds_the_search_on_curated(name):
+    """[DERIVED] The pruning bound of `_found_models` never exceeds what a
+    found model adds, on each curated theory and its canonical active part
+    at (2, 10)."""
+    program = dict(curated_programs())[name]
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, _ = partition_active_harmless(ontoc)
+    for db, onto in ((program.database, program.ontology), (dbc, active)):
+        _assert_atoms_needed_is_a_lower_bound(db, onto, ModelBudget(2, 10))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_atoms_needed_bounds_the_search_on_random(seed):
+    """[DERIVED] Same on seeded random theories, at (2, 8)."""
+    program = random_program(seed, default_config())
+    _assert_atoms_needed_is_a_lower_bound(program.database, program.ontology, ModelBudget(2, 8))
+
+
+@pytest.mark.parametrize("seed", [*range(55), 63])
+def test_incremental_search_matches_rebuild_on_random_shy_active_parts(seed):
+    """[DERIVED] Same agreement on the canonical active parts of random shy
+    theories, at (2, 10).  Seeds 0-54 fit in about 5 s on a 2-core machine
+    (seed 55 alone takes 10 s), but the atom-budget bound of `_found_models` prunes at none of
+    them; at seed 63 it cuts the `_add_atom` calls from 1,338 to 46."""
+    program = random_program_where(is_shy_program, seed, default_config())
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, _ = partition_active_harmless(ontoc)
+    budget = ModelBudget(2, 10)
+    assert _found_models(dbc, active, budget) == _rebuilt_found_models(dbc, active, budget)
+
+
 def test_search_neither_keys_nor_expands_a_full_non_model(monkeypatch):
     """Counted over the curated suite at ModelBudget(2, 10), where a full
-    state has 10 atoms.  Keying every state makes 2,134 `_canonical_key`
-    calls, 1,068 of them on full non-models; keying a full state only if it
-    is a model makes 1,066.  Expanding every non-model opens 2,043 `_repairs`
-    iterators; skipping the full ones opens 975."""
-    calls = {"_canonical_key": 0, "_repairs": 0}
+    state has 10 atoms.  Without the atom-budget bound of `_found_models`:
+    keying every state makes 2,134 `_canonical_key` calls, 1,068 of them on
+    full non-models, and keying a full state only if it is a model makes
+    1,066; expanding every non-model opens 2,043 `_repairs` iterators, and
+    skipping the full ones opens 975 and makes 2,155 `_add_atom` calls.
+    The bound, which leaves states that cannot reach a model within the
+    budget unopened, takes these to 951 keys, 572 `_repairs` iterators and
+    972 `_add_atom` calls.  With it the search reaches no full non-model on
+    this suite, so keys are also counted on random seeds 0-59 at
+    ModelBudget(2, 8), where it reaches 615: keying every state makes
+    4,877 calls there, keying a full state only if it is a model 4,262."""
+    calls = {"_canonical_key": 0, "_repairs": 0, "_add_atom": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -320,15 +380,22 @@ def test_search_neither_keys_nor_expands_a_full_non_model(monkeypatch):
         return wrapper
 
     # counted at every name the search or hom binds it to
-    for name, module in (("_canonical_key", hom), ("_repairs", finitemodels)):
+    for name, module in (("_canonical_key", hom), ("_repairs", finitemodels),
+                         ("_add_atom", finitemodels)):
         wrapper = counted(name, getattr(module, name))
         for binder in (hom, finitemodels):
             if hasattr(binder, name):
                 monkeypatch.setattr(binder, name, wrapper)
     for _, program in curated_programs():
         _found_models(program.database, program.ontology, ModelBudget(2, 10))
-    assert 0 < calls["_canonical_key"] <= 1_100
-    assert 0 < calls["_repairs"] <= 1_000
+    assert 0 < calls["_canonical_key"] <= 1_000
+    assert 0 < calls["_repairs"] <= 600
+    assert 0 < calls["_add_atom"] <= 1_000
+    calls["_canonical_key"] = 0
+    for seed in range(60):
+        program = random_program(seed, default_config())
+        _found_models(program.database, program.ontology, ModelBudget(2, 8))
+    assert 0 < calls["_canonical_key"] <= 4_300
 
 
 _KEY_ONTOLOGY = parse_program("""
