@@ -135,7 +135,9 @@ def _rewritten_rules(rule: Rule, consts: Iterable[Constant]) -> Iterator[tuple]:
 
 
 def rewrite_database(db: Database) -> Database:
-    return Database(frozenset(canonical_atom(a) for a in db))
+    """The canonical database; atoms go in `Atom.sort_key` order, so a
+    shaped atom's error names the same atom on every run."""
+    return Database(frozenset(canonical_atom(a) for a in sorted(db, key=Atom.sort_key)))
 
 
 def rewrite_ontology(db: Database, onto: Ontology) -> Ontology:

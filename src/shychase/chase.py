@@ -62,18 +62,19 @@ class ChaseResult:
 def applicable_steps(onto: Ontology, idx: dict, fired: set, mode: str) -> list:
     """(trigger, rule, body homomorphism) triples not yet fired, in
     deterministic order: rules in program order, each rule's matches by
-    `_mapping_key`.  A trigger is named (rule id, `_mapping_key` of the
-    match); a match binds exactly the body's variables, so two matches of
-    one rule share a name exactly when their body images are equal.
+    `_mapping_key`.  A trigger is named (the rule's position in onto,
+    `_mapping_key` of the match); a match binds exactly the body's
+    variables, so two matches of one rule share a name exactly when their
+    body images are equal, and matches of two rules never do.
 
     idx indexes the instance (see `hom._index`).  In restricted mode, a
     trigger is kept only if `_violations` finds no head extension for it;
     fired triggers are dropped before that check.
     """
     out = []
-    for rule in onto:
-        for key, h in sorted((_mapping_key(h), h) for h in _search(rule.body, {}, idx)):
-            trigger = (rule.id, key)
+    for i, rule in enumerate(onto):
+        for key, h in sorted((_mapping_key(rule, h), h) for h in _search(rule.body, {}, idx)):
+            trigger = (i, key)
             if trigger in fired:
                 continue
             if mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:

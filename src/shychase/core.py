@@ -10,8 +10,8 @@ from typing import Iterator, Optional, Union
 
 class _Term(tuple):
     """A term as the tuple (kind rank, repr, value), kinds ranked constant
-    0, null 1, variable 2.  Tuples hash, compare and sort in C, and the
-    first two fields are the term's sort key (see `term_key`)."""
+    0, null 1, variable 2.  Tuples hash, compare and sort in C, and distinct
+    terms differ in the first two fields, so terms sort by kind, then repr."""
 
     __slots__ = ()
 
@@ -56,12 +56,6 @@ ShapeLabel = Union[str, int]
 Shape = tuple
 
 
-def term_key(t):
-    """Deterministic sort key working across term kinds: (kind rank, repr).
-    A term's own tuple order is this order."""
-    return t[:2]
-
-
 class Atom(tuple):
     """An atom as the tuple (pred, args, shape); it hashes and compares as
     that tuple."""
@@ -101,8 +95,10 @@ class Atom(tuple):
         return (self[0], self[2])
 
     def sort_key(self):
+        """(pred, shape labels as strings, args, shaped?): the last field
+        puts p before p_[], which agree in the others."""
         pred, args, shape = self
-        return (pred, () if shape is None else tuple(map(str, shape)), args)
+        return (pred, () if shape is None else tuple(map(str, shape)), args, shape is not None)
 
     def variables(self) -> Iterator[Variable]:
         for t in self.args:
@@ -145,6 +141,11 @@ class Rule:
     @cached_property
     def uv(self) -> frozenset:
         return frozenset(v for a in self.body for v in a.variables())
+
+    @cached_property
+    def uv_by_name(self) -> tuple:
+        """The body variables in name order; see `hom._mapping_key`."""
+        return tuple(sorted(self.uv, key=lambda v: v.name))
 
     @cached_property
     def ev(self) -> frozenset:

@@ -18,7 +18,6 @@ from .core import (
     Ontology,
     Query,
     constants_of,
-    term_key,
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
@@ -54,7 +53,8 @@ def _first_violation(atoms: Iterable[Atom], onto: Ontology):
     with its least violating body map under `_mapping_key`; or None."""
     idx = _index(atoms)
     for rule in sorted(onto, key=lambda r: r.id):
-        h = min(_violations(rule, idx, rule.body, {}), key=_mapping_key, default=None)
+        h = min(_violations(rule, idx, rule.body, {}), key=lambda h: _mapping_key(rule, h),
+                default=None)
         if h is not None:
             return rule, h
     return None
@@ -175,7 +175,7 @@ def _add_atom(idx: dict, table: tuple, rules: list, a: Atom) -> tuple:
                 if seed is None:
                     continue
                 rest = rule.body[:i] + rule.body[i + 1:]
-                new = {_mapping_key(h): h for h in _violations(rule, idx, rest, seed)}
+                new = {_mapping_key(rule, h): h for h in _violations(rule, idx, rest, seed)}
                 if new:
                     viols = {**viols, **new}
         out.append(viols)
@@ -223,7 +223,7 @@ def _repairs(terms: frozenset, fresh_used: int, violation, consts: list,
     the known constants and the unused fresh nulls (`_ev_values`).  The
     violation is as `_least_violation` gives it."""
     (rule, _, _, evs, _), h = violation
-    pool = sorted(terms, key=term_key)
+    pool = sorted(terms)
     pool += [c for c in consts if c not in terms]
     for values, drawn in _ev_values(len(evs), pool, fresh_pool[fresh_used:]):
         mapping = {**h, **dict(zip(evs, values))}
@@ -410,7 +410,7 @@ class StartingPoint(tuple):
     """Fresh term recording where an existentially supported term was born:
     atom_index is its 1-based rank in the ordering, position the 1-based
     argument slot.  Stored as (1, repr, term, atom_index, position), so it
-    sorts among terms as a null does, by its repr (see `core.term_key`)."""
+    sorts among terms as a null does, by its repr (see `core._Term`)."""
 
     __slots__ = ()
 
@@ -492,11 +492,11 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
     breakers = [(rule, {v for v in rule.uv if sum(v in b.args for b in rule.body) > 1})
                 for rule in sorted(harmless, key=lambda r: r.id)]
     model_idx = _index(model.atoms)
-    activated: set = set()
+    activated: dict = {}  # starting point -> its term, in activation order
     skipped: set = set()
 
     def activate(sp: StartingPoint):
-        activated.add(sp)
+        activated[sp] = sp.term
         for i, ann in enumerate(notes):
             if sp in ann:
                 a = atoms[i]
@@ -544,4 +544,4 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
 
     while break_one() or close_one():
         pass
-    return Instance(frozenset(atoms)), {sp: sp.term for sp in activated}
+    return Instance(frozenset(atoms)), activated

@@ -3,8 +3,8 @@ variable renaming through one canonical key.  `_violations` is
 the one trigger routine (a rule's body matches without a head extension),
 which the chase, model checking and the model search all call.  They all
 search an index that `_index` builds and `_added` grows, the one index
-update.  Past `_FILED` atoms a predicate's atoms are also filed by
-(predicate, position, term), so a join scans only the atoms that agree."""
+update.  It files each atom under its predicate and under each (predicate,
+position, term), so a join scans only the atoms that agree."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
-from .core import Atom, Constant, Query, Rule, _atom, term_key
+from .core import Atom, Constant, Query, Rule, _atom
 
 
 def apply_mapping(mapping: dict, atom: Atom) -> Atom:
@@ -25,37 +25,28 @@ def _key(a: Atom) -> tuple:
     return a.pred_key, a.arity
 
 
-_FILED = 8  # a key with more atoms than this also files them by position
-
-
 def _index(atoms: Iterable[Atom]) -> dict:
-    """The atoms by `_key`, each list in `Atom.sort_key` order; a key k with
-    more than `_FILED` atoms also lists them by (k, position, term)."""
+    """The atoms by `_key` k and by (k, position, term), each list in the
+    atoms' own order, which within one key is `Atom.sort_key` order."""
     idx: dict = {}
     for a in atoms:
-        idx.setdefault(_key(a), []).append(a)
-    for k, lst in list(idx.items()):
-        lst.sort(key=Atom.sort_key)
-        if len(lst) > _FILED:
-            for a in lst:
-                for pos in enumerate(a.args):
-                    idx.setdefault((k, *pos), []).append(a)
+        k = _key(a)
+        idx.setdefault(k, []).append(a)
+        for i, t in enumerate(a.args):
+            idx.setdefault((k, i, t), []).append(a)
+    for lst in idx.values():
+        lst.sort()
     return idx
 
 
 def _added(idx: dict, atom: Atom) -> dict:
-    """A copy of the index with atom inserted in `Atom.sort_key` order and,
-    past `_FILED` (the add that crosses it files all the key's atoms), by
-    position; idx itself is left unchanged, so a caller may keep it."""
+    """A copy of the index with atom inserted in order into its lists; idx
+    itself is left unchanged, so a caller may keep it."""
     k = _key(atom)
-    lst = list(idx.get(k, ()))
-    insort(lst, atom, key=Atom.sort_key)
-    idx = {**idx, k: lst}
-    if len(lst) > _FILED:
-        for a in lst if len(lst) == _FILED + 1 else (atom,):
-            for pos in enumerate(a.args):
-                filed = idx[(k, *pos)] = list(idx.get((k, *pos), ()))
-                insort(filed, a, key=Atom.sort_key)
+    idx = dict(idx)
+    for key in [k, *[(k, i, t) for i, t in enumerate(atom.args)]]:
+        lst = idx[key] = list(idx.get(key, ()))
+        insort(lst, atom)
     return idx
 
 
@@ -83,10 +74,10 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
 
     Backtracking search, most-constrained-atom-first; candidate order is
     the index order, so enumeration is deterministic.  Candidates come from
-    the shortest filed list of a bound position (a constant or mapped term),
-    a sublist of the predicate's list that loses only atoms `_match` would
-    reject.  Callers that search one instance many times build its index
-    once and call this directly.
+    the shortest list of the predicate and of its bound positions (constants
+    and mapped terms); a position's list is a sublist of the predicate's
+    that loses only atoms `_match` would reject.  Callers that search one
+    instance many times build its index once and call this directly.
     """
     if not remaining:
         yield mapping
@@ -96,11 +87,12 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
     for i, atom in enumerate(remaining):
         k = _key(atom)
         candidates = idx.get(k, ())
-        if len(candidates) > _FILED:
-            for pos, t in enumerate(atom.args):
-                t = t if isinstance(t, Constant) else mapping.get(t)
-                if t is not None:
-                    candidates = min(candidates, idx.get((k, pos, t), ()), key=len)
+        for pos, t in enumerate(atom.args):
+            t = t if isinstance(t, Constant) else mapping.get(t)
+            if t is not None:
+                filed = idx.get((k, pos, t), ())
+                if len(filed) < len(candidates):
+                    candidates = filed
         exts = []
         for tgt in candidates:
             ext = _match(atom, tgt, mapping)
@@ -124,10 +116,11 @@ def _violations(rule: Rule, idx: dict, body: tuple, seed: dict) -> Iterator[dict
             yield h
 
 
-def _mapping_key(h: dict) -> tuple:
-    """Sort key of a map: its (variable name, image) pairs by name.  Maps of
-    one rule's body differ in some image, so the key orders them totally."""
-    return tuple(sorted((k.name, term_key(v)) for k, v in h.items()))
+def _mapping_key(rule: Rule, h: dict) -> tuple:
+    """Sort key of a map of the rule's body: its images of the body
+    variables in name order.  Two such maps get equal keys exactly when
+    they are equal."""
+    return tuple(map(h.__getitem__, rule.uv_by_name))
 
 
 def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:

@@ -4,7 +4,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -335,3 +338,65 @@ def test_cli_exits_0_or_2_on_any_program(tmp_path_factory, text):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main([command, str(path), *flags])
         assert code in (0, 2), (command, text)
+
+
+# Programs that mix plain and shaped atoms.  p and p_[] agree in every
+# field of `Atom.sort_key` but the last; `rewrite` rejects five shaped
+# database atoms by naming the first in sort order.
+_HASH_SEED_INPUTS = {
+    "tie.dlp": "p. p_[]. q_[]. q. p -> r.\n? s.\n",
+    "five_shaped.dlp": "q_[]. r_[1,1](a). p_[]. s_[a,1](b). t_[1](c).\n? u.\n",
+    "shaped_rules.dlp": "p. p_[]. q(a). q_[1](a).\n"
+                        "p_[] -> exists Y. q_[1](Y). q_[1](X), p -> q(X). q(X) -> r_[1,1](X).\n"
+                        "? r_[1,1](b).\n",
+}
+_HASH_SEED_COMMANDS = [["chase", "--json"], ["chase", "--restricted"], ["rewrite"],
+                       ["fc-check", "--max-atoms", "8"]]
+# Runs the commands on the files in argv, then repairs every well-supported
+# minimal model of curated t06's active part, and prints each output and
+# each repair's starting points in their order in the mapping.
+_HASH_SEED_SCRIPT = """
+import contextlib, io, json, sys
+from shychase.canonical import partition_active_harmless, rewrite_theory
+from shychase.cli import main
+from shychase.finitemodels import (ModelBudget, disjoin_repair, enumerate_finite_models,
+                                   find_support_ordering)
+from shychase.harness import curated_programs
+
+records = []
+for path in sys.argv[2:]:
+    for argv in json.loads(sys.argv[1]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], path, *argv[1:]])
+        records.append([argv, code, out.getvalue(), err.getvalue()])
+program = dict(curated_programs())["t06.dlp"]
+dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+active, _ = partition_active_harmless(ontoc)
+for model in enumerate_finite_models(dbc, active, ModelBudget(2, 12)):
+    ordering = find_support_ordering(model, dbc, active)
+    if ordering is not None:
+        records.append(list(map(repr, disjoin_repair(model, ordering, ontoc)[1])))
+print(json.dumps(records, indent=1))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """[DERIVED] `chase --json`, `chase --restricted`, `rewrite` and
+    `fc-check` on programs that mix plain and shaped atoms, and the
+    starting points of curated t06's repairs, come out byte-identical in
+    two fresh interpreters under different `PYTHONHASHSEED`s."""
+    paths = []
+    for name, text in _HASH_SEED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, json.dumps(_HASH_SEED_COMMANDS), *paths],
+            env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

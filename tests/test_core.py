@@ -18,7 +18,6 @@ from shychase.core import (
     _atom,
     constants_of,
     is_simple,
-    term_key,
 )
 
 
@@ -30,10 +29,10 @@ def test_terms_are_hashable_and_ordered():
     assert Constant("b") < Constant("c")
 
 
-def test_term_key_orders_across_kinds():
+def test_terms_order_across_kinds():
     """[TRIVIAL] Constants sort before nulls, nulls before variables."""
     terms = [Variable("X"), Null(3), Constant("z")]
-    assert sorted(terms, key=term_key) == [Constant("z"), Null(3), Variable("X")]
+    assert sorted(terms) == [Constant("z"), Null(3), Variable("X")]
 
 
 def test_atom_shape_argument_count_is_validated():

@@ -11,7 +11,7 @@ from shychase import finitemodels, hom
 from shychase.canonical import partition_active_harmless, rewrite_theory, unpack
 from shychase.chase import OBLIVIOUS, RESTRICTED, ChaseConfig, run_chase
 from shychase.classify import classify_local
-from shychase.core import Atom, Constant, Database, Instance, Null, Variable, constants_of, term_key
+from shychase.core import Atom, Constant, Database, Instance, Null, Variable, constants_of
 from shychase.finitemodels import (
     ModelBudget,
     StartingPoint,
@@ -232,8 +232,7 @@ def test_embedding_minimality_matches_subset_scan_on_random(seed):
 def _repr_state_key(atoms: frozenset) -> tuple:
     """Oracle: rename the nulls by every permutation and keep the least
     sorted list of repr-based atom keys."""
-    nulls = sorted({t for a in atoms for t in a.args if isinstance(t, Null)},
-                   key=term_key)
+    nulls = sorted({t for a in atoms for t in a.args if isinstance(t, Null)})
     best = None
     for perm in permutations(range(1, len(nulls) + 1)):
         ren = dict(zip(nulls, (Null(i) for i in perm)))
@@ -277,7 +276,7 @@ def _repaired_states(atoms, fresh_used, violation, consts, fresh_pool):
     """Oracle: each state the search repairs the violation into, with the
     fresh nulls it has in use."""
     rule, h = violation
-    terms = sorted({t for a in atoms for t in a.args}, key=term_key)
+    terms = sorted({t for a in atoms for t in a.args})
     pool = terms + [c for c in consts if c not in terms]
     evs = sorted(rule.ev)
     for values, drawn in _ev_values(len(evs), pool, fresh_pool[fresh_used:]):
@@ -432,7 +431,7 @@ def test_state_key_equal_exactly_when_repr_key_is(a, b, images):
     for other in (b, mapped):
         assert ((key_a == _state_key(other, codes))
                 == (_repr_state_key(a) == _repr_state_key(other)))
-    if sorted(images, key=term_key) == _KEY_NULLS:
+    if sorted(images) == _KEY_NULLS:
         assert _state_key(mapped, codes) == key_a
     rules = _keyed_rules(_KEY_ONTOLOGY)
     idx, table = {}, ({},) * len(rules)

@@ -7,12 +7,13 @@ from itertools import permutations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shychase.core import Atom, Constant, Instance, Null, Query, Variable
+from shychase.core import Atom, Constant, Instance, Null, Query, Rule, Variable
+from shychase.finitemodels import StartingPoint
 from shychase.hom import (
-    _FILED,
     _added,
     _canonical_key,
     _index,
+    _mapping_key,
     _search,
     _split,
     apply_mapping,
@@ -70,11 +71,11 @@ def _binary(pred, terms):
     return st.builds(lambda s, t: Atom(pred, (s, t)), terms, terms)
 
 
-# One key crowded past `_FILED` from a small term pool, beside a few atoms
-# of another key, so the adds cover the one that crosses and those after it.
+# One key crowded from a small term pool, so that its position lists share
+# atoms, beside a few atoms of another key.
 _few_terms = st.sampled_from([Constant("a"), Null(1), Null(2), Null(3)])
 _crowded_atoms = st.tuples(
-    st.lists(_binary("p", _few_terms), unique=True, min_size=_FILED + 1, max_size=16),
+    st.lists(_binary("p", _few_terms), unique=True, min_size=9, max_size=16),
     st.lists(st.builds(lambda t: Atom("p", (t,)), _few_terms), unique=True, max_size=3),
 ).map(lambda lists: lists[0] + lists[1])
 
@@ -84,26 +85,26 @@ _crowded_atoms = st.tuples(
 def test_added_grows_the_index_that_index_builds(atoms_, data):
     """[DERIVED] Adding the atoms one by one with `_added`, in any order,
     gives `_index` of them, and each call leaves the index it was given
-    as it was, so an index kept from before a call stays valid.  That
-    holds too when a key grows past `_FILED` and its atoms get filed by
-    position."""
+    as it was, so an index kept from before a call stays valid.  Every
+    list either builds is in `Atom.sort_key` order."""
     order = data.draw(st.permutations(atoms_))
     idx: dict = {}
     kept = []
     for a in order:
         kept.append((idx, {k: list(v) for k, v in idx.items()}))
         idx = _added(idx, a)
+        assert all(lst == sorted(lst, key=Atom.sort_key) for lst in idx.values())
     assert idx == _index(atoms_)
     for i, (before, copy) in enumerate(kept):
         assert before == copy == _index(order[:i])
 
 
 def _filed_by_scan(idx: dict) -> dict:
-    """The predicate lists of idx, plus, for each list longer than
-    `_FILED`, its atoms with term t at position i under (key, i, t)."""
+    """The predicate lists of idx, plus, for each, its atoms with term t at
+    position i under (key, i, t)."""
     lists = {k: v for k, v in idx.items() if len(k) == 2}
     filed = {(k, i, t): [b for b in lst if b.args[i] == t]
-             for k, lst in lists.items() if len(lst) > _FILED
+             for k, lst in lists.items()
              for a in lst for i, t in enumerate(a.args)}
     return {**lists, **filed}
 
@@ -115,10 +116,10 @@ _search_ground = st.sampled_from([Constant("a"), Constant("b"), Constant("c"),
 _pattern_terms = st.sampled_from([Constant("a"), Constant("b"), Null(1), Null(2),
                                   Variable("X"), Variable("Y"), Variable("Z")])
 
-# p always holds more than `_FILED` atoms and q never does.
+# p holds many atoms and q few.
 _search_instances = st.tuples(
-    st.lists(_binary("p", _search_ground), unique=True, min_size=_FILED + 1, max_size=30),
-    st.lists(_binary("q", _search_ground), unique=True, max_size=_FILED),
+    st.lists(_binary("p", _search_ground), unique=True, min_size=9, max_size=30),
+    st.lists(_binary("q", _search_ground), unique=True, max_size=8),
 ).map(lambda lists: lists[0] + lists[1])
 _patterns = st.lists(st.one_of(_binary("p", _pattern_terms), _binary("q", _pattern_terms)),
                      min_size=1, max_size=3)
@@ -132,13 +133,48 @@ def test_search_yields_the_oracle_maps_in_order(instance, pattern, seed):
     """[DERIVED] `_search`, which takes a bound position's filed list,
     yields the same maps in the same order as the predicate-scan oracle,
     for patterns with constants, repeated variables, nulls and seeded
-    bindings, over a key filed by position and a key that is not.  The
-    filed lists are the predicate list's atoms that agree there."""
+    bindings, over a crowded key and a sparse one.  The filed lists are
+    the predicate list's atoms that agree there, in `Atom.sort_key` order."""
     idx = _index(instance)
     assert idx == _filed_by_scan(idx)
     assert any(len(k) == 3 for k in idx)
+    assert all(lst == sorted(lst, key=Atom.sort_key) for lst in idx.values())
     got = list(_search(pattern, dict(seed), idx))
     assert got == list(oracle_search(pattern, dict(seed), idx))
+
+
+def _oracle_mapping_key(h: dict) -> tuple:
+    """The former `_mapping_key`: the map's (variable name, (kind, repr) of
+    the image) pairs, sorted per map."""
+    return tuple(sorted((v.name, t[:2]) for v, t in h.items()))
+
+
+# Names with and without the parser's `#i` suffix, sharing prefixes, so
+# that name order and the variables' own (repr) order disagree.
+_body_variables = st.lists(
+    st.builds(lambda base, suffix: Variable(base + suffix),
+              st.sampled_from(["X", "X1", "XY", "Y"]), st.sampled_from(["", "#1", "#2", "#10"])),
+    unique=True, min_size=1, max_size=4)
+_images = st.sampled_from([Constant("a"), Constant("b"), Null(1), Null(2), Null(10),
+                           StartingPoint(Null(1), 2, 1), StartingPoint(Constant("a"), 1, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_body_variables, st.data())
+def test_mapping_key_orders_body_maps_as_the_sorted_pairs_did(variables, data):
+    """[DERIVED] `_mapping_key`, the images in the rule's name order, sorts
+    any list of the rule's body maps as the sorted (name, image) pairs did,
+    and two maps get equal keys exactly when they are equal."""
+    rule = Rule("r", (Atom("p", tuple(variables)),), Atom("q", ()))
+    rows = st.lists(_images, min_size=len(variables), max_size=len(variables))
+    maps = [dict(zip(variables, row)) for row in data.draw(st.lists(rows, max_size=8))]
+    keys = [_mapping_key(rule, h) for h in maps]
+    oracle = [_oracle_mapping_key(h) for h in maps]
+    assert (sorted(range(len(maps)), key=keys.__getitem__)
+            == sorted(range(len(maps)), key=oracle.__getitem__))
+    for g, kg in zip(maps, keys):
+        for h, kh in zip(maps, keys):
+            assert (kg == kh) == (g == h)
 
 
 def test_homomorphism_seed_is_respected():
