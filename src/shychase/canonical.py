@@ -22,6 +22,7 @@ from .core import (
     Query,
     Rule,
     _atom,
+    _rule,
     constants_of,
 )
 from .hom import _is_new_key, _split, apply_mapping
@@ -152,7 +153,7 @@ def rewrite_ontology(db: Database, onto: Ontology) -> Ontology:
     for rule in onto:
         for i, (body, head) in enumerate(_rewritten_rules(rule, consts), 1):
             if head not in body:
-                out.append(Rule(f"{rule.id}.{i}", body, head))
+                out.append(_rule(f"{rule.id}.{i}", body, head))
     return Ontology(tuple(out))
 
 
@@ -219,7 +220,7 @@ def unpack(value):
         return Query(tuple(tuple(unpack_atom(a) for a in d) for d in value.disjuncts))
     if isinstance(value, (set, frozenset)):
         return type(value)(unpack_atom(a) for a in value)
-    # terms and atoms are tuples too: only plain lists and tuples are containers
+    # terms, atoms and records are tuples too: only plain lists and tuples are containers
     if type(value) in (list, tuple):
         return type(value)(unpack(a) for a in value)
     raise UnpackError(f"cannot unpack {type(value).__name__}")

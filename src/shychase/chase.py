@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Optional
 
-from .core import Atom, Database, Instance, NullFactory, Ontology, Query
+from .core import Atom, Database, Instance, NullFactory, Ontology, Query, _Record
 from .hom import (Witness, _added, _index, _mapping_key, _search, _violations, apply_mapping,
                   satisfies_query)
 
@@ -14,34 +14,48 @@ OBLIVIOUS = "oblivious"
 RESTRICTED = "restricted"
 
 
-@dataclass(frozen=True)
-class ChaseConfig:
-    mode: str = OBLIVIOUS
-    max_atoms: int = 1000
-    max_rounds: int = 1000
+class ChaseConfig(_Record):
+    __slots__ = ()
+    _fields = ("mode", "max_atoms", "max_rounds")
 
-    def __post_init__(self):
-        if self.mode not in (OBLIVIOUS, RESTRICTED):
-            raise ValueError(f"unknown chase mode {self.mode!r}")
-        if self.max_atoms <= 0 or self.max_rounds <= 0:
+    def __new__(cls, mode: str = OBLIVIOUS, max_atoms: int = 1000, max_rounds: int = 1000):
+        if mode not in (OBLIVIOUS, RESTRICTED):
+            raise ValueError(f"unknown chase mode {mode!r}")
+        if max_atoms <= 0 or max_rounds <= 0:
             raise ValueError("chase bounds must be positive")
+        return tuple.__new__(cls, (mode, max_atoms, max_rounds))
+
+    mode = property(itemgetter(0))
+    max_atoms = property(itemgetter(1))
+    max_rounds = property(itemgetter(2))
 
 
-@dataclass(frozen=True)
-class ChaseStep:
-    rule_id: str
-    mapping: dict
-    produced: Atom
-    round: int
+class ChaseStep(_Record):
+    __slots__ = ()
+    _fields = ("rule_id", "mapping", "produced", "round")
+
+    def __new__(cls, rule_id: str, mapping: dict, produced: Atom, round: int):
+        return tuple.__new__(cls, (rule_id, mapping, produced, round))
+
+    rule_id = property(itemgetter(0))
+    mapping = property(itemgetter(1))
+    produced = property(itemgetter(2))
+    round = property(itemgetter(3))
 
 
-@dataclass(frozen=True)
-class ChaseResult:
-    instance: Instance
-    terminated: bool
-    rounds: int
-    steps: tuple
-    complete_rounds: int = 0  # rounds fully processed before any bound tripped
+class ChaseResult(_Record):
+    __slots__ = ()
+    _fields = ("instance", "terminated", "rounds", "steps", "complete_rounds")
+
+    def __new__(cls, instance: Instance, terminated: bool, rounds: int, steps: tuple,
+                complete_rounds: int = 0):
+        return tuple.__new__(cls, (instance, terminated, rounds, steps, complete_rounds))
+
+    instance = property(itemgetter(0))
+    terminated = property(itemgetter(1))
+    rounds = property(itemgetter(2))
+    steps = property(itemgetter(3))
+    complete_rounds = property(itemgetter(4))  # rounds fully processed before any bound tripped
 
     @property
     def stop_reason(self) -> str:
@@ -131,11 +145,17 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Entailment:
-    verdict: Verdict
-    witness: Optional[Witness] = None
-    chase: Optional[ChaseResult] = None
+class Entailment(_Record):
+    __slots__ = ()
+    _fields = ("verdict", "witness", "chase")
+
+    def __new__(cls, verdict: Verdict, witness: Optional[Witness] = None,
+                chase: Optional[ChaseResult] = None):
+        return tuple.__new__(cls, (verdict, witness, chase))
+
+    verdict = property(itemgetter(0))
+    witness = property(itemgetter(1))
+    chase = property(itemgetter(2))
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE

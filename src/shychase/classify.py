@@ -9,10 +9,10 @@ behind shyness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
-from .core import Ontology, Position, Variable, is_simple
+from .core import Ontology, Position, Variable, _Record, is_simple
 
 FRAGMENTS = (
     "datalog",
@@ -26,14 +26,20 @@ FRAGMENTS = (
 )
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
-    fragment: str
-    rule_id: Optional[str]
-    condition: str
-    variables: tuple = ()
-    positions: tuple = ()
-    attacker: Optional[str] = None
+class ViolationWitness(_Record):
+    __slots__ = ()
+    _fields = ("fragment", "rule_id", "condition", "variables", "positions", "attacker")
+
+    def __new__(cls, fragment: str, rule_id: Optional[str], condition: str,
+                variables: tuple = (), positions: tuple = (), attacker: Optional[str] = None):
+        return tuple.__new__(cls, (fragment, rule_id, condition, variables, positions, attacker))
+
+    fragment = property(itemgetter(0))
+    rule_id = property(itemgetter(1))
+    condition = property(itemgetter(2))
+    variables = property(itemgetter(3))
+    positions = property(itemgetter(4))
+    attacker = property(itemgetter(5))
 
     def describe(self) -> str:
         parts = [self.condition]

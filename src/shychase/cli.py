@@ -15,7 +15,6 @@ from .canonical import partition_active_harmless, rewrite_theory
 from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, entailment_in, run_chase
 from .classify import classify
 from .finitemodels import ModelBudget, find_finite_countermodel, find_support_ordering
-from .harness import SUITES, run_suite
 from .parse import (
     ParseError,
     Program,
@@ -26,6 +25,11 @@ from .parse import (
     print_rule,
     to_jsonable,
 )
+
+
+# sorted(harness.SUITES), written out so that only `shychase harness` imports
+# the harness; tests/test_cli.py keeps the two equal.
+_SUITES = ["all", "curated", "paper", "random"]
 
 
 class _UsageError(Exception):
@@ -155,6 +159,8 @@ def _cmd_fc_check(args) -> int:
 
 
 def _cmd_harness(args) -> int:
+    from .harness import run_suite
+
     results = run_suite(args.suite, seed=args.seed)
     _emit(args.json, lambda: [
         {"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -206,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-atoms", type=int, default=12)
 
     p = add("harness", _cmd_harness, "run a differential check suite")
-    p.add_argument("--suite", choices=sorted(SUITES), default="all")
+    p.add_argument("--suite", choices=_SUITES, default="all")
     p.add_argument("--seed", type=int, default=42)
 
     return parser

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Optional, Union
@@ -115,29 +114,70 @@ def _atom(pred: str, args: tuple, shape: Optional[tuple]) -> Atom:
     return tuple.__new__(Atom, (pred, args, shape))
 
 
-@dataclass(frozen=True)
-class Position:
-    predicate: str  # rendered name, shape included
-    index: int  # 1-based
+class _Record(tuple):
+    """A frozen record as the tuple of its fields, named in `_fields`, so
+    it hashes and compares as that tuple, in C; a frozen dataclass hashes
+    the same tuple, so sets of records keep their order.  Each record builds
+    itself in `__new__` by `tuple.__new__` and reads its fields through
+    `property(itemgetter(i))`, so defining one generates no code."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, checked as a new record."""
+        return type(self)(**dict(zip(self._fields, self), **changes))
+
+
+class _Frozen:
+    """Refuses assignment and deletion, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Position(_Record):
+    __slots__ = ()
+    _fields = ("predicate", "index")
+
+    def __new__(cls, predicate: str, index: int):
+        return tuple.__new__(cls, (predicate, index))
+
+    predicate = property(itemgetter(0))  # rendered name, shape included
+    index = property(itemgetter(1))  # 1-based
 
     def __str__(self):
         return f"{self.predicate}[{self.index}]"
 
 
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    body: tuple
-    head: Atom
+class Rule(_Record, _Frozen):
+    # No __slots__: the instance dict holds the cached properties below,
+    # which eq, hash and repr do not read.
+    _fields = ("id", "body", "head")
 
-    def __post_init__(self):
-        if not self.body:
-            raise ValueError(f"rule {self.id}: empty body")
-        bad = [t for a in (*self.body, self.head) for t in a.args if isinstance(t, Null)]
-        if bad:
-            raise ValueError(f"rule {self.id}: nulls are not allowed in rules")
+    def __new__(cls, id: str, body: tuple, head: Atom):
+        if not body:
+            raise ValueError(f"rule {id}: empty body")
+        if any(isinstance(t, Null) for a in (*body, head) for t in a.args):
+            raise ValueError(f"rule {id}: nulls are not allowed in rules")
+        return tuple.__new__(cls, (id, body, head))
 
-    # cached in the instance dict; eq, hash and repr read only the fields
+    id = property(itemgetter(0))
+    body = property(itemgetter(1))
+    head = property(itemgetter(2))
+
     @cached_property
     def uv(self) -> frozenset:
         return frozenset(v for a in self.body for v in a.variables())
@@ -155,9 +195,40 @@ class Rule:
         return (*self.body, self.head)
 
 
-@dataclass(frozen=True)
-class Ontology:
-    rules: tuple = ()
+def _rule(id: str, body: tuple, head: Atom) -> Rule:
+    """A Rule built without `Rule.__new__`'s checks, for callers whose body
+    is non-empty and whose atoms hold no null."""
+    return tuple.__new__(Rule, (id, body, head))
+
+
+class _Collection(_Frozen):
+    """A frozen record of one field, named in `_field`, that holds a
+    collection: it equals only records of its own class with an equal
+    field, and hashes as the 1-tuple of the field, as a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return getattr(self, self._field) == getattr(other, self._field)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((getattr(self, self._field),))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({self._field}={getattr(self, self._field)!r})"
+
+    def __reduce__(self):
+        return type(self), (getattr(self, self._field),)
+
+
+class Ontology(_Collection):
+    __slots__ = ("rules",)
+    _field = "rules"
+
+    def __init__(self, rules: tuple = ()):
+        object.__setattr__(self, "rules", rules)
 
     def __iter__(self):
         return iter(self.rules)
@@ -166,15 +237,16 @@ class Ontology:
         return len(self.rules)
 
 
-@dataclass(frozen=True)
-class Database:
-    atoms: frozenset = frozenset()
+class Database(_Collection):
+    __slots__ = ("atoms",)
+    _field = "atoms"
 
-    def __post_init__(self):
-        for a in self.atoms:
+    def __init__(self, atoms: frozenset = frozenset()):
+        for a in atoms:
             for t in a.args:
                 if not isinstance(t, Constant):
                     raise ValueError(f"database atom {a!r} is not null- and variable-free")
+        object.__setattr__(self, "atoms", atoms)
 
     def __iter__(self):
         return iter(self.atoms)
@@ -183,15 +255,16 @@ class Database:
         return len(self.atoms)
 
 
-@dataclass(frozen=True)
-class Instance:
-    atoms: frozenset = frozenset()
+class Instance(_Collection):
+    __slots__ = ("atoms",)
+    _field = "atoms"
 
-    def __post_init__(self):
-        for a in self.atoms:
+    def __init__(self, atoms: frozenset = frozenset()):
+        for a in atoms:
             for t in a.args:
                 if isinstance(t, Variable):
                     raise ValueError(f"instance atom {a!r} contains a variable")
+        object.__setattr__(self, "atoms", atoms)
 
     def __iter__(self):
         return iter(self.atoms)
@@ -206,20 +279,21 @@ class Instance:
         return sorted(self.atoms, key=Atom.sort_key)
 
 
-@dataclass(frozen=True)
-class Query:
-    disjuncts: tuple  # tuple of tuples of Atom
+class Query(_Collection):
+    __slots__ = ("disjuncts",)
+    _field = "disjuncts"
 
-    def __post_init__(self):
-        if not self.disjuncts:
+    def __init__(self, disjuncts: tuple):  # tuple of tuples of Atom
+        if not disjuncts:
             raise ValueError("query needs at least one disjunct")
-        for d in self.disjuncts:
+        for d in disjuncts:
             if not d:
                 raise ValueError("empty query disjunct")
             for a in d:
                 for t in a.args:
                     if isinstance(t, Null):
                         raise ValueError("nulls are not allowed in queries")
+        object.__setattr__(self, "disjuncts", disjuncts)
 
 
 def constants_of(db: Database, onto: Ontology) -> set:

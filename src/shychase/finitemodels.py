@@ -6,7 +6,6 @@ of the full theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -17,6 +16,7 @@ from .core import (
     Null,
     Ontology,
     Query,
+    _Record,
     constants_of,
 )
 from .canonical import partition_active_harmless
@@ -25,16 +25,19 @@ from .hom import (_added, _index, _is_new_key, _key, _mapping_key, _match, _sear
                   _violations, apply_mapping, satisfies_query)
 
 
-@dataclass(frozen=True)
-class ModelBudget:
-    max_extra_nulls: int
-    max_atoms: int
+class ModelBudget(_Record):
+    __slots__ = ()
+    _fields = ("max_extra_nulls", "max_atoms")
 
-    def __post_init__(self):
-        if self.max_extra_nulls < 0:
+    def __new__(cls, max_extra_nulls: int, max_atoms: int):
+        if max_extra_nulls < 0:
             raise ValueError("max_extra_nulls must be non-negative")
-        if self.max_atoms < 1:
+        if max_atoms < 1:
             raise ValueError("max_atoms must be positive")
+        return tuple.__new__(cls, (max_extra_nulls, max_atoms))
+
+    max_extra_nulls = property(itemgetter(0))
+    max_atoms = property(itemgetter(1))
 
 
 def is_model(inst: Instance, db: Database, onto: Ontology):
@@ -60,11 +63,16 @@ def _first_violation(atoms: Iterable[Atom], onto: Ontology):
     return None
 
 
-@dataclass(frozen=True)
-class SupportStep:
-    atom: Atom
-    rule_id: Optional[str]  # None marks a database atom
-    mapping: Optional[dict] = None
+class SupportStep(_Record):
+    __slots__ = ()
+    _fields = ("atom", "rule_id", "mapping")
+
+    def __new__(cls, atom: Atom, rule_id: Optional[str], mapping: Optional[dict] = None):
+        return tuple.__new__(cls, (atom, rule_id, mapping))
+
+    atom = property(itemgetter(0))
+    rule_id = property(itemgetter(1))  # None marks a database atom
+    mapping = property(itemgetter(2))
 
     @property
     def from_database(self) -> bool:

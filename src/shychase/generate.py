@@ -8,28 +8,39 @@ obtained by post-filtering with the classifiers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .chase import OBLIVIOUS, ChaseConfig, run_chase
 from .classify import classify_local, is_shy, sticky_marking
-from .core import Atom, Constant, Database, Ontology, Rule, Variable
+from .core import Atom, Constant, Database, Ontology, Rule, Variable, _Record
 from .parse import Program
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    predicates: int = 4
-    max_arity: int = 3
-    rules: int = 5
-    max_body_atoms: int = 2
-    existential_prob: float = 0.6
-    constant_prob: float = 0.1
-    constants: int = 2
-    facts: int = 3
-    max_attempts: int = 400
+class GeneratorConfig(_Record):
+    __slots__ = ()
+    _fields = ("predicates", "max_arity", "rules", "max_body_atoms", "existential_prob",
+               "constant_prob", "constants", "facts", "max_attempts", "max_rule_vars")
+
+    def __new__(cls, predicates: int = 4, max_arity: int = 3, rules: int = 5,
+                max_body_atoms: int = 2, existential_prob: float = 0.6,
+                constant_prob: float = 0.1, constants: int = 2, facts: int = 3,
+                max_attempts: int = 400, max_rule_vars: int = 4):
+        return tuple.__new__(cls, (predicates, max_arity, rules, max_body_atoms,
+                                   existential_prob, constant_prob, constants, facts,
+                                   max_attempts, max_rule_vars))
+
+    predicates = property(itemgetter(0))
+    max_arity = property(itemgetter(1))
+    rules = property(itemgetter(2))
+    max_body_atoms = property(itemgetter(3))
+    existential_prob = property(itemgetter(4))
+    constant_prob = property(itemgetter(5))
+    constants = property(itemgetter(6))
+    facts = property(itemgetter(7))
+    max_attempts = property(itemgetter(8))
     # Shape enumeration is exponential in distinct body variables; cap them
     # so rewritten theories stay small.
-    max_rule_vars: int = 4
+    max_rule_vars = property(itemgetter(9))
 
 
 def default_config() -> GeneratorConfig:

@@ -7,14 +7,14 @@ checks are pure functions of the seed, under the default generator config.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from functools import wraps
 from importlib import resources
+from operator import itemgetter
 
 from .canonical import _tagged_atoms, partition_active_harmless, rewrite_theory, unpack
 from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entailment_in, run_chase
 from .classify import classify_local, is_shy, sticky_marking
-from .core import Atom, Constant, Instance, Null, Query, Variable
+from .core import Atom, Constant, Instance, Null, Query, Variable, _Record
 from .finitemodels import (
     ModelBudget,
     StartingPoint,
@@ -40,12 +40,17 @@ from .hom import apply_mapping, isomorphic, satisfies_query
 from .parse import Program, parse_program
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float = 0.0
+class CheckResult(_Record):
+    __slots__ = ()
+    _fields = ("name", "passed", "detail", "seconds")
+
+    def __new__(cls, name: str, passed: bool, detail: str, seconds: float = 0.0):
+        return tuple.__new__(cls, (name, passed, detail, seconds))
+
+    name = property(itemgetter(0))
+    passed = property(itemgetter(1))
+    detail = property(itemgetter(2))
+    seconds = property(itemgetter(3))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -306,7 +311,7 @@ def check_fragment_preservation(seed: int):
         _, ontoc, _ = rewrite_theory(prog.database, prog.ontology)
         if not is_shy(ontoc)[0]:
             return False, f"shy theory {i}: canonical form is not shy"
-    linear_cfg = replace(cfg, max_body_atoms=1)
+    linear_cfg = cfg._replace(max_body_atoms=1)
     for i in range(30):
         prog = random_program_where(is_linear_program, seed + 77 + 1000 * i, linear_cfg)
         _, ontoc, _ = rewrite_theory(prog.database, prog.ontology)

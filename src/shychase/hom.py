@@ -9,11 +9,11 @@ position, term), so a join scans only the atoms that agree."""
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import chain, permutations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .core import Atom, Constant, Query, Rule, _atom
+from .core import Atom, Constant, Query, Rule, _atom, _Record
 
 
 def apply_mapping(mapping: dict, atom: Atom) -> Atom:
@@ -131,10 +131,15 @@ def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:
     yield from _search(list(src), dict(seed) if seed else {}, _index(target))
 
 
-@dataclass(frozen=True)
-class Witness:
-    disjunct: int  # 0-based index into the query's disjuncts
-    mapping: dict
+class Witness(_Record):
+    __slots__ = ()
+    _fields = ("disjunct", "mapping")
+
+    def __new__(cls, disjunct: int, mapping: dict):
+        return tuple.__new__(cls, (disjunct, mapping))
+
+    disjunct = property(itemgetter(0))  # 0-based index into the query's disjuncts
+    mapping = property(itemgetter(1))
 
 
 def satisfies_query(inst, q: Query) -> Optional[Witness]:

@@ -21,11 +21,11 @@ of the i-th rule are read as `X#i`, so distinct rules share no variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 
 from .core import (Atom, Constant, Database, Instance, Null, Ontology, Query,
-                   Rule, Variable, _atom)
+                   Rule, Variable, _atom, _Record, _rule)
 
 JSON_SCHEMA = "shychase/1"
 
@@ -37,11 +37,16 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Program:
-    database: Database
-    ontology: Ontology
-    queries: tuple = ()
+class Program(_Record):
+    __slots__ = ()
+    _fields = ("database", "ontology", "queries")
+
+    def __new__(cls, database: Database, ontology: Ontology, queries: tuple = ()):
+        return tuple.__new__(cls, (database, ontology, queries))
+
+    database = property(itemgetter(0))
+    ontology = property(itemgetter(1))
+    queries = property(itemgetter(2))
 
 
 _TOKENS = r"->|\d+|[a-z]\w*|[A-Z]\w*|[()\[\],.|?]"
@@ -223,7 +228,7 @@ class _Parser:
         for v in evs:
             if v in body_terms:
                 self.error(f"'exists' variable {print_term(v)} also occurs in the body", head_k)
-        rules.append(Rule(f"r{len(rules) + 1}", tuple(atoms), head))
+        rules.append(_rule(f"r{len(rules) + 1}", tuple(atoms), head))
 
     def parse_program(self) -> Program:
         facts, rules, queries = [], [], []

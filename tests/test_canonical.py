@@ -394,7 +394,7 @@ def test_rewrite_ontology_rewrites_each_enumerated_pattern_once(monkeypatch):
     not: the kept rule is built from the atoms its dedupe key was built
     from.  Each kept rule is constructed once, under its final id."""
     instantiated, built = [], []
-    instantiate, rule_type = canonical._instantiate, canonical.Rule
+    instantiate, rule_type = canonical._instantiate, canonical._rule
 
     def counting_instantiate(atoms, subst):
         instantiated.append((atoms, subst))
@@ -405,7 +405,7 @@ def test_rewrite_ontology_rewrites_each_enumerated_pattern_once(monkeypatch):
         return rule_type(*args)
 
     monkeypatch.setattr(canonical, "_instantiate", counting_instantiate)
-    monkeypatch.setattr(canonical, "Rule", counting_rule)
+    monkeypatch.setattr(canonical, "_rule", counting_rule)
     for name in _PAPER_THEORIES:
         program = load_paper_program(name)
         consts = sorted(constants_of(program.database, program.ontology))

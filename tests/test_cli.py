@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shychase import cli
+from shychase import cli, harness
 from shychase.chase import OBLIVIOUS, ChaseConfig, entails
 from shychase.cli import main
 from shychase.parse import parse_program
@@ -212,6 +212,16 @@ def test_usage_error_exits_2(capsys):
 def test_help_exits_0(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+def test_harness_suite_choices_are_the_harness_suites(capsys):
+    """The CLI lists the suites without importing the harness; they must
+    stay the harness's own."""
+    assert cli._SUITES == sorted(harness.SUITES)
+    code, _, err = run(capsys, "harness", "--suite", "nope")
+    assert code == 2
+    choices = ", ".join(map(repr, sorted(harness.SUITES)))
+    assert f"invalid choice: 'nope' (choose from {choices})" in err
 
 
 def test_harness_paper_suite_passes(capsys):

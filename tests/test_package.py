@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -10,13 +13,17 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 PACKAGE = ROOT / "src" / "shychase"
 
 
-def test_every_traced_name_is_a_callable_of_its_layer():
-    """The benchmark's `--trace 1` wraps each function in TRACED by name, so
-    a renamed or deleted one must fail here rather than in a traced run."""
+def _traced_layers() -> dict:
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for layer, names in tracing.TRACED.items():
+    return tracing.TRACED
+
+
+def test_every_traced_name_is_a_callable_of_its_layer():
+    """The benchmark's `--trace 1` wraps each function in TRACED by name, so
+    a renamed or deleted one must fail here rather than in a traced run."""
+    for layer, names in _traced_layers().items():
         module = importlib.import_module(f"shychase.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"shychase.{layer}.{name}"
@@ -50,3 +57,40 @@ def test_every_imported_name_is_used():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "__init__.py":
             assert _unused_imports(path) == [], path.name
+
+
+def _modules_loaded_by(statement: str) -> set:
+    """The modules that running statement in a fresh interpreter adds to
+    `sys.modules`; those loaded at start-up do not count."""
+    script = ("import sys\nbefore = set(sys.modules)\n" + statement
+              + "\nprint(*sorted(set(sys.modules) - before), sep='\\n')")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_the_cli_loads_neither_the_harness_nor_dataclasses():
+    """Only `shychase harness` imports the harness, and no record is a
+    dataclass, so a CLI process loads neither."""
+    loaded = _modules_loaded_by("import shychase.cli")
+    assert "shychase.cli" in loaded
+    assert "shychase.harness" not in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_the_package_loads_every_traced_layer():
+    """`perfbench/tracing.py` looks each traced layer up in `sys.modules`
+    after importing `shychase` and `shychase.cli`, so the package imports
+    every other traced layer eagerly."""
+    loaded = _modules_loaded_by("import shychase")
+    assert {f"shychase.{layer}" for layer in _traced_layers()} - loaded == {"shychase.cli"}
+
+
+def test_no_module_of_the_package_loads_dataclasses():
+    modules = ", ".join(f"shychase.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+                        if path.stem != "__init__")
+    loaded = _modules_loaded_by(f"import {modules}")
+    assert "shychase.harness" in loaded
+    assert "dataclasses" not in loaded
