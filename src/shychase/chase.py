@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from enum import Enum
-from operator import itemgetter
 from typing import Optional
 
 from .core import Atom, Database, Instance, NullFactory, Ontology, Query, _Record
@@ -25,10 +24,6 @@ class ChaseConfig(_Record):
             raise ValueError("chase bounds must be positive")
         return tuple.__new__(cls, (mode, max_atoms, max_rounds))
 
-    mode = property(itemgetter(0))
-    max_atoms = property(itemgetter(1))
-    max_rounds = property(itemgetter(2))
-
 
 class ChaseStep(_Record):
     __slots__ = ()
@@ -37,25 +32,17 @@ class ChaseStep(_Record):
     def __new__(cls, rule_id: str, mapping: dict, produced: Atom, round: int):
         return tuple.__new__(cls, (rule_id, mapping, produced, round))
 
-    rule_id = property(itemgetter(0))
-    mapping = property(itemgetter(1))
-    produced = property(itemgetter(2))
-    round = property(itemgetter(3))
-
 
 class ChaseResult(_Record):
+    """complete_rounds counts the rounds fully processed before any bound
+    tripped."""
+
     __slots__ = ()
     _fields = ("instance", "terminated", "rounds", "steps", "complete_rounds")
 
     def __new__(cls, instance: Instance, terminated: bool, rounds: int, steps: tuple,
                 complete_rounds: int = 0):
         return tuple.__new__(cls, (instance, terminated, rounds, steps, complete_rounds))
-
-    instance = property(itemgetter(0))
-    terminated = property(itemgetter(1))
-    rounds = property(itemgetter(2))
-    steps = property(itemgetter(3))
-    complete_rounds = property(itemgetter(4))  # rounds fully processed before any bound tripped
 
     @property
     def stop_reason(self) -> str:
@@ -152,10 +139,6 @@ class Entailment(_Record):
     def __new__(cls, verdict: Verdict, witness: Optional[Witness] = None,
                 chase: Optional[ChaseResult] = None):
         return tuple.__new__(cls, (verdict, witness, chase))
-
-    verdict = property(itemgetter(0))
-    witness = property(itemgetter(1))
-    chase = property(itemgetter(2))
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE

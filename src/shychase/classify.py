@@ -9,7 +9,6 @@ behind shyness.
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 from typing import Optional
 
 from .core import Ontology, Position, Variable, _Record, is_simple
@@ -33,13 +32,6 @@ class ViolationWitness(_Record):
     def __new__(cls, fragment: str, rule_id: Optional[str], condition: str,
                 variables: tuple = (), positions: tuple = (), attacker: Optional[str] = None):
         return tuple.__new__(cls, (fragment, rule_id, condition, variables, positions, attacker))
-
-    fragment = property(itemgetter(0))
-    rule_id = property(itemgetter(1))
-    condition = property(itemgetter(2))
-    variables = property(itemgetter(3))
-    positions = property(itemgetter(4))
-    attacker = property(itemgetter(5))
 
     def describe(self) -> str:
         parts = [self.condition]

@@ -93,8 +93,7 @@ def _cmd_chase(args) -> int:
 def _cmd_answer(args) -> int:
     program = _read_program(args.file)
     if not program.queries:
-        print("error: no queries in input", file=sys.stderr)
-        return 2
+        raise _UsageError("no queries in input")
     mode = RESTRICTED if args.restricted else OBLIVIOUS
     cfg = _checked(ChaseConfig, mode, args.max_atoms, args.max_rounds)
     chase = run_chase(program.database, program.ontology, cfg)
@@ -133,13 +132,11 @@ def _cmd_rewrite(args) -> int:
 def _cmd_fc_check(args) -> int:
     program = _read_program(args.file)
     if not program.queries:
-        print("error: no queries in input", file=sys.stderr)
-        return 2
+        raise _UsageError("no queries in input")
     budget = _checked(ModelBudget, args.max_nulls, args.max_atoms)
     index = args.query
     if index < 1 or index > len(program.queries):
-        print(f"error: query index {index} out of range", file=sys.stderr)
-        return 2
+        raise _UsageError(f"query index {index} out of range")
     q = program.queries[index - 1]
     counter = find_finite_countermodel(program.database, program.ontology, q, budget)
     if counter is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
@@ -55,11 +56,39 @@ ShapeLabel = Union[str, int]
 Shape = tuple
 
 
-class Atom(tuple):
+class _Record(tuple):
+    """A frozen record as the tuple of its fields, named in `_fields`, so
+    it hashes and compares as that tuple, in C; a frozen dataclass hashes
+    the same tuple, so sets of records keep their order.  Each record builds
+    itself in `__new__` by `tuple.__new__`, and `__init_subclass__` makes
+    each name in `_fields` a property reading its field by `itemgetter`, so
+    defining one generates no code."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, checked as a new record."""
+        return type(self)(**dict(zip(self._fields, self), **changes))
+
+
+class Atom(_Record):
     """An atom as the tuple (pred, args, shape); it hashes and compares as
     that tuple."""
 
     __slots__ = ()
+    _fields = ("pred", "args", "shape")
 
     def __new__(cls, pred: str, args: tuple = (), shape: Optional[tuple] = None):
         if shape is not None:
@@ -69,13 +98,6 @@ class Atom(tuple):
                     f"shape {shape!r} expects {mu} argument(s), got {len(args)}"
                 )
         return tuple.__new__(cls, (pred, args, shape))
-
-    pred = property(itemgetter(0))
-    args = property(itemgetter(1))
-    shape = property(itemgetter(2))
-
-    def __getnewargs__(self):
-        return tuple(self)
 
     @property
     def arity(self) -> int:
@@ -114,28 +136,6 @@ def _atom(pred: str, args: tuple, shape: Optional[tuple]) -> Atom:
     return tuple.__new__(Atom, (pred, args, shape))
 
 
-class _Record(tuple):
-    """A frozen record as the tuple of its fields, named in `_fields`, so
-    it hashes and compares as that tuple, in C; a frozen dataclass hashes
-    the same tuple, so sets of records keep their order.  Each record builds
-    itself in `__new__` by `tuple.__new__` and reads its fields through
-    `property(itemgetter(i))`, so defining one generates no code."""
-
-    __slots__ = ()
-    _fields = ()
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__qualname__}({fields})"
-
-    def _replace(self, **changes):
-        """A copy with the named fields changed, checked as a new record."""
-        return type(self)(**dict(zip(self._fields, self), **changes))
-
-
 class _Frozen:
     """Refuses assignment and deletion, as a frozen dataclass does."""
 
@@ -149,14 +149,14 @@ class _Frozen:
 
 
 class Position(_Record):
+    """An argument position: predicate is the rendered name, shape
+    included, and index is 1-based."""
+
     __slots__ = ()
     _fields = ("predicate", "index")
 
     def __new__(cls, predicate: str, index: int):
         return tuple.__new__(cls, (predicate, index))
-
-    predicate = property(itemgetter(0))  # rendered name, shape included
-    index = property(itemgetter(1))  # 1-based
 
     def __str__(self):
         return f"{self.predicate}[{self.index}]"
@@ -173,10 +173,6 @@ class Rule(_Record, _Frozen):
         if any(isinstance(t, Null) for a in (*body, head) for t in a.args):
             raise ValueError(f"rule {id}: nulls are not allowed in rules")
         return tuple.__new__(cls, (id, body, head))
-
-    id = property(itemgetter(0))
-    body = property(itemgetter(1))
-    head = property(itemgetter(2))
 
     @cached_property
     def uv(self) -> frozenset:
@@ -299,15 +295,10 @@ class Query(_Collection):
 def constants_of(db: Database, onto: Ontology) -> set:
     """All constants occurring anywhere in the database or the ontology."""
     out = set()
-    for a in db:
+    for a in chain(db, *(rule.atoms() for rule in onto)):
         out.update(t for t in a.args if isinstance(t, Constant))
         if a.shape is not None:
             out.update(Constant(l) for l in a.shape if isinstance(l, str))
-    for rule in onto:
-        for a in rule.atoms():
-            out.update(t for t in a.args if isinstance(t, Constant))
-            if a.shape is not None:
-                out.update(Constant(l) for l in a.shape if isinstance(l, str))
     return out
 
 

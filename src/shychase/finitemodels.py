@@ -36,9 +36,6 @@ class ModelBudget(_Record):
             raise ValueError("max_atoms must be positive")
         return tuple.__new__(cls, (max_extra_nulls, max_atoms))
 
-    max_extra_nulls = property(itemgetter(0))
-    max_atoms = property(itemgetter(1))
-
 
 def is_model(inst: Instance, db: Database, onto: Ontology):
     """(True, None) if inst contains db and satisfies every rule, else
@@ -65,14 +62,10 @@ def _first_violation(atoms: Iterable[Atom], onto: Ontology):
 
 class SupportStep(_Record):
     __slots__ = ()
-    _fields = ("atom", "rule_id", "mapping")
+    _fields = ("atom", "rule_id", "mapping")  # rule_id None marks a database atom
 
     def __new__(cls, atom: Atom, rule_id: Optional[str], mapping: Optional[dict] = None):
         return tuple.__new__(cls, (atom, rule_id, mapping))
-
-    atom = property(itemgetter(0))
-    rule_id = property(itemgetter(1))  # None marks a database atom
-    mapping = property(itemgetter(2))
 
     @property
     def from_database(self) -> bool:

@@ -8,7 +8,6 @@ obtained by post-filtering with the classifiers.
 from __future__ import annotations
 
 import random
-from operator import itemgetter
 
 from .chase import OBLIVIOUS, ChaseConfig, run_chase
 from .classify import classify_local, is_shy, sticky_marking
@@ -17,6 +16,9 @@ from .parse import Program
 
 
 class GeneratorConfig(_Record):
+    """Shape enumeration is exponential in distinct body variables;
+    max_rule_vars caps them so rewritten theories stay small."""
+
     __slots__ = ()
     _fields = ("predicates", "max_arity", "rules", "max_body_atoms", "existential_prob",
                "constant_prob", "constants", "facts", "max_attempts", "max_rule_vars")
@@ -28,19 +30,6 @@ class GeneratorConfig(_Record):
         return tuple.__new__(cls, (predicates, max_arity, rules, max_body_atoms,
                                    existential_prob, constant_prob, constants, facts,
                                    max_attempts, max_rule_vars))
-
-    predicates = property(itemgetter(0))
-    max_arity = property(itemgetter(1))
-    rules = property(itemgetter(2))
-    max_body_atoms = property(itemgetter(3))
-    existential_prob = property(itemgetter(4))
-    constant_prob = property(itemgetter(5))
-    constants = property(itemgetter(6))
-    facts = property(itemgetter(7))
-    max_attempts = property(itemgetter(8))
-    # Shape enumeration is exponential in distinct body variables; cap them
-    # so rewritten theories stay small.
-    max_rule_vars = property(itemgetter(9))
 
 
 def default_config() -> GeneratorConfig:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import time
 from functools import wraps
 from importlib import resources
-from operator import itemgetter
 
 from .canonical import _tagged_atoms, partition_active_harmless, rewrite_theory, unpack
 from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entailment_in, run_chase
@@ -46,11 +45,6 @@ class CheckResult(_Record):
 
     def __new__(cls, name: str, passed: bool, detail: str, seconds: float = 0.0):
         return tuple.__new__(cls, (name, passed, detail, seconds))
-
-    name = property(itemgetter(0))
-    passed = property(itemgetter(1))
-    detail = property(itemgetter(2))
-    seconds = property(itemgetter(3))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import insort
 from itertools import chain, permutations, product
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .core import Atom, Constant, Query, Rule, _atom, _Record
@@ -133,13 +132,10 @@ def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:
 
 class Witness(_Record):
     __slots__ = ()
-    _fields = ("disjunct", "mapping")
+    _fields = ("disjunct", "mapping")  # disjunct: 0-based index into the query's disjuncts
 
     def __new__(cls, disjunct: int, mapping: dict):
         return tuple.__new__(cls, (disjunct, mapping))
-
-    disjunct = property(itemgetter(0))  # 0-based index into the query's disjuncts
-    mapping = property(itemgetter(1))
 
 
 def satisfies_query(inst, q: Query) -> Optional[Witness]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from operator import itemgetter
 
 from .core import (Atom, Constant, Database, Instance, Null, Ontology, Query,
                    Rule, Variable, _atom, _Record, _rule)
@@ -43,10 +42,6 @@ class Program(_Record):
 
     def __new__(cls, database: Database, ontology: Ontology, queries: tuple = ()):
         return tuple.__new__(cls, (database, ontology, queries))
-
-    database = property(itemgetter(0))
-    ontology = property(itemgetter(1))
-    queries = property(itemgetter(2))
 
 
 _TOKENS = r"->|\d+|[a-z]\w*|[A-Z]\w*|[()\[\],.|?]"
@@ -326,16 +321,10 @@ def to_jsonable(obj):
                 [[_atom_json(a) for a in d] for d in q.disjuncts] for q in obj.queries
             ],
         }
-    if isinstance(obj, Instance):
+    if isinstance(obj, (Instance, Database)):
         return {
             "schema": JSON_SCHEMA,
-            "kind": "instance",
-            "atoms": [_atom_json(a) for a in obj.sorted_atoms()],
-        }
-    if isinstance(obj, Database):
-        return {
-            "schema": JSON_SCHEMA,
-            "kind": "database",
+            "kind": "instance" if isinstance(obj, Instance) else "database",
             "atoms": [_atom_json(a) for a in sorted(obj, key=Atom.sort_key)],
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -298,3 +298,38 @@ def test_what_tuple_records_allow_beyond_the_dataclasses():
     assert old.Position("p", 2) != ("p", 2)
     assert new.Instance(frozenset({P_AA})) != (frozenset({P_AA}),)
     assert new.Ontology() != ()
+
+
+def test_record_fields_read_their_own_index():
+    """A record that declares only `_fields` and `__new__` reads each field
+    at its index in `_fields`, and refuses assignment to any of them."""
+    from shychase.core import _Record
+
+    class Triple(_Record):
+        __slots__ = ()
+        _fields = ("first", "second", "third")
+
+        def __new__(cls, first, second, third):
+            return tuple.__new__(cls, (first, second, third))
+
+    t = Triple("x", 2, None)
+    assert [getattr(t, name) for name in Triple._fields] == ["x", 2, None] == list(t)
+    assert Triple(third=3, first=1, second=2).second == 2
+    assert repr(t).endswith(".Triple(first='x', second=2, third=None)")
+    for name in (*Triple._fields, "fourth"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, 0)
+
+
+def test_atom_is_a_record():
+    from shychase.core import _Record
+
+    atom = Atom("p", (a,), (1, 1, "c"))
+    assert isinstance(atom, _Record) and Atom._fields == ("pred", "args", "shape")
+    assert (atom.pred, atom.args, atom.shape) == ("p", (a,), (1, 1, "c"))
+    assert atom._replace(pred="q") == Atom("q", (a,), (1, 1, "c"))
+    with pytest.raises(ValueError, match=r"expects 1 argument\(s\), got 2"):
+        atom._replace(args=(a, b))
+    for name in (*Atom._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(atom, name, None)
