@@ -68,19 +68,23 @@ def applicable_steps(onto: Ontology, idx: dict, fired: set, mode: str) -> list:
     variables, so two matches of one rule share a name exactly when their
     body images are equal, and matches of two rules never do.
 
-    idx indexes the instance (see `hom._index`).  In restricted mode, a
-    trigger is kept only if `_violations` finds no head extension for it;
-    fired triggers are dropped before that check.
+    idx indexes the instance (see `hom._index`).  Fired triggers are
+    dropped before the sort, so a round sorts only its new ones.  In
+    restricted mode, a trigger is kept only if `_violations` finds no head
+    extension for it.
     """
     out = []
     for i, rule in enumerate(onto):
-        for key, h in sorted((_mapping_key(rule, h), h) for h in _search(rule.body, {}, idx)):
-            trigger = (i, key)
-            if trigger in fired:
-                continue
+        new = []
+        for h in _search(rule.body, {}, idx):
+            key = _mapping_key(rule, h)
+            if (i, key) not in fired:
+                new.append((key, h))
+        new.sort()
+        for key, h in new:
             if mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
                 continue
-            out.append((trigger, rule, h))
+            out.append(((i, key), rule, h))
     return out
 
 

@@ -4,7 +4,9 @@ the one trigger routine (a rule's body matches without a head extension),
 which the chase, model checking and the model search all call.  They all
 search an index that `_index` builds and `_added` grows, the one index
 update.  It files each atom under its predicate and under each (predicate,
-position, term), so a join scans only the atoms that agree."""
+position, term), so a join scans only the atoms that agree.  The search
+matches its last atom on demand, so a head check stops at its first
+witness, and `_match` reads atoms' and terms' fields by position."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ def apply_mapping(mapping: dict, atom: Atom) -> Atom:
 
 def _key(a: Atom) -> tuple:
     """The index key of an atom: its predicate with shape, and its arity."""
-    return a.pred_key, a.arity
+    return (a[0], a[2]), len(a[1])
 
 
 def _index(atoms: Iterable[Atom]) -> dict:
@@ -50,10 +52,10 @@ def _added(idx: dict, atom: Atom) -> dict:
 
 
 def _match(src: Atom, tgt: Atom, mapping: dict) -> Optional[dict]:
-    """Extend mapping so that src maps onto tgt, or None."""
+    """Extend mapping so that src maps onto tgt, or None; reads fields by position."""
     ext = mapping
-    for s, t in zip(src.args, tgt.args):
-        if isinstance(s, Constant):
+    for s, t in zip(src[1], tgt[1]):
+        if s[0] == 0:
             if s != t:
                 return None
             continue
@@ -67,33 +69,47 @@ def _match(src: Atom, tgt: Atom, mapping: dict) -> Optional[dict]:
     return dict(ext) if ext is mapping else ext
 
 
+def _candidates(atom: Atom, mapping: dict, idx: dict):
+    """The shortest of atom's predicate list in idx and its lists filed
+    under bound positions (constants and terms that mapping binds)."""
+    k = _key(atom)
+    candidates = idx.get(k, ())
+    for pos, t in enumerate(atom[1]):
+        t = t if t[0] == 0 else mapping.get(t)
+        if t is not None:
+            filed = idx.get((k, pos, t), ())
+            if len(filed) < len(candidates):
+                candidates = filed
+    return candidates
+
+
 def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
     """Homomorphisms of the atoms `remaining` into the instance indexed by
     `idx` (see `_index`) extending `mapping`.
 
     Backtracking search, most-constrained-atom-first; candidate order is
     the index order, so enumeration is deterministic.  Candidates come from
-    the shortest list of the predicate and of its bound positions (constants
-    and mapped terms); a position's list is a sublist of the predicate's
-    that loses only atoms `_match` would reject.  Callers that search one
+    `_candidates`; a position's list is a sublist of the predicate's that
+    loses only atoms `_match` would reject.  The last remaining atom is
+    matched on demand: each extension is yielded as `_match` finds it, so a
+    caller that takes only the first stops there.  Callers that search one
     instance many times build its index once and call this directly.
     """
+    if len(remaining) == 1:
+        atom = remaining[0]
+        for tgt in _candidates(atom, mapping, idx):
+            ext = _match(atom, tgt, mapping)
+            if ext is not None:
+                yield ext
+        return
     if not remaining:
         yield mapping
         return
     # pick the atom with the fewest extensions under the current mapping
     best_i, best_exts = None, None
     for i, atom in enumerate(remaining):
-        k = _key(atom)
-        candidates = idx.get(k, ())
-        for pos, t in enumerate(atom.args):
-            t = t if isinstance(t, Constant) else mapping.get(t)
-            if t is not None:
-                filed = idx.get((k, pos, t), ())
-                if len(filed) < len(candidates):
-                    candidates = filed
         exts = []
-        for tgt in candidates:
+        for tgt in _candidates(atom, mapping, idx):
             ext = _match(atom, tgt, mapping)
             if ext is not None:
                 exts.append(ext)

@@ -1,9 +1,44 @@
 """The predicate-scan homomorphism search, kept as the reference oracle for
 `hom._search`.  It tries every atom of a predicate's list for each atom of
 the pattern; `hom._search` takes a bound position's filed list instead and
-must yield the same maps in the same order."""
+must yield the same maps in the same order.  It shares no code with
+`hom`: `match` is `hom._match` as it read fields by name, and `index`
+builds a predicate-only index keyed as `hom._index` keys its lists."""
 
-from shychase.hom import _key, _match
+from shychase.core import Constant
+
+
+def key(atom) -> tuple:
+    """The key of atom's list in `index` and in `hom._index`."""
+    return atom.pred_key, atom.arity
+
+
+def index(atoms) -> dict:
+    """The atoms by `key`, each list in `Atom.sort_key` order."""
+    idx: dict = {}
+    for a in atoms:
+        idx.setdefault(key(a), []).append(a)
+    for lst in idx.values():
+        lst.sort()
+    return idx
+
+
+def match(src, tgt, mapping: dict):
+    """Extend mapping so that src maps onto tgt, or None."""
+    ext = mapping
+    for s, t in zip(src.args, tgt.args):
+        if isinstance(s, Constant):
+            if s != t:
+                return None
+            continue
+        bound = ext.get(s)
+        if bound is None:
+            if ext is mapping:
+                ext = dict(mapping)
+            ext[s] = t
+        elif bound != t:
+            return None
+    return dict(ext) if ext is mapping else ext
 
 
 def search(remaining: list, mapping: dict, idx: dict):
@@ -16,8 +51,8 @@ def search(remaining: list, mapping: dict, idx: dict):
     best_i, best_exts = None, None
     for i, atom in enumerate(remaining):
         exts = []
-        for tgt in idx.get(_key(atom), ()):
-            ext = _match(atom, tgt, mapping)
+        for tgt in idx.get(key(atom), ()):
+            ext = match(atom, tgt, mapping)
             if ext is not None:
                 exts.append(ext)
         if best_exts is None or len(exts) < len(best_exts):

@@ -7,6 +7,7 @@ from itertools import permutations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shychase import hom
 from shychase.core import Atom, Constant, Instance, Null, Query, Rule, Variable
 from shychase.finitemodels import StartingPoint
 from shychase.hom import (
@@ -16,6 +17,7 @@ from shychase.hom import (
     _mapping_key,
     _search,
     _split,
+    _violations,
     apply_mapping,
     homomorphisms,
     isomorphic,
@@ -184,6 +186,33 @@ def test_homomorphism_seed_is_respected():
     seed = {Variable("X"): Constant("b")}
     maps = list(homomorphisms(src, target, seed))
     assert maps == [{Variable("X"): Constant("b"), Variable("Y"): Constant("b")}]
+
+
+def test_a_head_check_stops_at_its_first_witness(monkeypatch):
+    """With one pattern atom left, `_search` yields each extension as
+    `_match` finds it: over a candidate list of five atoms whose first
+    matches, the first map costs one `_match` call, not one per candidate,
+    and so does `_violations`' check of a satisfied head."""
+    calls = 0
+    match = hom._match
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return match(*args)
+
+    monkeypatch.setattr(hom, "_match", counted)
+    X, Y = Variable("X"), Variable("Y")
+    a = Constant("a")
+    idx = _index([Atom("p", (a, Constant(f"b{i}"))) for i in range(5)])
+    assert len(idx[(("p", None), 2), 0, a]) == 5
+    seed = {X: a}
+    assert next(_search([Atom("p", (X, Y))], seed, idx), None) == {X: a, Y: Constant("b0")}
+    assert calls == 1
+    calls = 0
+    rule = Rule("r", (Atom("s", (X,)),), Atom("p", (X, Y)))
+    assert next(_violations(rule, idx, (), seed), None) is None
+    assert calls == 1
 
 
 def test_no_homomorphism_when_predicate_missing():
