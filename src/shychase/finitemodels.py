@@ -6,11 +6,14 @@ of the full theory.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
+from .chase import RESTRICTED, ChaseConfig, entails
 from .core import (
     Atom,
+    Constant,
     Database,
     Instance,
     Null,
@@ -192,16 +195,30 @@ def _least_violation(rules: list, table: tuple):
     return None
 
 
-def _atoms_needed(rules: list, table: tuple) -> int:
+def _atoms_needed(rules: list, table: tuple, lacking: dict) -> int:
     """A lower bound on the atoms any model containing the instance with
-    this violation table must add: per head key, the most distinct
-    frontier images (see `_keyed_rules`) among one rule's violations."""
-    most: dict = {}
+    this violation table must add: per `_key`, the larger of the certain
+    atoms the instance lacks there (`lacking`, see `_lacked`) and the most
+    distinct frontier images (see `_keyed_rules`) among the violations of
+    one rule with a head of that key."""
+    most = dict(lacking)
     for (_, head_key, _, _, frontier), viols in zip(rules, table):
         if viols:
             images = len({tuple(h.get(t, t) for t in frontier) for h in viols.values()})
             most[head_key] = max(most.get(head_key, 0), images)
     return sum(most.values())
+
+
+def _lacked(lacking: dict, certain: frozenset, added: Iterable[Atom]) -> dict:
+    """The certain atoms lacked, counted by `_key` as in `lacking`, once the
+    new atoms added are in; `lacking` itself when none of them is certain."""
+    gained = [_key(a) for a in added if a in certain]
+    if not gained:
+        return lacking
+    lacking = dict(lacking)
+    for k in gained:
+        lacking[k] -= 1
+    return lacking
 
 
 def _ev_values(k: int, pool: list, fresh: list, drawn: int = 0) -> Iterator[tuple]:
@@ -231,7 +248,8 @@ def _repairs(terms: frozenset, fresh_used: int, violation, consts: list,
         yield (apply_mapping(mapping, rule.head),), fresh_used + drawn
 
 
-def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
+def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
+                  certain: frozenset = frozenset()) -> list:
     """Every model the bounded repair search reaches, one per isomorphism
     class, in discovery order.
 
@@ -243,45 +261,50 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
     renaming by `_canonical_key`; a state with more than max_atoms atoms
     is dropped.
 
-    A state X is opened only if len(X) + `_atoms_needed` fits max_atoms.
-    The count is a lower bound on the atoms any model M containing X adds:
-    a violation of a rule under h stays until M has an atom of the head's
+    certain holds atoms that every model of the theory contains, such as
+    the null-free atoms of a chase prefix; each state counts, per `_key`,
+    those it lacks (`_lacked`).  A state X is opened only if len(X) +
+    `_atoms_needed` fits max_atoms.  The count is a lower bound on the
+    atoms any model M containing X adds: M holds every certain atom, a
+    violation of a rule under h stays until M has an atom of the head's
     key that agrees with h on the frontier, two frontier images of one
-    rule need two atoms, and an atom has one key.  When the violations are
-    no more than the room left, neither is the bound, so it is not
-    computed.  A full state, one of max_atoms atoms, that is not a model
-    is never opened, and is keyed only once it is found to be a model.
+    rule need two atoms, and an atom has one key.  When the violations and
+    the lacked certain atoms are no more than the room left, neither is
+    the bound, so it is not computed.  A full state, one of max_atoms
+    atoms, that is not a model is never opened, and is keyed only once it
+    is found to be a model.
 
     So what is skipped is dead: every model containing it exceeds the
     budget.  Dead states are closed under supersets and null renaming (a
     renaming maps models containing one onto models containing the other,
-    keeping sizes), so a live state descends only from live ones, a seen
-    key that blocks a live state was made by a live state, and only dead
-    states are blocked or explored differently.  The live states, and so
-    the found models and their order, are those of the search that opens
-    and keys every state within the budget.
+    keeping sizes, and certain atoms are null-free), so a live state
+    descends only from live ones, a seen key that blocks a live state was
+    made by a live state, and only dead states are blocked or explored
+    differently.  The live states, and so the found models and their
+    order, are those of the search that opens and keys every state within
+    the budget, whatever certain atoms it is given.
 
-    A stack frame keeps its state's index, violation table and `_split`
-    form, and a child derives its own from them: `_add_atom` updates the
-    index and table, and only the new atom is coded.  The root is the
-    empty state plus the database.
+    A stack frame keeps its state's index, violation table, lacked counts
+    and `_split` form, and a child derives its own from them: `_add_atom`
+    updates the index and table, and only the new atom is coded.  The root
+    is the empty state plus the database, which holds no nulls, so the
+    fresh nulls are Null(1), Null(2), ...
     """
     consts = sorted(constants_of(db, onto))
-    base_ids = [t.id for a in db for t in a.args if isinstance(t, Null)]
-    next_id = max(base_ids, default=0) + 1
-    fresh_pool = [Null(next_id + i) for i in range(budget.max_extra_nulls)]
+    fresh_pool = [Null(1 + i) for i in range(budget.max_extra_nulls)]
     rules = _keyed_rules(onto)
     codes: dict = {}
+    lacking = Counter(map(_key, certain))
 
     found: list = []
     seen_states: set = set()
     # each open state as (atoms, terms, null-free atoms, codes of the
-    # others, index, violation table) with an iterator of its successors
-    # as (added atoms, fresh nulls in use), innermost last
-    empty = (frozenset(), frozenset(), frozenset(), (), {}, ({},) * len(rules))
+    # others, index, violation table, lacked counts) with an iterator of
+    # its successors as (added atoms, fresh nulls in use), innermost last
+    empty = (frozenset(), frozenset(), frozenset(), (), {}, ({},) * len(rules), lacking)
     stack = [(empty, iter([(tuple(db.atoms), 0)]))]
     while stack:
-        (parent, terms, plain, coded, idx, table), successors = stack[-1]
+        (parent, terms, plain, coded, idx, table, lacking), successors = stack[-1]
         step = next(successors, None)
         if step is None:
             stack.pop()
@@ -297,13 +320,15 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget) -> list:
             continue
         for a in added:
             idx, table = _add_atom(idx, table, rules, a)
+        lacking = _lacked(lacking, certain, new_plain)
         violation = _least_violation(rules, table)
         if violation is None:
             if room or _is_new_key(plain, coded, seen_states):
                 found.append(atoms)
-        elif room and (sum(map(len, table)) <= room or _atoms_needed(rules, table) <= room):
+        elif room and (sum(map(len, table)) + sum(lacking.values()) <= room
+                       or _atoms_needed(rules, table, lacking) <= room):
             terms = terms.union(t for a in added for t in a.args)
-            stack.append(((atoms, terms, plain, coded, idx, table),
+            stack.append(((atoms, terms, plain, coded, idx, table, lacking),
                           _repairs(terms, fresh_used, violation, consts, fresh_pool)))
     return found
 
@@ -388,7 +413,8 @@ def enumerate_finite_models(db: Database, onto: Ontology, budget: ModelBudget) -
 
 def find_finite_countermodel(db: Database, onto: Ontology, q: Query,
                              budget: ModelBudget) -> Optional[Instance]:
-    """First minimal finite model within budget that does not satisfy q.
+    """First minimal finite model within budget that does not satisfy q,
+    in the order of `enumerate_finite_models`.
 
     Sound for any budget: a reported instance really is a countermodel.
     Complete within the budget: if some finite model avoids q, so does
@@ -396,8 +422,22 @@ def find_finite_countermodel(db: Database, onto: Ontology, q: Query,
     every minimal model of at most max_atoms atoms and max_extra_nulls
     nulls.  None therefore means that no countermodel fits the budget,
     not that none exists.
+
+    A restricted chase of at most max_atoms rounds runs first.  Each of
+    its prefixes maps into every model of the theory by a map that fixes
+    constants.  So if the prefix it stops at satisfies q, every model
+    does, and None is returned without a search; otherwise its null-free
+    atoms lie in every model, and go to the search as certain atoms, which
+    prune only states no model within the budget contains (see
+    `_found_models`).  The result is the same as without the chase.
     """
-    for model in enumerate_finite_models(db, onto, budget):
+    entailment = entails(db, onto, q, ChaseConfig(RESTRICTED, max_rounds=budget.max_atoms))
+    if entailment:
+        return None
+    certain = frozenset(a for a in entailment.chase.instance
+                        if all(isinstance(t, Constant) for t in a.args))
+    for atoms in _minimal_by_embedding(_found_models(db, onto, budget, certain)):
+        model = Instance(atoms)
         if satisfies_query(model, q) is None:
             return model
     return None

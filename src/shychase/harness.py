@@ -19,6 +19,7 @@ from .finitemodels import (
     StartingPoint,
     disjoin_repair,
     enumerate_finite_models,
+    find_finite_countermodel,
     find_support_ordering,
     is_model,
     ordering_from_sequence,
@@ -443,12 +444,16 @@ def check_finite_countermodels():
     false_hits = false_total = 0
     for name, program in curated_programs():
         chase = run_chase(program.database, program.ontology, cfg)
-        # one enumeration serves every query: `find_finite_countermodel`
-        # returns the first enumerated model that rejects the query
+        # one enumeration serves every query; it runs the search without
+        # a chase or certain atoms, so it also checks
+        # `find_finite_countermodel`, which must return the first
+        # enumerated model that rejects the query
         models = list(enumerate_finite_models(program.database, program.ontology, budget))
         for i, q in enumerate(program.queries):
             verdict = entailment_in(chase, q)
             counter = next((m for m in models if satisfies_query(m, q) is None), None)
+            if find_finite_countermodel(program.database, program.ontology, q, budget) != counter:
+                return False, f"{name} query {i}: countermodel search differs from the enumeration"
             if counter is not None:
                 ok, _ = is_model(counter, program.database, program.ontology)
                 if not ok or satisfies_query(counter, q) is not None:

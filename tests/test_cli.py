@@ -127,6 +127,24 @@ def test_fc_check_finds_countermodel(tmp_path, capsys):
     assert "out of range" in err
 
 
+def test_fc_check_finds_a_countermodel_where_the_chase_never_ends(tmp_path, capsys):
+    """The chase of this father variant grows a chain of nulls forever, so
+    `answer` cannot decide the query in either mode, and the bounded chase
+    that `fc-check` runs first must leave the search to find the
+    countermodel."""
+    path = tmp_path / "father_loop.dlp"
+    path.write_text(FATHER.replace("? p(X), f(X,c1).", "? f(X,X)."))
+    for mode in ([], ["--restricted"]):
+        code, out, _ = run(capsys, "answer", str(path), "--json", *mode)
+        assert code == 0
+        assert json.loads(out) == [{"query": "? f(X,X).", "verdict": "unknown"}]
+    code, out, _ = run(capsys, "fc-check", str(path), "--json")
+    assert code == 0
+    atoms = json.loads(out)["countermodel"]["atoms"]
+    assert [(a["pred"], [t["const"] for t in a["args"]]) for a in atoms] == [
+        ("f", ["c1", "c2"]), ("f", ["c2", "c1"]), ("p", ["c1"]), ("p", ["c2"])]
+
+
 @pytest.mark.parametrize("argv", [
     ("chase", "--max-atoms", "0"),
     ("answer", "--max-rounds", "0"),

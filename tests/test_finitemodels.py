@@ -1,6 +1,8 @@
 """Finite models: checking, support orderings, enumeration, propagation
 annotations and the join-breaking repair."""
 
+from collections import Counter
+from importlib import resources
 from itertools import combinations, permutations
 
 import pytest
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 
 from shychase import finitemodels, hom
 from shychase.canonical import partition_active_harmless, rewrite_theory, unpack
-from shychase.chase import OBLIVIOUS, RESTRICTED, ChaseConfig, run_chase
+from shychase.chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entailment_in, run_chase
 from shychase.classify import classify_local
-from shychase.core import Atom, Constant, Database, Instance, Null, Variable, constants_of
+from shychase.core import Atom, Constant, Database, Instance, Null, Query, Variable, constants_of
 from shychase.finitemodels import (
     ModelBudget,
     StartingPoint,
@@ -22,6 +24,7 @@ from shychase.finitemodels import (
     _first_violation,
     _found_models,
     _keyed_rules,
+    _lacked,
     _least_violation,
     _minimal_by_embedding,
     disjoin_repair,
@@ -35,7 +38,7 @@ from shychase.finitemodels import (
 )
 from shychase.generate import default_config, is_shy_program, random_program, random_program_where
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import (_canonical_key, _match, _split, apply_mapping, homomorphisms,
+from shychase.hom import (_canonical_key, _key, _match, _split, apply_mapping, homomorphisms,
                          isomorphic, satisfies_query)
 from shychase.parse import parse_program, parse_query
 
@@ -307,18 +310,27 @@ def test_incremental_search_matches_rebuild_on_random(seed):
             == _rebuilt_found_models(program.database, program.ontology, budget))
 
 
+def _certain_atoms(db, onto, budget) -> frozenset:
+    """The null-free atoms of the chase prefix `find_finite_countermodel`
+    runs before its search."""
+    chase = run_chase(db, onto, ChaseConfig(RESTRICTED, max_rounds=budget.max_atoms))
+    return frozenset(a for a in chase.instance if all(isinstance(t, Constant) for t in a.args))
+
+
 def _assert_atoms_needed_is_a_lower_bound(db, onto, budget):
     """Every state X the oracle search visits and every model M it finds
     with X <= M have len(M) - len(X) >= `_atoms_needed` of X's violation
-    table, built atom by atom."""
+    table and of the certain atoms X lacks, both built atom by atom."""
     visited: list = []
     found = _rebuilt_found_models(db, onto, budget, visited)
     rules = _keyed_rules(onto)
+    certain = _certain_atoms(db, onto, budget)
     for atoms in visited:
-        idx, table = {}, ({},) * len(rules)
+        idx, table, lacking = {}, ({},) * len(rules), Counter(map(_key, certain))
         for a in atoms:
             idx, table = _add_atom(idx, table, rules, a)
-        need = _atoms_needed(rules, table)
+            lacking = _lacked(lacking, certain, (a,))
+        need = _atoms_needed(rules, table, lacking)
         for model in found:
             if atoms <= model:
                 assert len(model) - len(atoms) >= need, (sorted(atoms), sorted(model))
@@ -326,9 +338,9 @@ def _assert_atoms_needed_is_a_lower_bound(db, onto, budget):
 
 @pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
 def test_atoms_needed_bounds_the_search_on_curated(name):
-    """[DERIVED] The pruning bound of `_found_models` never exceeds what a
-    found model adds, on each curated theory and its canonical active part
-    at (2, 10)."""
+    """[DERIVED] The pruning bound of `_found_models`, given the certain
+    atoms of a chase prefix, never exceeds what a found model adds, on
+    each curated theory and its canonical active part at (2, 10)."""
     program = dict(curated_programs())[name]
     dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
     active, _ = partition_active_harmless(ontoc)
@@ -468,6 +480,70 @@ def test_find_finite_countermodel_is_sound():
     held = parse_query("? p(c).")
     assert find_finite_countermodel(program.database, program.ontology, held,
                                     ModelBudget(2, 6)) is None
+
+
+def _packaged_programs() -> list:
+    """(name, program) of the curated and the paper suite."""
+    paper = resources.files("shychase").joinpath("suites/paper")
+    names = sorted(e.name for e in paper.iterdir() if e.name.endswith(".dlp"))
+    return curated_programs() + [(name, load_paper_program(name)) for name in names]
+
+
+def _assert_countermodels_match_the_enumeration(db, onto, queries, budget):
+    """Oracle: `find_finite_countermodel` gives, for each query, the first
+    model `enumerate_finite_models` yields that rejects it, or None."""
+    models = list(enumerate_finite_models(db, onto, budget))
+    for q in queries:
+        expected = next((m.sorted_atoms() for m in models if satisfies_query(m, q) is None),
+                        None)
+        counter = find_finite_countermodel(db, onto, q, budget)
+        assert (None if counter is None else counter.sorted_atoms()) == expected, q
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _packaged_programs()])
+def test_countermodel_matches_the_enumeration_on_packaged(name):
+    """[DERIVED] The chase pre-pass and the certain atoms leave the
+    countermodel of every query of each packaged theory as it is, at
+    (2, 10) and (2, 12)."""
+    program = dict(_packaged_programs())[name]
+    for budget in (ModelBudget(2, 10), ModelBudget(2, 12)):
+        _assert_countermodels_match_the_enumeration(program.database, program.ontology,
+                                                    program.queries, budget)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_countermodel_matches_the_enumeration_on_random(seed):
+    """[DERIVED] Same on seeded random theories at (2, 8), with each rule
+    body, and the head of each rule without existential variables, as
+    the query."""
+    program = random_program(seed, default_config())
+    queries = [Query((rule.body,)) for rule in program.ontology]
+    queries += [Query(((rule.head,),)) for rule in program.ontology if not rule.ev]
+    _assert_countermodels_match_the_enumeration(program.database, program.ontology, queries,
+                                                ModelBudget(2, 8))
+
+
+def test_the_chase_alone_decides_entailed_queries(monkeypatch):
+    """Each curated query that `answer --restricted` finds entailed gets
+    None from `find_finite_countermodel` at the fc-check default budget
+    without a single search step."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _add_atom(*args)
+
+    monkeypatch.setattr(finitemodels, "_add_atom", counted)
+    entailed = 0
+    for _, program in curated_programs():
+        chase = run_chase(program.database, program.ontology, ChaseConfig(RESTRICTED, 2000, 500))
+        for q in program.queries:
+            if entailment_in(chase, q).verdict is Verdict.TRUE:
+                entailed += 1
+                assert find_finite_countermodel(program.database, program.ontology, q,
+                                                ModelBudget(2, 12)) is None
+    assert entailed > 0
+    assert calls == []
 
 
 def test_propagation_ordering_requires_joinless():
