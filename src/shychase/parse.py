@@ -13,9 +13,13 @@ names the head predicate.  Canonical predicates are written
 Bare numerals are reserved for shape labels and are rejected as terms.
 
 The text is read in one regex scan into token strings, each told apart by
-its first character; a position is computed only for an error, by scanning
-again up to its token.  Terms are interned per statement, and the variables
-of the i-th rule are read as `X#i`, so distinct rules share no variable.
+its first character: an atom with no whitespace or comment inside is one
+token, whose lists are split at commas and whose predicate text, `p` or
+`base_[l1,...,lm]`, is resolved once per call.  On an error the text is read
+again with fine tokens only, and that read's error is raised, its position
+computed only then, by scanning again up to its token.  Terms are interned
+per statement, and the i-th rule's variables are read as `X#i`, so distinct
+rules share no variable.
 """
 
 from __future__ import annotations
@@ -45,10 +49,18 @@ class Program(_Record):
 
 
 _TOKENS = r"->|\d+|[a-z]\w*|[A-Z]\w*|[()\[\],.|?]"
+# An atom with no whitespace or comment inside, as one token: a name, an
+# optional `[labels]` if it ends in `_` and optional `(terms)`, each item one
+# word token of `_TOKENS`, and each label one of the kinds the grammar takes.
+_LABELS = r"(?:(?:\d+|[a-z]\w*)(?:,(?:\d+|[a-z]\w*))*)?"
+_TERMS = r"(?:(?:\d+|[a-zA-Z]\w*)(?:,(?:\d+|[a-zA-Z]\w*))*)?"
+_ATOM = rf"[a-z]\w*(?:(?<=_)\[{_LABELS}\])?(?:\({_TERMS}\))?"
 # Each match skips the whitespace and comments before a token and captures
 # the token in group 1: a token of a kind above, any other character alone
-# (a bad one), or the empty string at the end of the text (end of input).
-_TOKEN_RE = re.compile(rf"(?:\s+|#[^\n]*)*({_TOKENS}|.|\Z)", re.DOTALL)
+# (a bad one), or the empty string at the end of the text (end of input);
+# `_TOKEN_RE` reads fine tokens only.
+_TOKEN_RE = re.compile(rf"\s*(?:#[^\n]*\s*)*({_TOKENS}|.|\Z)", re.DOTALL)
+_ATOM_TOKEN_RE = re.compile(rf"\s*(?:#[^\n]*\s*)*({_ATOM}|{_TOKENS}|.|\Z)", re.DOTALL)
 _GOOD_RE = re.compile(rf"(?:{_TOKENS})?")
 
 
@@ -57,12 +69,14 @@ def _is_var(t: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = toks = _TOKEN_RE.findall(text)
+    def __init__(self, text: str, fine: bool = False):
+        self.text, self.token_re = text, _TOKEN_RE if fine else _ATOM_TOKEN_RE
+        self.toks = toks = self.token_re.findall(text)
         self.i = 0
-        self.arities, self.terms, self.suffix = {}, {}, ""
-        bad = [t for t in set(toks) if not _GOOD_RE.fullmatch(t)]
+        self.arities, self.heads, self.terms, self.suffix = {}, {}, {}, ""
+        # The grammar checks every token it consumes, so only the fine read,
+        # which places errors, needs to look for a bad character.
+        bad = [t for t in set(toks) if not _GOOD_RE.fullmatch(t)] if fine else ()
         if bad:
             k = min(map(toks.index, bad))
             self.error(f"unexpected character {toks[k]!r}", k)
@@ -71,7 +85,7 @@ class _Parser:
         """Raise ParseError at the 1-based line and column of token k (by
         default the next one); only errors need an offset, so it comes from
         scanning the text again up to that token."""
-        m = next(islice(_TOKEN_RE.finditer(self.text), self.i if k is None else k, None))
+        m = next(islice(self.token_re.finditer(self.text), self.i if k is None else k, None))
         offset = m.start(1)
         line_start = self.text.rfind("\n", 0, offset) + 1
         raise ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
@@ -82,15 +96,15 @@ class _Parser:
         if t != text:
             self.error(f"expected {text!r}, found {t or 'end of input'!r}", self.i - 1)
 
-    def term(self, k):
-        """The term that token k names, read for the first time in this
-        statement; terms are interned per statement."""
-        t = self.toks[k]
-        if "a" <= t[:1] <= "z":
-            term = Constant(t)
-        elif _is_var(t):
+    def term(self, t, k):
+        """The term that text t at token k names, read for the first time in
+        this statement; terms are interned per statement."""
+        c = t[:1]
+        if "A" <= c <= "Z":
             term = Variable(t + self.suffix)
-        elif t[:1].isdecimal():
+        elif "a" <= c <= "z":
+            term = Constant(t)
+        elif c.isdecimal():
             self.error("numeric terms are reserved for shape labels", k)
         else:
             self.error(f"expected a term, found {t or 'end of input'!r}", k)
@@ -105,9 +119,21 @@ class _Parser:
         self.i = k + 1
         return k
 
-    def parse_shape(self):
-        """`[l1,...,lm]`, or `[]` for a 0-ary canonical atom, and its μ: the
+    def shape(self, texts, ks):
+        """The shape that label texts write (at tokens ks) and its μ: the
         number of distinct integer labels, each of which lies in 1..μ."""
+        labels = tuple([int(t) if t[0].isdecimal() else t for t in texts])
+        ints = {l for l in labels if isinstance(l, int)}
+        mu = len(ints)
+        if ints and (min(ints) < 1 or max(ints) > mu):
+            for t, k, l in zip(texts, ks, labels):
+                if isinstance(l, int) and not 1 <= l <= mu:
+                    self.error(f"shape label {t} is not in 1..{mu}", k)
+        return labels, mu
+
+    def parse_shape(self):
+        """`[l1,...,lm]` read token by token, or `[]` for a 0-ary
+        canonical atom."""
         toks = self.toks
         self.expect("[")
         ks = []
@@ -117,39 +143,54 @@ class _Parser:
                 self.i += 1
                 ks.append(self.parse_label())
         self.expect("]")
-        labels = [int(toks[k]) if toks[k][0].isdecimal() else toks[k] for k in ks]
-        mu = len({l for l in labels if isinstance(l, int)})
-        for k, l in zip(ks, labels):
-            if isinstance(l, int) and not 1 <= l <= mu:
-                self.error(f"shape label {toks[k]} is not in 1..{mu}", k)
-        return tuple(labels), mu
+        return self.shape([toks[k] for k in ks], ks)
+
+    def head(self, text, k):
+        """(name, shape, μ) of `p`, or of `base_[l1,...,lm]` in an atom token,
+        the predicate text of token k; each is resolved once per parser."""
+        if not "a" <= text[:1] <= "z":
+            self.error(f"expected a predicate, found {self.toks[k] or 'end of input'!r}", k)
+        name, bracket, labels = text.partition("[")
+        if bracket:
+            texts = labels[:-1].split(",") if labels != "]" else []
+            h = (name[:-1], *self.shape(texts, [k] * len(texts)))
+        else:
+            h = name, None, 0
+        self.heads[text] = h
+        return h
 
     def parse_atom(self) -> Atom:
+        """An atom, read as one token if it is one, else token by token."""
         toks, k = self.toks, self.i
-        name, shape, args = toks[k], None, ()
-        if not "a" <= name[:1] <= "z":
-            self.error(f"expected a predicate, found {name or 'end of input'!r}", k)
+        t, paren, inner = toks[k].partition("(")
+        name, shape, mu = self.heads.get(t) or self.head(t, k)
         i = self.i = k + 1
-        if toks[i] == "[":
-            if not name.endswith("_"):
-                self.error("canonical predicates are written base_[...]", k)
-            name = name[:-1]
-            shape, mu = self.parse_shape()
-            i = self.i
-        if toks[i] == "(":
-            if toks[i + 1] == ")":
-                i += 2
-            else:
-                get, terms = self.terms.get, []
-                while True:
-                    terms.append(get(toks[i + 1]) or self.term(i + 1))
+        args = ()
+        if paren:
+            if inner != ")":
+                get = self.terms.get
+                args = tuple([get(s) or self.term(s, k) for s in inner[:-1].split(",")])
+        else:
+            if shape is None and toks[i] == "[":
+                if not name.endswith("_"):
+                    self.error("canonical predicates are written base_[...]", k)
+                name = name[:-1]
+                shape, mu = self.parse_shape()
+                i = self.i
+            if toks[i] == "(":
+                if toks[i + 1] == ")":
                     i += 2
-                    if toks[i] != ",":
-                        break
-                self.i = i
-                self.expect(")")
-                i, args = self.i, tuple(terms)
-        self.i = i
+                else:
+                    get, terms = self.terms.get, []
+                    while True:
+                        terms.append(get(toks[i + 1]) or self.term(toks[i + 1], i + 1))
+                        i += 2
+                        if toks[i] != ",":
+                            break
+                    self.i = i
+                    self.expect(")")
+                    i, args = self.i, tuple(terms)
+            self.i = i
         # A shape fixes its predicate's arity, so only plain predicates can
         # change arity between atoms.
         if shape is not None:
@@ -179,50 +220,53 @@ class _Parser:
     def parse_statement(self, facts, rules, queries):
         toks, start = self.toks, self.i
         self.terms = {}
-        self.suffix = ""
         if toks[start] == "?":
+            self.suffix = ""
             queries.append(self.parse_query())
             return
-        try:
-            end = toks.index(".", start)
-        except ValueError:
-            end = len(toks)
-        if "->" in toks[start:end]:
-            self.suffix = f"#{len(rules) + 1}"
+        # Named as the next rule's: a statement that turns out to be a fact
+        # fails if it holds a variable at all, and no message shows a suffix.
+        self.suffix = f"#{len(rules) + 1}"
         atoms = self.parse_atom_list()
         t = toks[self.i]
         self.i += 1
         if t == ".":
             if len(atoms) != 1:
                 self.error("a fact is a single atom", start)
-            if any(isinstance(a, Variable) for a in atoms[0].args):
+            if Variable in map(type, atoms[0].args):
                 self.error("facts must be variable-free", start)
             facts.append(atoms[0])
             return
         if t != "->":
             self.error(f"expected '->' or '.', found {t or 'end of input'!r}", self.i - 1)
-        body_terms, evs = set(self.terms.values()), []
+        terms, n_body, evs = self.terms, len(self.terms), []
         if toks[self.i] == "exists" and _is_var(toks[self.i + 1]):
             self.i += 1
             while True:
-                if not _is_var(toks[self.i]):
-                    self.error("expected a variable after 'exists'")
-                evs.append(self.terms.get(toks[self.i]) or self.term(self.i))
+                t = toks[self.i]
+                evs.append(terms.get(t) or self.term(t, self.i))
                 self.i += 1
                 if toks[self.i] != ",":
                     break
                 self.i += 1
+                if not _is_var(toks[self.i]):
+                    self.error("expected a variable after 'exists'")
             self.expect(".")
-        head_k = self.i
+        n_read, head_k = len(terms), self.i
         head = self.parse_atom()
         self.expect(".")
-        for v in head.variables():
-            if v not in body_terms and v not in evs:
-                self.error(f"head variable {print_term(v)} is neither universal nor listed "
-                           "in 'exists'", head_k)
-        for v in evs:
-            if v in body_terms:
-                self.error(f"'exists' variable {print_term(v)} also occurs in the body", head_k)
+        # Terms are kept in the order first read, so only a term first read
+        # in the head, or an 'exists' variable read before, can be misplaced.
+        if len(terms) > n_read or n_read - n_body < len(evs):
+            body_terms = set(islice(terms.values(), n_body))
+            for v in head.variables():
+                if v not in body_terms and v not in evs:
+                    self.error(f"head variable {print_term(v)} is neither universal nor "
+                               "listed in 'exists'", head_k)
+            for v in evs:
+                if v in body_terms:
+                    self.error(f"'exists' variable {print_term(v)} also occurs in the body",
+                               head_k)
         rules.append(_rule(f"r{len(rules) + 1}", tuple(atoms), head))
 
     def parse_program(self) -> Program:
@@ -231,18 +275,30 @@ class _Parser:
             self.parse_statement(facts, rules, queries)
         return Program(Database(frozenset(facts)), Ontology(tuple(rules)), tuple(queries))
 
+    def parse_single_query(self) -> Query:
+        q = self.parse_query()
+        if self.toks[self.i]:
+            self.error("trailing input after query")
+        return q
+
+
+def _read(text: str, parse):
+    """`parse` applied to a parser of `text` with atom tokens.  Only fine
+    tokens tell where an error lies, so on a ParseError the text is read
+    again with those, and that read's result or error stands."""
+    try:
+        return parse(_Parser(text))
+    except ParseError:
+        return parse(_Parser(text, fine=True))
+
 
 def parse_program(text: str) -> Program:
-    return _Parser(text).parse_program()
+    return _read(text, _Parser.parse_program)
 
 
 def parse_query(text: str) -> Query:
     """Parse a single `? ...` statement."""
-    p = _Parser(text)
-    q = p.parse_query()
-    if p.toks[p.i]:
-        p.error("trailing input after query")
-    return q
+    return _read(text, _Parser.parse_single_query)
 
 
 # ---------------------------------------------------------------------------

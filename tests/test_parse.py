@@ -173,11 +173,18 @@ def test_parse_errors_carry_position_and_message(text, fragment):
     ("p(c).\nq(X) -> r(X).\n  s(c) $", 3, 8),
     ("p_[0](a).", 1, 4),
     ("p(c).\n q_[c,2](a).", 2, 7),
+    ("p(a,1).", 1, 5),
+    ("p_[1,é](X).", 1, 6),
+    ("p(a,_b).", 1, 5),
+    ("p(a). p(a, b).", 1, 7),
+    ("p_[1,2](X,Y,Z).", 1, 1),
+    ("p(a,٣).", 1, 5),
 ])
 def test_parse_error_positions_are_exact(text, line, col):
     """Line and column, counted from the token's offset when the error is
     raised, are those a tokenizer that tracked them per token reported; the
-    last two cases, out-of-range shape labels, point at the label."""
+    out-of-range shape labels `0` and `2` point at the label, and the last
+    six cases have their error inside an atom that is otherwise one token."""
     with pytest.raises(ParseError) as err:
         parse_program(text)
     assert (err.value.line, err.value.col) == (line, col)

@@ -5,7 +5,11 @@ in `parse_oracle.py`: on every input both give equal programs, or the same
 Inputs: every packaged `.dlp`, the printed canonical rewritings of seeded
 random theories, and seeded mutations of both (inserts, deletes and swaps of
 comment marks, arrows, shape brackets, `exists`, non-ASCII letters and
-digits, and punctuation).
+digits, and punctuation).  Each of these texts is also spread out, with a
+space, newline or comment line between every two tokens: `shychase.parse`
+reads a lexically clean atom as one token, and only a spread-out atom takes
+its token-by-token path.  Its atom-token read, without the fine-token read
+it falls back to on an error, is also checked against that fine read.
 
 One carve-out, a deliberate change: the oracle reads `exists` after `->` as
 the keyword even when no variable follows, and fails with "expected a
@@ -22,7 +26,8 @@ import parse_oracle
 from shychase.canonical import rewrite_theory
 from shychase.core import Query
 from shychase.generate import default_config, random_program
-from shychase.parse import ParseError, Program, parse_program, parse_query, print_program
+from shychase.parse import (ParseError, Program, _Parser, parse_program, parse_query,
+                            print_program)
 
 SUITES = resources.files("shychase").joinpath("suites")
 PACKAGED = sorted((entry.name, entry.read_text())
@@ -32,6 +37,7 @@ PIECES = ("#", "->", "_[", "exists ", "é", "٣", "(", ")", "[", "]", ",", ".", 
           " ", "\n", "X", "c")
 MUTANTS = 30
 SEEDS = range(25)
+SEPARATORS = (" ", "\n", "\n# c\n")
 
 
 def outcome(parse, text):
@@ -91,6 +97,31 @@ def with_mutants(text: str, seed: int) -> list:
     return [text, *(mutate(text, rng) for _ in range(MUTANTS))]
 
 
+def spread(text: str, seed: int) -> str:
+    """`text` with its comments dropped and a space, a newline or a `# c`
+    comment line between every two tokens, inside atoms too."""
+    rng = random.Random(seed)
+    toks = [m.group() for m in parse_oracle._TOKEN_RE.finditer(text)
+            if m.lastgroup not in ("ws", "comment")]
+    return "".join(t + rng.choice(SEPARATORS) for t in toks)
+
+
+def read(text, fine):
+    """The outcome of one read of `text`, atom tokens or fine tokens, with
+    no fallback from the one to the other."""
+    return outcome(lambda t: _Parser(t, fine=fine).parse_program(), text)
+
+
+def check_reads_agree(texts):
+    """Both reads give equal programs, or both fail; the fine read's error
+    is the one `parse_program` reports, so only its position is checked."""
+    for text in texts:
+        coarse, fine = read(text, False), read(text, True)
+        assert isinstance(coarse, Program) == isinstance(fine, Program), text
+        if isinstance(fine, Program):
+            assert coarse == fine, text
+
+
 @pytest.mark.parametrize("name, text", PACKAGED, ids=[name for name, _ in PACKAGED])
 def test_packaged_programs_parse_as_the_oracle_does(name, text):
     assert isinstance(parse_program(text), Program)
@@ -100,6 +131,36 @@ def test_packaged_programs_parse_as_the_oracle_does(name, text):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rewritten_theories_parse_as_the_oracle_does(seed):
     check_agree(with_mutants(rewritten(seed), seed))
+
+
+@pytest.mark.parametrize("name, text", PACKAGED, ids=[name for name, _ in PACKAGED])
+def test_spread_packaged_programs_parse_as_compact_and_as_the_oracle(name, text):
+    seed = sum(map(ord, name))
+    spread_text = spread(text, seed)
+    assert parse_program(spread_text) == parse_program(text)
+    check_agree(with_mutants(spread_text, seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_spread_rewritten_theories_parse_as_compact_and_as_the_oracle(seed):
+    text = rewritten(seed)
+    spread_text = spread(text, seed)
+    assert parse_program(spread_text) == parse_program(text)
+    check_agree(with_mutants(spread_text, seed))
+
+
+@pytest.mark.parametrize("name, text", PACKAGED, ids=[name for name, _ in PACKAGED])
+def test_packaged_programs_read_alike_with_atom_and_fine_tokens(name, text):
+    seed = sum(map(ord, name))
+    assert isinstance(read(text, False), Program)
+    check_reads_agree(with_mutants(text, seed) + with_mutants(spread(text, seed), seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rewritten_theories_read_alike_with_atom_and_fine_tokens(seed):
+    text = rewritten(seed)
+    assert isinstance(read(text, False), Program)
+    check_reads_agree(with_mutants(text, seed) + with_mutants(spread(text, seed), seed))
 
 
 def test_queries_parse_as_the_oracle_does():
