@@ -11,6 +11,8 @@ the encoding atom by atom.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (
@@ -25,7 +27,7 @@ from .core import (
     _rule,
     constants_of,
 )
-from .hom import _is_new_key, _split, apply_mapping
+from .hom import _canonical_key, _split
 
 
 class UnpackError(ValueError):
@@ -55,50 +57,77 @@ def canonical_atom(atom: Atom) -> Atom:
 
 
 def _dedup(atoms: Iterable[Atom]) -> tuple:
-    out = []
-    for a in atoms:
-        if a not in out:
-            out.append(a)
-    return tuple(out)
-
-
-def _instantiate(atoms: Iterable[Atom], subst: dict) -> tuple:
-    """Canonical forms of the atoms under subst, duplicates dropped."""
-    return _dedup(canonical_atom(apply_mapping(subst, a)) for a in atoms)
+    return tuple(dict.fromkeys(atoms))
 
 
 def _first_occurrence_vars(atoms: Iterable[Atom]) -> list:
-    order = []
-    for a in atoms:
-        for v in a.variables():
-            if v not in order:
-                order.append(v)
-    return order
+    return list(dict.fromkeys(v for a in atoms for v in a.variables()))
 
 
-def _substitutions(variables: list, constants: list) -> Iterator[dict]:
-    """Every map of the variables to an equality class or a constant, a class
-    standing for its first member, in restricted growth order: each variable
-    joins an earlier class, opens a new one or takes a constant, in that
-    order."""
-    subst: dict = {}
-
-    def rec(i, reps):
+def _images(variables: list, constants: list) -> Iterator[tuple]:
+    """The images of the variables under every map to an equality class or a
+    constant, a class standing for its first member, in restricted growth
+    order: each variable joins an earlier class, opens a new one or takes a
+    constant, in that order."""
+    def rec(i, images, reps):
         if i == len(variables):
-            yield dict(subst)
+            yield images
             return
         v = variables[i]
         for target in (*reps, v, *constants):
-            subst[v] = target
-            yield from rec(i + 1, reps + (v,) if target == v else reps)
+            yield from rec(i + 1, images + (target,), reps + (v,) if target == v else reps)
 
-    yield from rec(0, ())
+    yield from rec(0, (), ())
 
 
-def _is_new(atoms: Iterable[Atom], codes: dict, seen: set) -> bool:
-    """Record the atoms' `_canonical_key` in seen unless an atom set equal up
-    to variable renaming is there; calls that share seen share codes."""
-    return _is_new_key(*_split(atoms, codes), seen)
+def _instances(atoms: tuple, variables: list, constants: list) -> Iterator[list]:
+    """The canonical forms of the atoms under each map of `_images`, in its
+    order, one list per map.
+
+    Each atom becomes a template: a getter of the images of its variables
+    and a dict from those images to its canonical form, so each distinct
+    image of an atom is canonicalised once.  Terms outside `variables`
+    (constants, existential variables) stay fixed."""
+    slot = {v: i for i, v in enumerate(variables)}
+    templates = []
+    for a in atoms:
+        slots = [slot[v] for v in dict.fromkeys(a.variables()) if v in slot]
+        # an atom without such variables has one image, keyed () by images[:0]
+        templates.append((a, itemgetter(*slots) if slots else itemgetter(slice(0)), {}))
+    for images in _images(variables, constants):
+        out = []
+        for a, get, cache in templates:
+            key = get(images)
+            c = cache.get(key)
+            if c is None:
+                args = tuple(images[slot[t]] if t in slot else t for t in a.args)
+                c = cache[key] = canonical_atom(_atom(a.pred, args, a.shape))
+            out.append(c)
+        yield out
+
+
+def _is_new(atoms: Iterable[Atom], codes: dict, seen: dict) -> bool:
+    """Record the atoms, pairwise distinct, in seen unless a set equal to
+    them up to variable renaming is there; calls that share seen share codes.
+
+    seen files each kept set under its (predicate, shape) multiset, which a
+    renaming keeps, so only sets filed together can be equal.  A set gets
+    its `_canonical_key`, and an earlier set filed with it gets its own,
+    only when the two meet there."""
+    kept = seen.setdefault(frozenset(Counter(map(itemgetter(0, 2), atoms)).items()), [])
+    key = _key_of(atoms, codes) if kept else None
+    for entry in kept:
+        if entry[1] is None:
+            entry[1] = _key_of(entry[0], codes)
+        if entry[1] == key:
+            return False
+    kept.append([atoms, key])
+    return True
+
+
+def _key_of(atoms: Iterable[Atom], codes: dict) -> tuple:
+    plain, coded = _split(atoms, codes)
+    return _canonical_key(frozenset(plain), tuple(coded))
 
 
 def _tagged_atoms(body: tuple, head: Atom) -> frozenset:
@@ -122,15 +151,15 @@ def _rewritten_rules(rule: Rule, consts: Iterable[Constant]) -> Iterator[tuple]:
 
     Enumerating equality classes in restricted growth order avoids every
     duplicate of a rule whose body predicates are pairwise distinct (see
-    `_repeats_a_predicate`); for a rule that repeats one, a canonical key up
-    to variable renaming removes the rest.
+    `_repeats_a_predicate`); for a rule that repeats one, `_is_new` removes
+    the rest.
     """
     codes: dict = {}
-    seen: set = set()
+    seen: dict = {}
     keyed = _repeats_a_predicate(rule.body)
-    for subst in _substitutions(_first_occurrence_vars(rule.body), sorted(set(consts))):
-        body = _instantiate(rule.body, subst)
-        head = canonical_atom(apply_mapping(subst, rule.head))
+    order = _first_occurrence_vars(rule.body)
+    for *body, head in _instances((*rule.body, rule.head), order, sorted(set(consts))):
+        body = _dedup(body)
         if not keyed or _is_new(_tagged_atoms(body, head), codes, seen):
             yield body, head
 
@@ -148,7 +177,10 @@ def rewrite_ontology(db: Database, onto: Ontology) -> Ontology:
     (merging variables can degrade a rule to one); they never add an atom
     under any chase and are dropped.
     """
-    consts = sorted(constants_of(db, onto))
+    return _rewrite_ontology(onto, sorted(constants_of(db, onto)))
+
+
+def _rewrite_ontology(onto: Ontology, consts: list) -> Ontology:
     out = []
     for rule in onto:
         for i, (body, head) in enumerate(_rewritten_rules(rule, consts), 1):
@@ -164,12 +196,11 @@ def rewrite_query(q: Query, consts: Iterable[Constant]) -> Query:
     constants = sorted(set(consts))
     disjuncts = []
     codes: dict = {}
-    seen: set = set()
+    seen: dict = {}
     for disjunct in q.disjuncts:
         keyed = len(q.disjuncts) > 1 or _repeats_a_predicate(disjunct)
-        order = _first_occurrence_vars(disjunct)
-        for subst in _substitutions(order, constants):
-            atoms = _instantiate(disjunct, subst)
+        for atoms in _instances(disjunct, _first_occurrence_vars(disjunct), constants):
+            atoms = _dedup(atoms)
             if not keyed or _is_new(atoms, codes, seen):
                 disjuncts.append(atoms)
     return Query(tuple(disjuncts))
@@ -180,7 +211,7 @@ def rewrite_theory(db: Database, onto: Ontology, queries: Iterable[Query] = ()):
     consts = sorted(constants_of(db, onto))
     return (
         rewrite_database(db),
-        rewrite_ontology(db, onto),
+        _rewrite_ontology(onto, consts),
         tuple(rewrite_query(q, consts) for q in queries),
     )
 
@@ -231,12 +262,9 @@ def partition_active_harmless(onto: Ontology):
     body atoms, active rules do not."""
     active, harmless = [], []
     for rule in onto:
-        counts: dict = {}
-        for atom in rule.body:
-            for v in set(atom.variables()):
-                counts[v] = counts.get(v, 0) + 1
-        if any(n > 1 for n in counts.values()):
-            harmless.append(rule)
-        else:
-            active.append(rule)
+        joined = False
+        if len(rule.body) > 1:
+            occurrences = [v for atom in rule.body for v in set(atom.variables())]
+            joined = len(set(occurrences)) < len(occurrences)
+        (harmless if joined else active).append(rule)
     return Ontology(tuple(active)), Ontology(tuple(harmless))

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import Atom, Database, Instance, NullFactory, Ontology, Query, _Record
-from .hom import (Witness, _added, _index, _mapping_key, _search, _violations, apply_mapping,
-                  satisfies_query)
+from .hom import (Witness, _added, _index, _mapping_key, _satisfied, _search, _violations,
+                  apply_mapping)
 
 OBLIVIOUS = "oblivious"
 RESTRICTED = "restricted"
@@ -155,10 +155,13 @@ def entails(db: Database, onto: Ontology, q: Query, cfg: ChaseConfig) -> Entailm
 
 def entailment_in(result: ChaseResult, q: Query) -> Entailment:
     """The verdict of `entails` for q, read off a chase already run; one
-    chase thus answers any number of queries."""
-    w = satisfies_query(result.instance, q)
-    if w is not None:
-        return Entailment(Verdict.TRUE, w, result)
-    if result.terminated:
-        return Entailment(Verdict.FALSE, None, result)
-    return Entailment(Verdict.UNKNOWN, None, result)
+    chase thus answers any number of queries (see `entailments_in`)."""
+    return entailments_in(result, (q,))[0]
+
+
+def entailments_in(result: ChaseResult, queries: Iterable[Query]) -> list:
+    """`entailment_in` for each query, all read off one index of the chase."""
+    idx = _index(result.instance)
+    unproved = Verdict.FALSE if result.terminated else Verdict.UNKNOWN
+    return [Entailment(unproved if w is None else Verdict.TRUE, w, result)
+            for w in (_satisfied(q, idx) for q in queries)]

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .canonical import partition_active_harmless, rewrite_theory
-from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, entailment_in, run_chase
+from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, entailments_in, run_chase
 from .classify import classify
 from .finitemodels import ModelBudget, find_finite_countermodel, find_support_ordering
 from .parse import (
@@ -99,8 +99,7 @@ def _cmd_answer(args) -> int:
     chase = run_chase(program.database, program.ontology, cfg)
     payload = []
     lines = []
-    for q in program.queries:
-        result = entailment_in(chase, q)
+    for q, result in zip(program.queries, entailments_in(chase, program.queries)):
         payload.append({"query": print_query(q), "verdict": result.verdict.value})
         lines.append(f"{print_query(q)}  => {result.verdict.value}")
     _emit(args.json, lambda: payload, lambda: "\n".join(lines))

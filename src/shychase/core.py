@@ -293,13 +293,14 @@ class Query(_Collection):
 
 
 def constants_of(db: Database, onto: Ontology) -> set:
-    """All constants occurring anywhere in the database or the ontology."""
-    out = set()
-    for a in chain(db, *(rule.atoms() for rule in onto)):
-        out.update(t for t in a.args if isinstance(t, Constant))
-        if a.shape is not None:
-            out.update(Constant(l) for l in a.shape if isinstance(l, str))
-    return out
+    """All constants occurring anywhere in the database or the ontology,
+    one `Constant` per distinct term or shape label."""
+    args, shape = itemgetter(1), itemgetter(2)
+    atoms = [*db, *chain.from_iterable(map(args, onto)), *map(shape, onto)]  # bodies, heads
+    terms = set(chain.from_iterable(map(args, atoms)))
+    labels = set(chain.from_iterable(filter(None, map(shape, atoms))))
+    return ({t for t in terms if isinstance(t, Constant)}
+            | {Constant(l) for l in labels if isinstance(l, str)})
 
 
 def is_simple(atom: Atom) -> bool:

@@ -21,6 +21,7 @@ from .core import (
     Query,
     _Record,
     constants_of,
+    is_simple,
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
@@ -478,9 +479,11 @@ def propagation_ordering(ordering: tuple, onto: Ontology) -> tuple:
     from an earlier atom copy that atom's annotation (smallest source
     first); everything else stays as is.
     """
-    local = classify_local(onto)
-    if not local["joinless"][0]:
-        raise ValueError(f"ontology is not joinless: {local['joinless'][1].describe()}")
+    for rule in onto:
+        body_vars = [v for a in rule.body for v in a.variables()]
+        if not is_simple(rule.head) or len(set(body_vars)) < len(body_vars):
+            witness = classify_local(onto)["joinless"][1]
+            raise ValueError(f"ontology is not joinless: {witness.describe()}")
     rules = sorted(onto, key=lambda r: r.id)
     idx: dict = {}
     rank: dict = {}  # atom -> 1-based rank of its first occurrence

@@ -11,7 +11,7 @@ from functools import wraps
 from importlib import resources
 
 from .canonical import _tagged_atoms, partition_active_harmless, rewrite_theory, unpack
-from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entailment_in, run_chase
+from .chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entailments_in, run_chase
 from .classify import classify_local, is_shy, sticky_marking
 from .core import Atom, Constant, Instance, Null, Query, Variable, _Record
 from .finitemodels import (
@@ -243,9 +243,10 @@ def _canonical_chase_matches(program, other_onto=None):
         cap *= 2
     if not left.terminated and len(prefix) < 100:
         return False, f"matched prefix too short ({len(prefix)} atoms)"
+    # a left chase that fires nothing has 0 rounds, below any round bound
     right = run_chase(dbc, ontoc,
-                      ChaseConfig(OBLIVIOUS, 4 * cap, left.complete_rounds))
-    if left.terminated and not right.terminated:
+                      ChaseConfig(OBLIVIOUS, 4 * cap, max(left.complete_rounds, 1)))
+    if left.terminated and (not right.terminated or right.rounds > left.rounds):
         return False, f"canonical chase runs past round {left.rounds}"
     r = (max(left.rounds, right.rounds) if left.terminated and right.terminated
          else min(left.complete_rounds, right.complete_rounds))
@@ -332,9 +333,9 @@ def check_entailment_transfer():
         )
         src_chase = run_chase(program.database, program.ontology, cfg)
         can_chase = run_chase(dbc, ontoc, cfg)
-        for i, q in enumerate(program.queries):
-            src = entailment_in(src_chase, q)
-            can = entailment_in(can_chase, canonical_queries[i])
+        verdicts = zip(entailments_in(src_chase, program.queries),
+                       entailments_in(can_chase, canonical_queries))
+        for i, (src, can) in enumerate(verdicts):
             if src.verdict == Verdict.UNKNOWN or can.verdict == Verdict.UNKNOWN:
                 return False, f"{name} query {i}: chase did not terminate"
             if src.verdict != can.verdict:
@@ -449,8 +450,8 @@ def check_finite_countermodels():
         # `find_finite_countermodel`, which must return the first
         # enumerated model that rejects the query
         models = list(enumerate_finite_models(program.database, program.ontology, budget))
-        for i, q in enumerate(program.queries):
-            verdict = entailment_in(chase, q)
+        verdicts = entailments_in(chase, program.queries)
+        for i, (q, verdict) in enumerate(zip(program.queries, verdicts)):
             counter = next((m for m in models if satisfies_query(m, q) is None), None)
             if find_finite_countermodel(program.database, program.ontology, q, budget) != counter:
                 return False, f"{name} query {i}: countermodel search differs from the enumeration"

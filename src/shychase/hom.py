@@ -156,7 +156,11 @@ class Witness(_Record):
 
 def satisfies_query(inst, q: Query) -> Optional[Witness]:
     """Witness for the first satisfied disjunct, or None; one index serves all."""
-    idx = _index(inst)
+    return _satisfied(q, _index(inst))
+
+
+def _satisfied(q: Query, idx: dict) -> Optional[Witness]:
+    """`satisfies_query` on the instance indexed by idx."""
     for j, disjunct in enumerate(q.disjuncts):
         h = next(_search(list(disjunct), {}, idx), None)
         if h is not None:

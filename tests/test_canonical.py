@@ -1,5 +1,7 @@
 """Shape-indexed rewriting, its inverse, and the active/harmless split."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,8 @@ from shychase.canonical import (
     UnpackError,
     _dedup,
     _first_occurrence_vars,
-    _is_new,
+    _images,
     _rewritten_rules,
-    _substitutions,
     _tagged_atoms,
     canonical_atom,
     partition_active_harmless,
@@ -24,6 +25,7 @@ from shychase.canonical import (
 from shychase.core import (
     Atom,
     Constant,
+    Database,
     Instance,
     Null,
     Ontology,
@@ -37,6 +39,7 @@ from shychase.harness import curated_programs, load_paper_program
 from shychase.hom import _canonical_key, _split
 from shychase.parse import Program, parse_program, parse_query, print_program
 
+import rewrite_oracle
 from iso_oracle import isomorphic
 from pattern_oracle import substitutions as oracle_substitutions
 
@@ -95,9 +98,15 @@ def _apply(subst, atom):
     return Atom(atom.pred, tuple(subst.get(t, t) for t in atom.args))
 
 
+def _substitutions(variables, constants) -> list:
+    """The maps whose images `_images` enumerates, as dicts."""
+    return [dict(zip(variables, images)) for images in _images(variables, constants)]
+
+
 def test_substitution_pattern_uses_first_member_as_representative():
     x, y = Variable("X"), Variable("Y")
-    assert list(_substitutions([x, y], [])) == [{x: x, y: x}, {x: x, y: y}]
+    assert list(_images([x, y], [])) == [(x, x), (x, y)]
+    assert _substitutions([x, y], []) == [{x: x, y: x}, {x: x, y: y}]
     frozen = list(_substitutions([x], [Constant("c")]))[1]
     assert _apply(frozen, Atom("p", (x,))) == Atom("p", (Constant("c"),))
 
@@ -108,12 +117,11 @@ _SIX_VARIABLES = [Variable(v) for v in "UVWXYZ"]
 @pytest.mark.parametrize("n_vars", range(6))
 @pytest.mark.parametrize("n_consts", range(3))
 def test_substitutions_match_the_pattern_oracle(n_vars, n_consts):
-    """[DERIVED] `_substitutions` yields the maps of the former pattern
-    enumerator, in its order, for 0-5 variables and 0-2 constants."""
+    """[DERIVED] `_images` yields the images of the maps of the former
+    pattern enumerator, in its order, for 0-5 variables and 0-2 constants."""
     variables = _SIX_VARIABLES[:n_vars]
     constants = [Constant("a"), Constant("b")][:n_consts]
-    assert list(_substitutions(variables, constants)) == \
-        oracle_substitutions(variables, constants)
+    assert _substitutions(variables, constants) == oracle_substitutions(variables, constants)
 
 
 def test_substitutions_match_the_pattern_oracle_on_every_body_and_disjunct():
@@ -126,7 +134,7 @@ def test_substitutions_match_the_pattern_oracle_on_every_body_and_disjunct():
         atom_lists += [d for q in program.queries for d in q.disjuncts]
         for atoms in atom_lists:
             variables = _first_occurrence_vars(atoms)
-            assert list(_substitutions(variables, consts)) == \
+            assert _substitutions(variables, consts) == \
                 oracle_substitutions(variables, consts), name
 
 
@@ -245,7 +253,7 @@ def test_distinct_body_predicates_give_patterns_distinct_up_to_renaming(rule, co
     `_canonical_key` of its own."""
     codes: dict = {}
     keys = []
-    for subst in _substitutions(_first_occurrence_vars(rule.body), sorted(consts)):
+    for subst in oracle_substitutions(_first_occurrence_vars(rule.body), sorted(consts)):
         plain, coded = _split(_tagged_atoms(*_rewrite_per_atom(rule, subst)), codes)
         keys.append(_canonical_key(frozenset(plain), tuple(coded)))
     assert len(set(keys)) == len(keys)
@@ -254,9 +262,11 @@ def test_distinct_body_predicates_give_patterns_distinct_up_to_renaming(rule, co
 def test_rewriting_keys_only_rules_that_repeat_a_body_predicate(monkeypatch):
     """Counted `_canonical_key` calls of `rewrite_theory` over the curated
     suite: 1,248 when every pattern is keyed, 322 when only the rules that
-    repeat a body predicate are.  With the queries, 575 when every disjunct
+    repeat a body predicate are, and 4 when such a rule's variant is keyed
+    only once its (predicate, shape) multiset meets a kept variant's: two
+    variants meet one each.  With the queries, 575 when every disjunct
     pattern is keyed, 332 when only a disjunct of a query with several, or
-    one that repeats a predicate, is."""
+    one that repeats a predicate, is, and still 4 when keyed on meeting."""
     calls = 0
     key = hom._canonical_key
 
@@ -270,11 +280,11 @@ def test_rewriting_keys_only_rules_that_repeat_a_body_predicate(monkeypatch):
             monkeypatch.setattr(module, "_canonical_key", counted)
     for _, program in curated_programs():
         rewrite_theory(program.database, program.ontology)
-    assert 0 < calls <= 330
+    assert calls == 4
     calls = 0
     for _, program in curated_programs():
         rewrite_theory(program.database, program.ontology, program.queries)
-    assert 0 < calls <= 340
+    assert calls == 4
 
 
 def _query_by_pairwise_dedupe(q, consts) -> Query:
@@ -314,7 +324,7 @@ def _substitutions_rewriting_twice(rule, consts) -> tuple:
     codes, seen = {}, set()
     return tuple(
         subst for subst in _oracle_substitutions_of(rule, consts)
-        if _is_new(_tagged_atoms(*_rewrite_per_atom(rule, subst)), codes, seen))
+        if rewrite_oracle.is_new(_tagged_atoms(*_rewrite_per_atom(rule, subst)), codes, seen))
 
 
 def _ontology_rewriting_twice(db, onto) -> Ontology:
@@ -371,6 +381,70 @@ def test_printed_rewriting_parses_back():
     assert Atom("start", (), ()) in again.database
 
 
+def _assert_rewrites_as_the_oracle(program, name):
+    db, onto, queries = program.database, program.ontology, program.queries
+    got = rewrite_theory(db, onto, queries)
+    want = rewrite_oracle.rewrite_theory(db, onto, queries)
+    assert got[0] == want[0], name
+    assert _rule_parts(got[1]) == _rule_parts(want[1]), name
+    assert [q.disjuncts for q in got[2]] == [q.disjuncts for q in want[2]], name
+
+
+def test_rewrite_theory_matches_the_per_substitution_oracle():
+    """[DERIVED] The template kernel and the dedupe keyed on meeting give
+    the database, rule ids, order and atoms and the query disjuncts of the
+    per-substitution rewriting with an eager key, on the packaged theories
+    and random seeds 0-199."""
+    theories = [*curated_programs(), *((name, load_paper_program(name))
+                                       for name in _PAPER_THEORIES)]
+    assert len(theories) == 29
+    theories += [(f"random {seed}", random_program(seed, default_config()))
+                 for seed in range(200)]
+    for name, program in theories:
+        _assert_rewrites_as_the_oracle(program, name)
+
+
+_REPEAT_TERMS = [Variable("X"), Variable("Y"), Variable("Z"), Constant("a"), Constant("b")]
+
+
+@st.composite
+def _repeating_predicate_programs(draw):
+    """A fact, and a rule whose body repeats a predicate among its 2-4
+    atoms over variables and constants, with its head over body terms, a
+    constant and an existential variable; its body is also the query."""
+    preds = draw(st.lists(st.sampled_from("pq"), min_size=2, max_size=4))
+    preds[1] = preds[0]
+    body = tuple(Atom(p, tuple(draw(st.lists(st.sampled_from(_REPEAT_TERMS),
+                                             min_size=1, max_size=3))))
+                 for p in preds)
+    head_terms = [t for a in body for t in a.args] + [Constant("c"), Variable("E")]
+    head = Atom("h", tuple(draw(st.lists(st.sampled_from(head_terms), max_size=3))))
+    fact = Atom("p", tuple(draw(st.lists(st.sampled_from([Constant("a"), Constant("d")]),
+                                         min_size=1, max_size=2))))
+    return Program(Database(frozenset({fact})), Ontology((Rule("r", body, head),)),
+                   (Query((body,)), Query((body, body[:1]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_predicate_programs())
+def test_keyed_rewriting_matches_the_oracle_on_repeated_predicates(program):
+    """[DERIVED] The same agreement on rules that repeat a predicate and
+    carry constants, which take the keyed path, and on their bodies as a
+    lone and as a two-disjunct query."""
+    _assert_rewrites_as_the_oracle(program, "hypothesis")
+
+
+def test_constants_of_matches_the_per_occurrence_scan():
+    """[DERIVED] `constants_of` finds the constants the per-occurrence scan
+    finds, on every source theory and canonical theory of the packaged
+    theories and random seeds 0-99."""
+    for name, program in _rewrite_once_theories():
+        db, onto = program.database, program.ontology
+        dbc, ontoc, _ = rewrite_theory(db, onto)
+        for pair in ((db, onto), (dbc, ontoc), (Database(), ontoc)):
+            assert constants_of(*pair) == rewrite_oracle.constants_of(*pair), name
+
+
 def test_rewrite_once_matches_rewriting_twice():
     """[DERIVED] Rewriting each substitution once keeps the instantiations
     of the same substitutions and gives the same rule ids, order and atoms
@@ -390,31 +464,54 @@ def test_rewrite_once_matches_rewriting_twice():
 
 
 def test_rewrite_ontology_rewrites_each_enumerated_pattern_once(monkeypatch):
-    """A rule body is instantiated once per enumerated substitution, kept or
-    not: the kept rule is built from the atoms its dedupe key was built
-    from.  Each kept rule is constructed once, under its final id."""
-    instantiated, built = [], []
-    instantiate, rule_type = canonical._instantiate, canonical._rule
+    """A rule is instantiated once per enumerated substitution, kept or not,
+    into the canonical forms of its atoms under it, and each atom of the
+    rule is canonicalised once per distinct image under those
+    substitutions.  Each kept rule is constructed once, under its final id."""
+    enumerated, instantiated, canonicalised, built = [], [], [], []
+    images, instances = canonical._images, canonical._instances
+    canonicalise, rule_type = canonical.canonical_atom, canonical._rule
 
-    def counting_instantiate(atoms, subst):
-        instantiated.append((atoms, subst))
-        return instantiate(atoms, subst)
+    def recording_images(variables, constants):
+        for image in images(variables, constants):
+            enumerated.append(dict(zip(variables, image)))
+            yield image
+
+    def recording_instances(atoms, variables, constants):
+        for out in instances(atoms, variables, constants):
+            instantiated.append((atoms, list(out)))
+            yield out
+
+    def counting_canonical_atom(atom):
+        canonicalised.append(atom)
+        return canonicalise(atom)
 
     def counting_rule(*args):
         built.append(args[0])
         return rule_type(*args)
 
-    monkeypatch.setattr(canonical, "_instantiate", counting_instantiate)
+    monkeypatch.setattr(canonical, "_images", recording_images)
+    monkeypatch.setattr(canonical, "_instances", recording_instances)
+    monkeypatch.setattr(canonical, "canonical_atom", counting_canonical_atom)
     monkeypatch.setattr(canonical, "_rule", counting_rule)
     for name in _PAPER_THEORIES:
         program = load_paper_program(name)
         consts = sorted(constants_of(program.database, program.ontology))
-        enumerated = [(rule.body, subst) for rule in program.ontology
-                      for subst in _oracle_substitutions_of(rule, consts)]
-        instantiated.clear()
-        built.clear()
+        want = [((*rule.body, rule.head), subst) for rule in program.ontology
+                for subst in _oracle_substitutions_of(rule, consts)]
+        want_canonicalised = Counter()
+        for rule in program.ontology:
+            for atom in rule.atoms():
+                want_canonicalised.update({_apply(subst, atom)
+                                           for subst in _oracle_substitutions_of(rule, consts)})
+        for log in (enumerated, instantiated, canonicalised, built):
+            log.clear()
         ontoc = rewrite_ontology(program.database, program.ontology)
-        assert instantiated == enumerated, name
+        assert [(atoms, subst) for (atoms, _), subst in zip(instantiated, enumerated)] == want, name
+        assert len(enumerated) == len(want), name
+        for (atoms, out), subst in zip(instantiated, enumerated):
+            assert out == [canonicalise(_apply(subst, a)) for a in atoms], name
+        assert Counter(canonicalised) == want_canonicalised, name
         assert built == [rule.id for rule in ontoc], name
 
 

@@ -12,15 +12,18 @@ from shychase.chase import (
     ChaseConfig,
     ChaseResult,
     ChaseStep,
+    Entailment,
     Verdict,
     applicable_steps,
+    entailment_in,
+    entailments_in,
     entails,
     run_chase,
 )
-from shychase.core import Atom, Constant, Instance, Null, NullFactory
+from shychase.core import Atom, Constant, Instance, Null, NullFactory, Query
 from shychase.generate import default_config, random_program
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import _mapping_key, _search, _violations, apply_mapping
+from shychase.hom import _mapping_key, _search, _violations, apply_mapping, satisfies_query
 from shychase.parse import parse_program, parse_query, print_atom
 
 from search_oracle import index as oracle_index
@@ -401,3 +404,41 @@ def test_dropping_fired_triggers_before_the_sort_keeps_the_steps(monkeypatch):
             assert applicable_steps(program.ontology, idx, fired, mode) == want
             checked += bool(fired and want)
     assert checked >= 20
+
+
+def _entailment_per_query(result, q) -> Entailment:
+    """Oracle: the verdict read off a new index of the chase per query."""
+    w = satisfies_query(result.instance, q)
+    if w is not None:
+        return Entailment(Verdict.TRUE, w, result)
+    return Entailment(Verdict.FALSE if result.terminated else Verdict.UNKNOWN, None, result)
+
+
+def test_queries_read_off_one_index_match_the_per_query_path(monkeypatch):
+    """[DERIVED] `entailments_in` and `entailment_in` give the verdicts and
+    witnesses of a new index per query, on the packaged theories and random
+    seeds 0-49, with their queries and each rule body as a query, in both
+    modes, at a fixpoint and at a bound; `entailments_in` indexes the chase
+    once."""
+    programs = ([program for _, program in curated_programs()]
+                + [load_paper_program(name) for name in _PAPER]
+                + [random_program(seed, default_config()) for seed in range(50)])
+    index, indexed = chase_module._index, []
+
+    def counting_index(atoms):
+        indexed.append(atoms)
+        return index(atoms)
+
+    monkeypatch.setattr(chase_module, "_index", counting_index)
+    verdicts = set()
+    for program in programs:
+        queries = [*program.queries, *(Query((rule.body,)) for rule in program.ontology)]
+        for mode in (OBLIVIOUS, RESTRICTED):
+            result = run_chase(program.database, program.ontology, ChaseConfig(mode, 200, 50))
+            want = [_entailment_per_query(result, q) for q in queries]
+            indexed.clear()
+            assert entailments_in(result, queries) == want
+            assert indexed == [result.instance]
+            assert [entailment_in(result, q) for q in queries] == want
+            verdicts.update(e.verdict for e in want)
+    assert verdicts == set(Verdict)

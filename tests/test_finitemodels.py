@@ -552,6 +552,29 @@ def test_propagation_ordering_requires_joinless():
         propagation_ordering((), program.ontology)
 
 
+def test_propagation_ordering_tests_joinlessness_as_classify_local():
+    """[DERIVED] `propagation_ordering` refuses an ontology exactly when
+    `classify_local` finds it not joinless, with its witness, on the source
+    and canonical ontologies and the active parts of the curated theories
+    and random seeds 0-99."""
+    programs = [program for _, program in curated_programs()]
+    programs += [random_program(seed, default_config()) for seed in range(100)]
+    refused = accepted = 0
+    for program in programs:
+        _, ontoc, _ = rewrite_theory(program.database, program.ontology)
+        for onto in (program.ontology, ontoc, partition_active_harmless(ontoc)[0]):
+            joinless, witness = classify_local(onto)["joinless"]
+            if joinless:
+                assert propagation_ordering((), onto) == ()
+                accepted += 1
+            else:
+                with pytest.raises(ValueError) as error:
+                    propagation_ordering((), onto)
+                assert str(error.value) == f"ontology is not joinless: {witness.describe()}"
+                refused += 1
+    assert refused > 0 and accepted > 0
+
+
 def test_propagation_ordering_golden():
     """[PAPER] Two birthplaces and their propagations, annotated verbatim."""
     program = load_paper_program("propagation.dlp")

@@ -209,6 +209,31 @@ def test_chase_commutation_detects_rounds_only_the_canonical_chase_reaches(monke
         False, "canonical chase runs past round 1")
 
 
+def test_chase_comparison_of_a_theory_whose_rules_never_fire(monkeypatch):
+    """A source chase that fires nothing ends after 0 rounds; the comparison
+    gives a verdict instead of asking for a chase of 0 rounds: the
+    canonical chase must fire nothing too."""
+    import shychase.harness as harness
+
+    program = parse_program("p(c). q(X) -> r(X). q(X), p(X) -> exists Y. q(Y).")
+    assert harness._canonical_chase_matches(program) == (True, "1 atoms agree")
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    assert harness._canonical_chase_matches(program, ontoc) == (True, "1 atoms agree")
+    assert harness._canonical_chase_matches(program, Ontology()) == (True, "1 atoms agree")
+
+    extra = parse_program("p_[c] -> r_[c].").ontology.rules
+
+    def mutated(db, onto, queries=()):
+        dbc, ontoc, qc = rewrite_theory(db, onto, queries)
+        return dbc, Ontology(ontoc.rules + extra), qc
+
+    monkeypatch.setattr(harness, "rewrite_theory", mutated)
+    assert harness._canonical_chase_matches(program) == (
+        False, "canonical chase runs past round 0")
+    assert harness._canonical_chase_matches(program, Ontology()) == (
+        False, "canonical chase runs past round 0")
+
+
 def test_round_check_never_accepts_what_the_isomorphism_oracle_rejects(monkeypatch):
     """[DERIVED] On the two chases of every theory criteria 3 and 4 check
     at seed 42, the round-by-round comparison and the colour-refinement
