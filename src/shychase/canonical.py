@@ -28,6 +28,7 @@ from .core import (
     constants_of,
 )
 from .hom import _canonical_key, _split
+from .parse import print_atom
 
 
 class UnpackError(ValueError):
@@ -35,25 +36,25 @@ class UnpackError(ValueError):
 
 
 def canonical_atom(atom: Atom) -> Atom:
-    """Canonical form of a shape-free atom.
+    """Canonical form of a shape-free atom (see `_canonical_form`)."""
+    return _canonical_form(_unshaped(atom).pred, atom.args)
 
-    Constants move into the shape verbatim; other terms are numbered by
-    first occurrence and kept, once each, as the arguments.
-    """
+
+def _unshaped(atom: Atom) -> Atom:
+    """The atom, if it carries no shape; else a ValueError naming it as
+    written in a `.dlp` file."""
     if atom.shape is not None:
-        raise ValueError(f"atom {atom!r} already carries a shape")
-    labels = []
+        raise ValueError(f"atom {print_atom(atom)} already carries a shape")
+    return atom
+
+
+def _canonical_form(pred: str, terms) -> Atom:
+    """The canonical atom of pred over terms: constants (kind rank 0, see
+    `core._Term`) move into the shape verbatim; other terms are numbered by
+    first occurrence and kept, once each, as the arguments."""
     seen: dict = {}
-    for t in atom.args:
-        if isinstance(t, Constant):
-            labels.append(t.name)
-        elif t in seen:
-            labels.append(seen[t])
-        else:
-            seen[t] = len(seen) + 1
-            labels.append(seen[t])
-    args = sorted(seen, key=seen.get)
-    return _atom(atom.pred, tuple(args), tuple(labels))
+    labels = tuple([t[2] if t[0] == 0 else seen.setdefault(t, len(seen) + 1) for t in terms])
+    return _atom(pred, tuple(seen), labels)
 
 
 def _dedup(atoms: Iterable[Atom]) -> tuple:
@@ -81,27 +82,29 @@ def _images(variables: list, constants: list) -> Iterator[tuple]:
 
 
 def _instances(atoms: tuple, variables: list, constants: list) -> Iterator[list]:
-    """The canonical forms of the atoms under each map of `_images`, in its
-    order, one list per map.
+    """The canonical forms of the atoms, which must carry no shape, under
+    each map of `_images`, in its order, one list per map.
 
-    Each atom becomes a template: a getter of the images of its variables
-    and a dict from those images to its canonical form, so each distinct
-    image of an atom is canonicalised once.  Terms outside `variables`
-    (constants, existential variables) stay fixed."""
+    Each atom becomes a slot plan: per argument, its variable's index in
+    the tuple of images, or the term itself if it is not in `variables`
+    (a constant or an existential variable).  The plan keeps a getter of
+    the images of the atom's variables and a dict from those images to the
+    canonical form, so `_canonical_form` builds each distinct image once."""
     slot = {v: i for i, v in enumerate(variables)}
-    templates = []
-    for a in atoms:
+    plans = []
+    for a in map(_unshaped, atoms):
         slots = [slot[v] for v in dict.fromkeys(a.variables()) if v in slot]
         # an atom without such variables has one image, keyed () by images[:0]
-        templates.append((a, itemgetter(*slots) if slots else itemgetter(slice(0)), {}))
+        plans.append((a.pred, [slot.get(t, t) for t in a.args],
+                      itemgetter(*slots) if slots else itemgetter(slice(0)), {}))
     for images in _images(variables, constants):
         out = []
-        for a, get, cache in templates:
+        for pred, plan, get, cache in plans:
             key = get(images)
             c = cache.get(key)
             if c is None:
-                args = tuple(images[slot[t]] if t in slot else t for t in a.args)
-                c = cache[key] = canonical_atom(_atom(a.pred, args, a.shape))
+                c = cache[key] = _canonical_form(
+                    pred, [images[s] if s.__class__ is int else s for s in plan])
             out.append(c)
         yield out
 
@@ -151,15 +154,15 @@ def _rewritten_rules(rule: Rule, consts: Iterable[Constant]) -> Iterator[tuple]:
 
     Enumerating equality classes in restricted growth order avoids every
     duplicate of a rule whose body predicates are pairwise distinct (see
-    `_repeats_a_predicate`); for a rule that repeats one, `_is_new` removes
-    the rest.
+    `_repeats_a_predicate`), and no two of its body atoms can coincide;
+    for a rule that repeats one, `_dedup` and `_is_new` remove the rest.
     """
     codes: dict = {}
     seen: dict = {}
     keyed = _repeats_a_predicate(rule.body)
     order = _first_occurrence_vars(rule.body)
     for *body, head in _instances((*rule.body, rule.head), order, sorted(set(consts))):
-        body = _dedup(body)
+        body = _dedup(body) if keyed else tuple(body)
         if not keyed or _is_new(_tagged_atoms(body, head), codes, seen):
             yield body, head
 
@@ -198,9 +201,10 @@ def rewrite_query(q: Query, consts: Iterable[Constant]) -> Query:
     codes: dict = {}
     seen: dict = {}
     for disjunct in q.disjuncts:
-        keyed = len(q.disjuncts) > 1 or _repeats_a_predicate(disjunct)
+        repeats = _repeats_a_predicate(disjunct)
+        keyed = len(q.disjuncts) > 1 or repeats
         for atoms in _instances(disjunct, _first_occurrence_vars(disjunct), constants):
-            atoms = _dedup(atoms)
+            atoms = _dedup(atoms) if repeats else tuple(atoms)
             if not keyed or _is_new(atoms, codes, seen):
                 disjuncts.append(atoms)
     return Query(tuple(disjuncts))

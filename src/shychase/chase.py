@@ -115,7 +115,7 @@ def run_chase(db: Database, onto: Ontology, cfg: ChaseConfig) -> ChaseResult:
             if cfg.mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
                 continue
             full = dict(h)
-            for v in sorted(rule.ev):
+            for v in rule.ev_sorted:
                 full[v] = nulls.fresh()
             produced = apply_mapping(full, rule.head)
             if produced in atoms:

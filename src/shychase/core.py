@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional, Union
@@ -162,9 +161,24 @@ class Position(_Record):
         return f"{self.predicate}[{self.index}]"
 
 
+class _lazy:
+    """A field computed on first read and stored in the instance dict, which
+    shadows this non-data descriptor from then on: `cached_property`
+    without the lock that Python 3.11 takes on every first read."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Rule(_Record, _Frozen):
-    # No __slots__: the instance dict holds the cached properties below,
-    # which eq, hash and repr do not read.
+    # No __slots__: the instance dict holds the lazy fields below, which
+    # eq, hash and repr do not read.
     _fields = ("id", "body", "head")
 
     def __new__(cls, id: str, body: tuple, head: Atom):
@@ -174,18 +188,28 @@ class Rule(_Record, _Frozen):
             raise ValueError(f"rule {id}: nulls are not allowed in rules")
         return tuple.__new__(cls, (id, body, head))
 
-    @cached_property
+    @_lazy
     def uv(self) -> frozenset:
         return frozenset(v for a in self.body for v in a.variables())
 
-    @cached_property
+    @_lazy
     def uv_by_name(self) -> tuple:
         """The body variables in name order; see `hom._mapping_key`."""
         return tuple(sorted(self.uv, key=lambda v: v.name))
 
-    @cached_property
+    @_lazy
     def ev(self) -> frozenset:
         return frozenset(self.head.variables()) - self.uv
+
+    @_lazy
+    def ev_sorted(self) -> tuple:
+        """The existential variables in term order."""
+        return tuple(sorted(self.ev))
+
+    @_lazy
+    def frontier(self) -> tuple:
+        """The head's arguments that are no existential variable, in order."""
+        return tuple(t for t in self.head.args if t not in self.ev)
 
     def atoms(self) -> tuple:
         return (*self.body, self.head)

@@ -7,6 +7,7 @@ of the full theory.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress, count
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -76,13 +77,19 @@ class SupportStep(_Record):
         return self.rule_id is None
 
 
-def _supports(rules: list, atom: Atom, idx: dict) -> Iterator[tuple]:
-    """Each (rule, map) of the rules, in order, whose head maps exactly onto
-    atom and whose body maps into the instance indexed by `_key` in idx."""
-    key = _key(atom)
-    for rule in rules:
-        if _key(rule.head) != key:
-            continue
+def _by_head_key(onto: Ontology) -> dict:
+    """The rules by id, filed by the `_key` of their heads."""
+    filed: dict = {}
+    for rule in sorted(onto, key=lambda r: r.id):
+        filed.setdefault(_key(rule.head), []).append(rule)
+    return filed
+
+
+def _supports(filed: dict, atom: Atom, idx: dict) -> Iterator[tuple]:
+    """Each (rule, map) of the rules filed under atom's `_key` (see
+    `_by_head_key`), in order, whose head maps exactly onto atom and whose
+    body maps into the instance indexed by `_key` in idx."""
+    for rule in filed.get(_key(atom), ()):
         seed = _match(rule.head, atom, {})
         if seed is not None:
             for h in _search(rule.body, seed, idx):
@@ -97,14 +104,14 @@ def _placements(atoms: list, db: Database, onto: Ontology) -> Iterator[SupportSt
     the atoms that has a well-supported ordering."""
     remaining = list(atoms)
     db_atoms = set(db.atoms)
-    rules = sorted(onto, key=lambda r: r.id)
+    filed = _by_head_key(onto)
     idx: dict = {}
     while True:
         for i, atom in enumerate(remaining):
             if atom in db_atoms:
                 step = SupportStep(atom, None)
                 break
-            support = next(_supports(rules, atom, idx), None)
+            support = next(_supports(filed, atom, idx), None)
             if support is not None:
                 step = SupportStep(atom, support[0].id, support[1])
                 break
@@ -149,64 +156,73 @@ def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optiona
     return Instance(frozenset(step.atom for step in _placements(inst.sorted_atoms(), db, onto)))
 
 
-def _keyed_rules(onto: Ontology) -> list:
-    """The rules by id, each as (rule, `_key` of its head, of its body
-    atoms, its existential variables sorted, the head's frontier: its
-    non-existential arguments)."""
-    return [(r, _key(r.head), tuple(map(_key, r.body)), sorted(r.ev),
-             tuple(t for t in r.head.args if t not in r.ev))
-            for r in sorted(onto, key=lambda r: r.id)]
+class _KeyedRules(list):
+    """The rules by id, each as (rule, `_key` of its head), filed by key:
+    `heads` maps a key to the (position, rule) of each rule whose head has
+    it, and `bodies` to the (position, rule, body atom, rest of the body)
+    of each body atom that has it, both in id order."""
+
+    __slots__ = ("heads", "bodies")
 
 
-def _add_atom(idx: dict, table: tuple, rules: list, a: Atom) -> tuple:
+def _keyed_rules(onto: Ontology) -> _KeyedRules:
+    rules = _KeyedRules()
+    rules.heads, rules.bodies = heads, bodies = {}, {}
+    for i, rule in enumerate(sorted(onto, key=lambda r: r.id)):
+        _, body, head = rule
+        head_key = _key(head)
+        rules.append((rule, head_key))
+        heads.setdefault(head_key, []).append((i, rule))
+        for j, b in enumerate(body):
+            bodies.setdefault(_key(b), []).append((i, rule, b, body[:j] + body[j + 1:]))
+    return rules
+
+
+def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
     """(index, violation table) of an instance plus an atom a it lacks,
     derived from the instance's own; neither input is changed.
 
     The table holds one dict per rule of `rules` (see `_keyed_rules`),
-    from `_mapping_key` to body map, of the rule's violations.  A
-    violation stays unless the rule's head maps onto a.  The new ones are
-    the body matches that use a: each body atom that matches a seeds a
-    search of the rest of the body.
+    from `_mapping_key` to body map, of the rule's violations; only rules
+    filed under a's `_key` can change.  A violation stays unless the
+    rule's head maps onto a.  The new ones are the body matches that use
+    a: each body atom that matches a seeds a search of the rest of the
+    body.
     """
-    pk = _key(a)
+    k = _key(a)
     idx = _added(idx, a)
-    out = []
-    for (rule, head_key, body_keys, _, _), viols in zip(rules, table):
-        if viols and head_key == pk:
-            viols = {k: h for k, h in viols.items() if _match(rule.head, a, h) is None}
-        if pk in body_keys:
-            for i, b in enumerate(rule.body):
-                seed = _match(b, a, {}) if body_keys[i] == pk else None
-                if seed is None:
-                    continue
-                rest = rule.body[:i] + rule.body[i + 1:]
-                new = {_mapping_key(rule, h): h for h in _violations(rule, idx, rest, seed)}
-                if new:
-                    viols = {**viols, **new}
-        out.append(viols)
+    out = list(table)
+    for i, rule in rules.heads.get(k, ()):
+        if out[i]:
+            out[i] = {m: h for m, h in out[i].items() if _match(rule.head, a, h) is None}
+    for i, rule, b, rest in rules.bodies.get(k, ()):
+        seed = _match(b, a, {})
+        if seed is not None:
+            new = {_mapping_key(rule, h): h for h in _violations(rule, idx, rest, seed)}
+            if new:
+                out[i] = {**out[i], **new}
     return idx, tuple(out)
 
 
-def _least_violation(rules: list, table: tuple):
+def _least_violation(rules: _KeyedRules, table: tuple):
     """(entry of `rules`, body map) of the first rule with a violation in
     the table, with its least body map under `_mapping_key`; or None."""
-    for entry, viols in zip(rules, table):
-        if viols:
-            return entry, viols[min(viols)]
+    for i in compress(count(), table):
+        return rules[i], table[i][min(table[i])]
     return None
 
 
-def _atoms_needed(rules: list, table: tuple, lacking: dict) -> int:
+def _atoms_needed(rules: _KeyedRules, table: tuple, lacking: dict) -> int:
     """A lower bound on the atoms any model containing the instance with
     this violation table must add: per `_key`, the larger of the certain
     atoms the instance lacks there (`lacking`, see `_lacked`) and the most
-    distinct frontier images (see `_keyed_rules`) among the violations of
-    one rule with a head of that key."""
+    distinct frontier images (see `core.Rule.frontier`) among the
+    violations of one rule with a head of that key."""
     most = dict(lacking)
-    for (_, head_key, _, _, frontier), viols in zip(rules, table):
-        if viols:
-            images = len({tuple(h.get(t, t) for t in frontier) for h in viols.values()})
-            most[head_key] = max(most.get(head_key, 0), images)
+    for i in compress(count(), table):
+        rule, head_key = rules[i]
+        images = len({tuple(h.get(t, t) for t in rule.frontier) for h in table[i].values()})
+        most[head_key] = max(most.get(head_key, 0), images)
     return sum(most.values())
 
 
@@ -241,7 +257,8 @@ def _repairs(terms: frozenset, fresh_used: int, violation, consts: list,
     rule's head: its existential variables range over the current terms,
     the known constants and the unused fresh nulls (`_ev_values`).  The
     violation is as `_least_violation` gives it."""
-    (rule, _, _, evs, _), h = violation
+    (rule, _), h = violation
+    evs = rule.ev_sorted
     pool = sorted(terms)
     pool += [c for c in consts if c not in terms]
     for values, drawn in _ev_values(len(evs), pool, fresh_pool[fresh_used:]):
@@ -484,13 +501,13 @@ def propagation_ordering(ordering: tuple, onto: Ontology) -> tuple:
         if not is_simple(rule.head) or len(set(body_vars)) < len(body_vars):
             witness = classify_local(onto)["joinless"][1]
             raise ValueError(f"ontology is not joinless: {witness.describe()}")
-    rules = sorted(onto, key=lambda r: r.id)
+    filed = _by_head_key(onto)
     idx: dict = {}
     rank: dict = {}  # atom -> 1-based rank of its first occurrence
     annotated: list = []
     for j, step in enumerate(ordering, 1):
         atom = step.atom
-        supports = [] if step.from_database else list(_supports(rules, atom, idx))
+        supports = [] if step.from_database else list(_supports(filed, atom, idx))
         ex_supported = bool(supports) and all(rule.ev for rule, _ in supports)
         images = [apply_mapping(h, b) for rule, h in supports for b in rule.body]
         args = []

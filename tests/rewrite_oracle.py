@@ -2,20 +2,41 @@
 as the oracle for it.
 
 Every substitution is a dict from `pattern_oracle.substitutions`; each
-atom is rewritten under it by `apply_mapping` and `canonical_atom`, a new
-atom per atom and substitution; and every instantiation of a rule or
-disjunct that needs a dedupe gets its `_canonical_key` at once, in a plain
-set.  The constant pool comes from the former `constants_of`, which builds
+atom is rewritten under it by `apply_mapping` and the former
+`canonical_atom`, which tells constants by `isinstance` and reads their
+`.name`, a new atom per atom and substitution; and every instantiation of
+a rule or disjunct that needs a dedupe gets its `_canonical_key` at once,
+in a plain set.  The constant pool comes from the former `constants_of`, which builds
 one `Constant` per occurrence.  The rule ids, order and tautology drop are
 those of `canonical`."""
 
 from itertools import chain
 
-from shychase.canonical import _repeats_a_predicate, _tagged_atoms, canonical_atom, rewrite_database
-from shychase.core import Constant, Ontology, Query, Rule
+from shychase.canonical import _repeats_a_predicate, _tagged_atoms, rewrite_database
+from shychase.core import Atom, Constant, Ontology, Query, Rule
 from shychase.hom import _canonical_key, _split, apply_mapping
 
 from pattern_oracle import substitutions
+
+
+def canonical_atom(atom: Atom) -> Atom:
+    """Canonical form of a shape-free atom: constants move into the shape
+    verbatim; other terms are numbered by first occurrence and kept, once
+    each, as the arguments."""
+    if atom.shape is not None:
+        raise ValueError(f"atom {atom!r} already carries a shape")
+    labels = []
+    seen: dict = {}
+    for t in atom.args:
+        if isinstance(t, Constant):
+            labels.append(t.name)
+        elif t in seen:
+            labels.append(seen[t])
+        else:
+            seen[t] = len(seen) + 1
+            labels.append(seen[t])
+    args = sorted(seen, key=seen.get)
+    return Atom(atom.pred, tuple(args), tuple(labels))
 
 
 def constants_of(db, onto) -> set:

@@ -53,6 +53,21 @@ def test_canonical_atom_examples():
     assert canonical_atom(Atom("p", ())) == Atom("p", (), ())
 
 
+_MIXED_TERMS = [Constant("a"), Constant("b"), Variable("X"), Variable("Y"), Null(1), Null(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from("pq"), st.lists(st.sampled_from(_MIXED_TERMS), max_size=6))
+def test_canonical_forms_match_the_former_canonical_atom(pred, args):
+    """[DERIVED] On atoms that mix constants, variables and nulls, the
+    positional builder and `canonical_atom` give the former
+    `canonical_atom`'s atom (`tests/rewrite_oracle.py`)."""
+    atom = Atom(pred, tuple(args))
+    want = rewrite_oracle.canonical_atom(atom)
+    assert canonical._canonical_form(pred, args) == canonical_atom(atom) == want
+    assert type(canonical_atom(atom)) is Atom
+
+
 def test_canonical_atom_rejects_already_shaped():
     with pytest.raises(ValueError):
         canonical_atom(Atom("p", (Variable("X"),), (1,)))
@@ -467,10 +482,12 @@ def test_rewrite_ontology_rewrites_each_enumerated_pattern_once(monkeypatch):
     """A rule is instantiated once per enumerated substitution, kept or not,
     into the canonical forms of its atoms under it, and each atom of the
     rule is canonicalised once per distinct image under those
-    substitutions.  Each kept rule is constructed once, under its final id."""
+    substitutions, through `_canonical_form`.  Each kept rule is
+    constructed once, under its final id."""
     enumerated, instantiated, canonicalised, built = [], [], [], []
     images, instances = canonical._images, canonical._instances
-    canonicalise, rule_type = canonical.canonical_atom, canonical._rule
+    canonicalise, rule_type = rewrite_oracle.canonical_atom, canonical._rule
+    form = canonical._canonical_form
 
     def recording_images(variables, constants):
         for image in images(variables, constants):
@@ -482,9 +499,9 @@ def test_rewrite_ontology_rewrites_each_enumerated_pattern_once(monkeypatch):
             instantiated.append((atoms, list(out)))
             yield out
 
-    def counting_canonical_atom(atom):
-        canonicalised.append(atom)
-        return canonicalise(atom)
+    def counting_canonical_form(pred, terms):
+        canonicalised.append(Atom(pred, tuple(terms)))
+        return form(pred, terms)
 
     def counting_rule(*args):
         built.append(args[0])
@@ -492,7 +509,7 @@ def test_rewrite_ontology_rewrites_each_enumerated_pattern_once(monkeypatch):
 
     monkeypatch.setattr(canonical, "_images", recording_images)
     monkeypatch.setattr(canonical, "_instances", recording_instances)
-    monkeypatch.setattr(canonical, "canonical_atom", counting_canonical_atom)
+    monkeypatch.setattr(canonical, "_canonical_form", counting_canonical_form)
     monkeypatch.setattr(canonical, "_rule", counting_rule)
     for name in _PAPER_THEORIES:
         program = load_paper_program(name)

@@ -162,21 +162,23 @@ def test_rejected_bound_exits_2(father_file, capsys, argv):
 def test_rewrite_of_shaped_input_exits_2(tmp_path, father_file, capsys):
     """A shaped atom cannot be canonicalised again; `rewrite` reports it as
     an input error, in a fact, a rule body, a rule head or a query of a
-    hand-written file and on its own output."""
+    hand-written file and on its own output, naming the first such atom
+    as it is written in a `.dlp` file."""
     code, rewritten, _ = run(capsys, "rewrite", father_file)
     assert code == 0
-    for name, text in (("shaped.dlp", "p_[1](a).\n"),
-                       ("body.dlp", "p_[1](X) -> q_[1,1](X).\n? q_[1,1](X).\n"),
-                       ("head.dlp", "p(X) -> q_[1](X).\n"),
-                       ("query.dlp", "p(c).\n? q_[1,1](X).\n"),
-                       ("rewritten.dlp", rewritten)):
+    for name, text, atom in (("shaped.dlp", "p_[1](a).\n", "p_[1](a)"),
+                             ("repeated.dlp", "p_[1,1](a).\n", "p_[1,1](a)"),
+                             ("body.dlp", "p_[1](X) -> q_[1,1](X).\n? q_[1,1](X).\n", "p_[1](X)"),
+                             ("head.dlp", "p(X) -> q_[1](X).\n", "q_[1](X)"),
+                             ("query.dlp", "p(c).\n? q_[1,1](X).\n", "q_[1,1](X)"),
+                             ("rewritten.dlp", rewritten, "f_[c1,c2]")):
         path = tmp_path / name
         path.write_text(text)
         for flags in ((), ("--partition",), ("--json",)):
             code, out, err = run(capsys, "rewrite", str(path), *flags)
             assert code == 2
             assert out == ""
-            assert err.startswith("error: ") and "already carries a shape" in err
+            assert err == f"error: atom {atom} already carries a shape\n"
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

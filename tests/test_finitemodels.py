@@ -20,6 +20,7 @@ from shychase.finitemodels import (
     SupportStep,
     _add_atom,
     _atoms_needed,
+    _by_head_key,
     _ev_values,
     _first_violation,
     _found_models,
@@ -27,6 +28,8 @@ from shychase.finitemodels import (
     _lacked,
     _least_violation,
     _minimal_by_embedding,
+    _placements,
+    _supports,
     disjoin_repair,
     enumerate_finite_models,
     find_finite_countermodel,
@@ -38,9 +41,11 @@ from shychase.finitemodels import (
 )
 from shychase.generate import default_config, is_shy_program, random_program, random_program_where
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import (_canonical_key, _key, _match, _split, apply_mapping, homomorphisms,
-                         isomorphic, satisfies_query)
+from shychase.hom import (_added, _canonical_key, _key, _match, _split, apply_mapping,
+                         homomorphisms, isomorphic, satisfies_query)
 from shychase.parse import parse_program, parse_query
+
+import scan_oracle
 
 CLOSURE = """
 e(a,b). e(b,c).
@@ -355,6 +360,83 @@ def test_atoms_needed_bounds_the_search_on_random(seed):
     _assert_atoms_needed_is_a_lower_bound(program.database, program.ontology, ModelBudget(2, 8))
 
 
+def _least(violation):
+    """The rule and body map of a least violation, or None."""
+    return violation and (violation[0][0], violation[1])
+
+
+def _assert_tables_match_the_scan(rules, scanned, atoms, certain=frozenset()):
+    """Adding the atoms one by one, the key-filed `_add_atom` gives the
+    all-rules scan's index and violation table after each, and
+    `_least_violation` and `_atoms_needed` give the scan's answers."""
+    idx, table, lacking = {}, ({},) * len(rules), Counter(map(_key, certain))
+    scan_idx, scan_table = idx, table
+    for a in atoms:
+        idx, table = _add_atom(idx, table, rules, a)
+        scan_idx, scan_table = scan_oracle.add_atom(scan_idx, scan_table, scanned, a)
+        lacking = _lacked(lacking, certain, (a,))
+        assert (idx, table) == (scan_idx, scan_table), a
+        assert _least(_least_violation(rules, table)) == \
+            _least(scan_oracle.least_violation(scanned, scan_table)), a
+        assert _atoms_needed(rules, table, lacking) == \
+            scan_oracle.atoms_needed(scanned, scan_table, lacking), a
+
+
+def _assert_filing_matches_the_scan(db, onto, budget):
+    """On every state the oracle search visits, atom by atom in sorted
+    order, with the certain atoms of the chase prefix, the key-filed rules
+    give the scan's tables and answers; each rule's lazy sorted
+    existential variables and frontier are the scan's entry fields."""
+    rules, scanned = _keyed_rules(onto), scan_oracle.keyed_rules(onto)
+    assert [(rule, head_key) for rule, head_key, *_ in scanned] == list(rules)
+    for rule, _, _, evs, frontier in scanned:
+        assert (rule.ev_sorted, rule.frontier) == (tuple(evs), frontier)
+    visited: list = []
+    _rebuilt_found_models(db, onto, budget, visited)
+    certain = _certain_atoms(db, onto, budget)
+    for atoms in visited:
+        _assert_tables_match_the_scan(rules, scanned, sorted(atoms), certain)
+
+
+def _assert_support_walk_matches_the_scan(db, onto, budget):
+    """On every found model, its atoms in sorted and in reverse order, the
+    support walk over rules filed by head key places the scan's steps, and
+    before each placement every atom has the scan's supports, in order."""
+    filed, rules = _by_head_key(onto), sorted(onto, key=lambda r: r.id)
+    for model in _found_models(db, onto, budget):
+        for atoms in (sorted(model), sorted(model, reverse=True)):
+            steps = list(_placements(atoms, db, onto))
+            assert steps == list(scan_oracle.placements(atoms, db, onto))
+            idx: dict = {}
+            for step in steps:
+                for atom in atoms:
+                    assert (list(_supports(filed, atom, idx))
+                            == list(scan_oracle.supports(rules, atom, idx))), atom
+                idx = _added(idx, step.atom)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
+def test_rule_filing_matches_the_all_rules_scan_on_curated(name):
+    """[DERIVED] Violation tables, least violations, atoms needed and
+    support steps of the key-filed rules equal those of the all-rules
+    scans (`tests/scan_oracle.py`) on each curated theory and its
+    canonical active part (up to 212 rules), at (2, 10)."""
+    program = dict(curated_programs())[name]
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, _ = partition_active_harmless(ontoc)
+    for db, onto in ((program.database, program.ontology), (dbc, active)):
+        _assert_filing_matches_the_scan(db, onto, ModelBudget(2, 10))
+        _assert_support_walk_matches_the_scan(db, onto, ModelBudget(2, 10))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rule_filing_matches_the_all_rules_scan_on_random(seed):
+    """[DERIVED] Same agreement on seeded random theories, at (2, 8)."""
+    program = random_program(seed, default_config())
+    _assert_filing_matches_the_scan(program.database, program.ontology, ModelBudget(2, 8))
+    _assert_support_walk_matches_the_scan(program.database, program.ontology, ModelBudget(2, 8))
+
+
 @pytest.mark.parametrize("seed", [*range(55), 63])
 def test_incremental_search_matches_rebuild_on_random_shy_active_parts(seed):
     """[DERIVED] Same agreement on the canonical active parts of random shy
@@ -422,6 +504,30 @@ _key_atoms = st.one_of(
     st.builds(lambda t: Atom("r", (t,)), st.sampled_from(_KEY_TERMS)),
 )
 _key_states = st.frozensets(_key_atoms, max_size=6)
+
+
+_FILING_ONTOLOGY = parse_program("""
+p(X,Y) -> exists Z. q(Y,Z).
+p(X,Y), p(Y,Z) -> q(X,Z).
+q(X,a), p(X,X) -> exists W. r(W).
+q(X,Y), r(Y) -> p(Y,X).
+""").ontology
+_MIXED_TERMS = [*_KEY_TERMS, Variable("X")]
+_filing_atoms = st.lists(st.one_of(
+    st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from("pq"),
+              st.sampled_from(_MIXED_TERMS), st.sampled_from(_MIXED_TERMS)),
+    st.builds(lambda t: Atom("r", (t,)), st.sampled_from(_MIXED_TERMS)),
+), max_size=8, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_filing_atoms)
+def test_rule_filing_matches_the_all_rules_scan_on_mixed_atoms(atoms):
+    """[DERIVED] Atoms of constants, variables and nulls, added one by one
+    in any order to rules that repeat a body key and share keys between
+    bodies and heads, give the scan's tables and answers."""
+    _assert_tables_match_the_scan(_keyed_rules(_FILING_ONTOLOGY),
+                                  scan_oracle.keyed_rules(_FILING_ONTOLOGY), atoms)
 
 
 def _state_key(atoms, codes):
