@@ -263,12 +263,8 @@ def unpack(value):
 
 def partition_active_harmless(onto: Ontology):
     """Split rules by body joins: harmless rules repeat a variable across
-    body atoms, active rules do not."""
+    body atoms (`Rule.joins`), active rules do not."""
     active, harmless = [], []
     for rule in onto:
-        joined = False
-        if len(rule.body) > 1:
-            occurrences = [v for atom in rule.body for v in set(atom.variables())]
-            joined = len(set(occurrences)) < len(occurrences)
-        (harmless if joined else active).append(rule)
+        (harmless if len(rule.body) > 1 and rule.joins else active).append(rule)
     return Ontology(tuple(active)), Ontology(tuple(harmless))

@@ -220,9 +220,8 @@ def is_shy(onto: Ontology):
     """
     invaded = invasion_table(onto)
     for rule in onto:
-        occurs_in = {v: [a for a in rule.body if v in set(a.variables())] for v in rule.uv}
-        for v in sorted(rule.uv):
-            attackers = attacked(rule.body, v, invaded) if len(occurs_in[v]) > 1 else ()
+        for v in sorted(rule.joins):
+            attackers = attacked(rule.body, v, invaded)
             if attackers:
                 attacker = sorted(attackers)[0]
                 return False, ViolationWitness(
@@ -230,6 +229,7 @@ def is_shy(onto: Ontology):
                     "condition (i): variable joins body atoms but is not protected",
                     (v.name,), tuple(_positions(rule.body, v)), attacker[1])
         head_vars = sorted(set(rule.head.variables()) & rule.uv)
+        occurs_in = {v: [a for a in rule.body if v in set(a.variables())] for v in head_vars}
         for x in head_vars:
             for y in head_vars:
                 if x.name >= y.name:

@@ -198,6 +198,16 @@ class Rule(_Record, _Frozen):
         return tuple(sorted(self.uv, key=lambda v: v.name))
 
     @_lazy
+    def joins(self) -> frozenset:
+        """The body variables that occur in two or more body atoms."""
+        seen, joins = set(), set()
+        for a in self.body:
+            for t in set(a.args):
+                if t[0] == 2:  # a variable, by its kind rank
+                    (joins if t in seen else seen).add(t)
+        return frozenset(joins)
+
+    @_lazy
     def ev(self) -> frozenset:
         return frozenset(self.head.variables()) - self.uv
 

@@ -20,6 +20,7 @@ from .core import (
     Null,
     Ontology,
     Query,
+    Rule,
     _Record,
     constants_of,
     is_simple,
@@ -27,7 +28,7 @@ from .core import (
 from .canonical import partition_active_harmless
 from .classify import classify_local
 from .hom import (_added, _index, _is_new_key, _key, _mapping_key, _match, _search, _split,
-                  _violations, apply_mapping, satisfies_query)
+                  _using, _violations, apply_mapping, satisfies_query)
 
 
 class ModelBudget(_Record):
@@ -78,10 +79,11 @@ class SupportStep(_Record):
 
 
 def _by_head_key(onto: Ontology) -> dict:
-    """The rules by id, filed by the `_key` of their heads."""
+    """The rules by id, each as (its position in that order, rule), filed
+    by the `_key` of their heads."""
     filed: dict = {}
-    for rule in sorted(onto, key=lambda r: r.id):
-        filed.setdefault(_key(rule.head), []).append(rule)
+    for entry in enumerate(sorted(onto, key=Rule.id.fget)):
+        filed.setdefault(_key(entry[1].head), []).append(entry)
     return filed
 
 
@@ -89,7 +91,7 @@ def _supports(filed: dict, atom: Atom, idx: dict) -> Iterator[tuple]:
     """Each (rule, map) of the rules filed under atom's `_key` (see
     `_by_head_key`), in order, whose head maps exactly onto atom and whose
     body maps into the instance indexed by `_key` in idx."""
-    for rule in filed.get(_key(atom), ()):
+    for _, rule in filed.get(_key(atom), ()):
         seed = _match(rule.head, atom, {})
         if seed is not None:
             for h in _search(rule.body, seed, idx):
@@ -158,23 +160,23 @@ def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optiona
 
 class _KeyedRules(list):
     """The rules by id, each as (rule, `_key` of its head), filed by key:
-    `heads` maps a key to the (position, rule) of each rule whose head has
-    it, and `bodies` to the (position, rule, body atom, rest of the body)
-    of each body atom that has it, both in id order."""
+    `heads` is their `_by_head_key` filing, and `bodies` maps a key to the
+    (position, rule) of each rule with a body atom of that key, once each."""
 
     __slots__ = ("heads", "bodies")
 
 
 def _keyed_rules(onto: Ontology) -> _KeyedRules:
-    rules = _KeyedRules()
-    rules.heads, rules.bodies = heads, bodies = {}, {}
-    for i, rule in enumerate(sorted(onto, key=lambda r: r.id)):
-        _, body, head = rule
-        head_key = _key(head)
-        rules.append((rule, head_key))
-        heads.setdefault(head_key, []).append((i, rule))
-        for j, b in enumerate(body):
-            bodies.setdefault(_key(b), []).append((i, rule, b, body[:j] + body[j + 1:]))
+    rules = _KeyedRules([None] * len(onto))
+    rules.heads, rules.bodies = heads, bodies = _by_head_key(onto), {}
+    for head_key, filed in heads.items():
+        for entry in filed:
+            i, rule = entry
+            rules[i] = rule, head_key
+            for b in rule.body:
+                by_body = bodies.setdefault(_key(b), [])
+                if not by_body or by_body[-1] is not entry:
+                    by_body.append(entry)
     return rules
 
 
@@ -185,9 +187,8 @@ def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
     The table holds one dict per rule of `rules` (see `_keyed_rules`),
     from `_mapping_key` to body map, of the rule's violations; only rules
     filed under a's `_key` can change.  A violation stays unless the
-    rule's head maps onto a.  The new ones are the body matches that use
-    a: each body atom that matches a seeds a search of the rest of the
-    body.
+    rule's head maps onto a.  The new ones are the body maps that use a
+    (`_using`, which yields each once) and have no head extension.
     """
     k = _key(a)
     idx = _added(idx, a)
@@ -195,12 +196,12 @@ def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
     for i, rule in rules.heads.get(k, ()):
         if out[i]:
             out[i] = {m: h for m, h in out[i].items() if _match(rule.head, a, h) is None}
-    for i, rule, b, rest in rules.bodies.get(k, ()):
-        seed = _match(b, a, {})
-        if seed is not None:
-            new = {_mapping_key(rule, h): h for h in _violations(rule, idx, rest, seed)}
-            if new:
-                out[i] = {**out[i], **new}
+    for i, rule in rules.bodies.get(k, ()):
+        for h in _using(rule.body, a, idx):
+            if next(_search([rule.head], h, idx), None) is None:
+                if out[i] is table[i]:
+                    out[i] = dict(out[i])
+                out[i][_mapping_key(rule, h)] = h
     return idx, tuple(out)
 
 
@@ -309,8 +310,10 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
     fresh nulls are Null(1), Null(2), ...
     """
     consts = sorted(constants_of(db, onto))
-    fresh_pool = [Null(1 + i) for i in range(budget.max_extra_nulls)]
     rules = _keyed_rules(onto)
+    # no state within max_atoms atoms holds more nulls: each is a head argument
+    cap = budget.max_atoms * max((arity for _, arity in rules.heads), default=0)
+    fresh_pool = [Null(1 + i) for i in range(min(budget.max_extra_nulls, cap))]
     codes: dict = {}
     lacking = Counter(map(_key, certain))
 
@@ -549,9 +552,7 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
     # the current atoms and, slot by slot, their annotations
     atoms = [step.atom for step in ordering]
     notes = [a.args for a in propagation_ordering(ordering, active)]
-    # each harmless rule with its variables that occur in two body atoms
-    breakers = [(rule, {v for v in rule.uv if sum(v in b.args for b in rule.body) > 1})
-                for rule in sorted(harmless, key=lambda r: r.id)]
+    breakers = sorted(harmless, key=lambda r: r.id)
     model_idx = _index(model.atoms)
     activated: dict = {}  # starting point -> its term, in activation order
     skipped: set = set()
@@ -568,7 +569,7 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
         """Activate the starting points behind the first unskipped match of
         a harmless body, in `_index` order; False if there is none."""
         idx = _index(atoms)
-        for rule, joined in breakers:
+        for rule in breakers:
             for h in _search(rule.body, {}, idx):
                 images = [apply_mapping(h, b) for b in rule.body]
                 key = (rule.id, frozenset(images))
@@ -578,7 +579,7 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
                 fresh = {note for b, image in zip(rule.body, images)
                          for a, ann in zip(atoms, notes) if a == image
                          for arg, note in zip(b.args, ann)
-                         if arg in joined and isinstance(note, StartingPoint)
+                         if arg in rule.joins and isinstance(note, StartingPoint)
                          and note not in activated}
                 if fresh:
                     for sp in sorted(fresh):

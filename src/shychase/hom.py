@@ -1,7 +1,9 @@
 """Homomorphism search, query satisfaction, and isomorphism modulo null or
 variable renaming through one canonical key.  `_violations` is
 the one trigger routine (a rule's body matches without a head extension),
-which the chase, model checking and the model search all call.  They all
+which the chase, model checking and the model search all call, and `_using`
+the one delta join (the body maps that use a given atom), through which the
+model search finds the violations an added atom brings.  They all
 search an index that `_index` builds and `_added` grows, the one index
 update.  It files each atom under its predicate and under each (predicate,
 position, term), so a join scans only the atoms that agree.  The search
@@ -129,6 +131,24 @@ def _violations(rule: Rule, idx: dict, body: tuple, seed: dict) -> Iterator[dict
     for h in _search(body, seed, idx):
         if next(_search([rule.head], h, idx), None) is None:
             yield h
+
+
+def _using(body: tuple, atom: Atom, idx: dict) -> Iterator[dict]:
+    """The delta join: each map of the atoms `body` into the indexed
+    instance, which holds atom, that sends some body atom onto atom, once,
+    from the first body position it sends there.  Complete: a map found
+    from position j sends a least position i onto atom, and the search
+    from i, which extends the match of i, finds it and keeps it."""
+    pred, args, shape = atom
+    earlier = []  # the body atoms before j that have atom's `_key`
+    for j, b in enumerate(body):
+        if b[0] == pred and b[2] == shape and len(b[1]) == len(args):
+            seed = _match(b, atom, {})
+            if seed is not None:
+                for h in _search(body[:j] + body[j + 1:], seed, idx):
+                    if not earlier or all(apply_mapping(h, c) != atom for c in earlier):
+                        yield h
+            earlier.append(b)
 
 
 def _mapping_key(rule: Rule, h: dict) -> tuple:

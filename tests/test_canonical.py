@@ -570,3 +570,53 @@ def test_partition_active_harmless():
     for rule in active:
         body_vars = [v for a in rule.body for v in set(a.variables())]
         assert len(body_vars) == len(set(body_vars))
+
+
+def _former_partition_joined(rule) -> bool:
+    """`partition_active_harmless`'s former inline test of a body join."""
+    if len(rule.body) == 1:
+        return False
+    occurrences = [v for atom in rule.body for v in set(atom.variables())]
+    return len(set(occurrences)) < len(occurrences)
+
+
+def _former_breaker_joins(rule) -> set:
+    """`disjoin_repair`'s former joined variables of a harmless rule."""
+    return {v for v in rule.uv if sum(v in b.args for b in rule.body) > 1}
+
+
+def _former_shy_joins(rule) -> set:
+    """`is_shy`'s former condition (i) variables: those in two body atoms."""
+    occurs_in = {v: [a for a in rule.body if v in set(a.variables())] for v in rule.uv}
+    return {v for v in rule.uv if len(occurs_in[v]) > 1}
+
+
+def _joins_sample() -> list:
+    """The rules of the packaged theories, of random seeds 0-199, and of
+    the rewritings of all of them."""
+    from importlib import resources
+
+    paper = resources.files("shychase").joinpath("suites/paper")
+    programs = [program for _, program in curated_programs()]
+    programs += [load_paper_program(e.name) for e in sorted(paper.iterdir(), key=lambda e: e.name)
+                 if e.name.endswith(".dlp")]
+    programs += [random_program(seed, default_config()) for seed in range(200)]
+    rules = []
+    for program in programs:
+        rules += program.ontology
+        rules += rewrite_ontology(program.database, program.ontology)
+    return rules
+
+
+def test_rule_joins_equals_each_former_inline_definition():
+    """[DERIVED] `Rule.joins` is the set each former inline definition
+    named, and partitioning sends a rule to the harmless side exactly when
+    the former test did."""
+    rules = _joins_sample()
+    harmless = set(partition_active_harmless(Ontology(tuple(rules)))[1])
+    joined = 0
+    for rule in rules:
+        assert rule.joins == _former_breaker_joins(rule) == _former_shy_joins(rule), rule
+        assert bool(rule.joins) == _former_partition_joined(rule) == (rule in harmless), rule
+        joined += bool(rule.joins)
+    assert 0 < joined < len(rules)

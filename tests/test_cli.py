@@ -430,3 +430,17 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             env=env, capture_output=True, text=True, check=True)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_fc_check_with_a_huge_null_budget_answers_as_at_the_cap(capsys):
+    """`--max-nulls 1000000000` allocates no more fresh nulls than 12 atoms
+    of head arity 2 can hold, and finds t18's 12-atom countermodel for
+    query 4 exactly as `--max-nulls 24` does."""
+    t18 = str(Path(harness.__file__).parent / "suites/curated/t18.dlp")
+    outs = []
+    for nulls in ("24", "1000000000"):
+        code, out, _ = run(capsys, "fc-check", t18, "--query", "4", "--max-nulls", nulls, "--json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["countermodel"]["atoms"]) == 12

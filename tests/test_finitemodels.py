@@ -1112,3 +1112,29 @@ def test_well_supported_core_matches_the_oracle_on_random_chases(seed):
         result = run_chase(program.database, program.ontology, ChaseConfig(mode, 40, 40))
         if result.terminated:
             _assert_core_matches_the_oracle(result.instance, program.database, program.ontology)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
+def test_fresh_null_pool_stops_at_what_the_atom_budget_can_hold(name, monkeypatch):
+    """[DERIVED] A state of at most max_atoms atoms holds at most max_atoms
+    times the largest head arity nulls, so the search never runs short of
+    fresh nulls with a pool of that size: at every repair there is still
+    one for each existential variable.  A larger max_extra_nulls, even
+    10**9, then finds the models found at that cap."""
+    program = dict(curated_programs())[name]
+    db, onto = program.database, program.ontology
+    cap = 12 * max(len(rule.head.args) for rule in onto)
+    repairs = finitemodels._repairs
+    short = []
+
+    def checked(terms, fresh_used, violation, consts, fresh_pool):
+        (rule, _), _ = violation
+        if fresh_used + len(rule.ev) > len(fresh_pool):
+            short.append((rule.id, fresh_used, len(fresh_pool)))
+        return repairs(terms, fresh_used, violation, consts, fresh_pool)
+
+    monkeypatch.setattr(finitemodels, "_repairs", checked)
+    found = _found_models(db, onto, ModelBudget(cap, 12))
+    assert short == []
+    assert _found_models(db, onto, ModelBudget(10**9, 12)) == found
+    assert _found_models(db, onto, ModelBudget(cap + 5, 12)) == found

@@ -4,7 +4,8 @@ renaming, against brute force and the colour-refinement oracle."""
 import sys
 from itertools import permutations, product
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shychase import hom
@@ -17,6 +18,7 @@ from shychase.hom import (
     _mapping_key,
     _search,
     _split,
+    _using,
     _violations,
     apply_mapping,
     homomorphisms,
@@ -380,3 +382,93 @@ def test_canonical_key_equal_exactly_when_isomorphic_on_variables(a, b, images):
         assert (key_a == _key(other, codes)) == oracle_isomorphic(a, other)
     if sorted(images) == _KEY_VARIABLES:
         assert _key(mapped, codes) == key_a
+
+
+def _in_order(maps) -> list:
+    """The maps as a list sorted by their items, so equal lists mean equal
+    maps with equal multiplicities."""
+    return sorted(maps, key=lambda h: sorted(h.items()))
+
+
+def _assert_using_matches_the_filter(body, atoms):
+    """For each atom of the instance, the delta join `_using` yields, as a
+    list, exactly the maps of the full search whose image holds the atom;
+    returns how many maps it yielded in all."""
+    idx = _index(atoms)
+    yielded = 0
+    for atom in atoms:
+        want = [h for h in _search(body, {}, idx)
+                if any(apply_mapping(h, b) == atom for b in body)]
+        assert _in_order(_using(body, atom, idx)) == _in_order(want), (body, atom)
+        yielded += len(want)
+    return yielded
+
+
+def test_using_yields_a_map_through_two_body_atoms_once():
+    """X = Y = a sends both body atoms onto p(a,a): one map, not two."""
+    a, b = Constant("a"), Constant("b")
+    x, y = Variable("X"), Variable("Y")
+    body = (Atom("p", (x, y)), Atom("p", (y, x)))
+    atoms = [Atom("p", (a, a)), Atom("p", (a, b)), Atom("p", (b, a))]
+    idx = _index(atoms)
+    assert list(_using(body, Atom("p", (a, a)), idx)) == [{x: a, y: a}]
+    assert _in_order(_using(body, Atom("p", (a, b)), idx)) == [{x: a, y: b}, {x: b, y: a}]
+    _assert_using_matches_the_filter(body, atoms)
+
+
+_X, _Y, _Z = Variable("X"), Variable("Y"), Variable("Z")
+_body_terms = st.sampled_from([Constant("a"), _X, _Y, _Z])
+# bodies of up to three atoms over two keys of one predicate, so that a key
+# repeats, with constants and variables shared between atoms
+_repeating_bodies = st.lists(st.one_of(_binary("p", _body_terms),
+                                       st.builds(lambda t: Atom("p", (t,)), _body_terms)),
+                             min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_bodies, _index_atoms)
+@example((Atom("p", (_X, _Y)), Atom("p", (_Y, _X)), Atom("p", (_X, _X))),
+         [Atom("p", (Constant("a"), Constant("a"))), Atom("p", (Null(1), Constant("a")))])
+def test_using_matches_the_filtered_search(body, atoms):
+    """[DERIVED] On bodies that repeat a key, with constants and shared
+    variables, `_using` yields each map through the atom exactly once."""
+    _assert_using_matches_the_filter(body, atoms)
+
+
+def _curated_models():
+    """(ontology, model) of every model the search finds on each curated
+    theory and its canonical active part at (2, 10)."""
+    from shychase.canonical import partition_active_harmless, rewrite_theory
+    from shychase.finitemodels import ModelBudget, _found_models
+    from shychase.harness import curated_programs
+
+    for _, program in curated_programs():
+        dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+        active, _ = partition_active_harmless(ontoc)
+        for db, onto in ((program.database, program.ontology), (dbc, active)):
+            for model in _found_models(db, onto, ModelBudget(2, 10)):
+                yield onto, sorted(model)
+
+
+def test_using_matches_the_filtered_search_on_curated_models():
+    """[DERIVED] Every rule body of each curated theory and of its canonical
+    active part against every model the search finds for it."""
+    yielded = 0
+    for onto, atoms in _curated_models():
+        for rule in onto:
+            yielded += _assert_using_matches_the_filter(rule.body, atoms)
+    assert yielded > 900
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_using_matches_the_filtered_search_on_random_chases(seed):
+    """[DERIVED] Every rule body of a seeded random theory against its
+    oblivious and its restricted chase, each cut at 60 atoms."""
+    from shychase.chase import OBLIVIOUS, RESTRICTED, ChaseConfig, run_chase
+    from shychase.generate import default_config, random_program
+
+    program = random_program(seed, default_config())
+    for mode in (OBLIVIOUS, RESTRICTED):
+        chase = run_chase(program.database, program.ontology, ChaseConfig(mode, 60, 20))
+        for rule in program.ontology:
+            _assert_using_matches_the_filter(rule.body, sorted(chase.instance))
