@@ -188,7 +188,8 @@ def _rewrite_ontology(onto: Ontology, consts: list) -> Ontology:
     for rule in onto:
         for i, (body, head) in enumerate(_rewritten_rules(rule, consts), 1):
             if head not in body:
-                out.append(_rule(f"{rule.id}.{i}", body, head))
+                # a substitution maps only universal variables
+                out.append(_rule(f"{rule.id}.{i}", body, head, rule.ev))
     return Ontology(tuple(out))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .core import Ontology, Position, Variable, _Record, is_simple
+from .core import Ontology, Position, _Record, is_simple
 
 FRAGMENTS = (
     "datalog",
@@ -46,12 +46,6 @@ class ViolationWitness(_Record):
         return "; ".join(parts)
 
 
-def _positions(atoms, var: Variable) -> list:
-    """Positions where var occurs in atoms, in atom and argument order."""
-    return [Position(atom.predicate_name, i)
-            for atom in atoms for i, t in enumerate(atom.args, 1) if t == var]
-
-
 # ---------------------------------------------------------------------------
 # local conditions
 
@@ -82,7 +76,7 @@ def classify_local(onto: Ontology) -> dict:
             fail("guarded", rule, "no body atom contains every universal variable", rule.uv)
         if not is_simple(rule.head):
             fail("joinless", rule, "head is not a simple atom")
-        repeated = [v for v in rule.uv if len(_positions(rule.body, v)) > 1]
+        repeated = [v for v in rule.uv if len(rule.positions[v][0]) > 1]
         if repeated:
             fail("joinless", rule, "body repeats a variable", repeated)
     return verdicts
@@ -96,13 +90,13 @@ def dependency_graph(onto: Ontology) -> frozenset:
     """Edges (source, target, "plain" | "special") of the position graph."""
     edges = set()
     for rule in onto:
-        head = (rule.head,)
-        ev_pos = [p for v in rule.ev for p in _positions(head, v)]
+        table = rule.positions
+        ev_pos = [p for v in rule.ev for p in table[v][2]]
         for v in rule.uv:
-            targets = _positions(head, v)
+            sources, _, targets = table[v]
             if not targets:
                 continue
-            for src in _positions(rule.body, v):
+            for src in sources:
                 edges.update((src, tgt, "plain") for tgt in targets)
                 edges.update((src, tgt, "special") for tgt in ev_pos)
     return frozenset(edges)
@@ -158,20 +152,20 @@ def sticky_marking(onto: Ontology):
         changed = False
         marked_positions = {pos for rule in onto for v in rule.uv
                             if (rule.id, v.name) in marked
-                            for pos in _positions(rule.body, v)}
+                            for pos in rule.positions[v][0]}
         for rule in onto:
             for v in rule.uv:
                 if ((rule.id, v.name) not in marked
-                        and not marked_positions.isdisjoint(_positions((rule.head,), v))):
+                        and not marked_positions.isdisjoint(rule.positions[v][2])):
                     marked.add((rule.id, v.name))
                     changed = True
     for rule in onto:
         for v in sorted(rule.uv):
-            positions = _positions(rule.body, v)
+            positions = rule.positions[v][0]
             if (rule.id, v.name) in marked and len(positions) > 1:
                 return frozenset(marked), False, ViolationWitness(
                     "sticky", rule.id, "marked variable occurs multiple times in the body",
-                    (v.name,), tuple(positions))
+                    (v.name,), positions)
     return frozenset(marked), True, None
 
 
@@ -183,18 +177,16 @@ def invasion_table(onto: Ontology) -> dict:
     """Least fixpoint of the two invasion clauses: each invaded position maps
     to the frozenset of (rule id, name) of the ∃-variables invading it."""
     invaded: dict = {}
+    heads = [(rule, rule.positions, _head_variables(rule)) for rule in onto]
     changed = True
     while changed:
         changed = False
-        for rule in onto:
-            for j, t in enumerate(rule.head.args, 1):
+        for rule, table, head in heads:
+            for pos, t in head:
                 if t in rule.ev:
                     new = {(rule.id, t.name)}
-                elif isinstance(t, Variable):
-                    new = attacked(rule.body, t, invaded)
                 else:
-                    continue
-                pos = Position(rule.head.predicate_name, j)
+                    new = attacked(table[t][0], invaded)
                 old = invaded.get(pos, frozenset())
                 if not new <= old:
                     invaded[pos] = old | new
@@ -202,10 +194,15 @@ def invasion_table(onto: Ontology) -> dict:
     return invaded
 
 
-def attacked(atoms, var: Variable, invaded: dict) -> frozenset:
-    """∃-variables invading every position of the atoms (a rule body or a
-    single atom) where var occurs."""
-    positions = _positions(atoms, var)
+def _head_variables(rule) -> list:
+    """(position, variable) for each head argument that is a variable, in
+    argument order, read off `Rule.positions`."""
+    return sorted((pos, v) for v, (_, _, head) in rule.positions.items() for pos in head)
+
+
+def attacked(positions, invaded: dict) -> frozenset:
+    """∃-variables invading every one of the positions (a variable's
+    positions in a rule body or in one body atom)."""
     if not positions:
         return frozenset()
     return frozenset.intersection(*(invaded.get(p, frozenset()) for p in positions))
@@ -220,34 +217,32 @@ def is_shy(onto: Ontology):
     """
     invaded = invasion_table(onto)
     for rule in onto:
+        table = rule.positions
         for v in sorted(rule.joins):
-            attackers = attacked(rule.body, v, invaded)
+            attackers = attacked(table[v][0], invaded)
             if attackers:
                 attacker = sorted(attackers)[0]
                 return False, ViolationWitness(
                     "shy", rule.id,
                     "condition (i): variable joins body atoms but is not protected",
-                    (v.name,), tuple(_positions(rule.body, v)), attacker[1])
+                    (v.name,), table[v][0], attacker[1])
         head_vars = sorted(set(rule.head.variables()) & rule.uv)
-        occurs_in = {v: [a for a in rule.body if v in set(a.variables())] for v in head_vars}
         for x in head_vars:
             for y in head_vars:
                 if x.name >= y.name:
                     continue
-                for ax in occurs_in[x]:
-                    for ay in occurs_in[y]:
+                for ax, px in table[x][1]:
+                    for ay, py in table[y][1]:
                         if ax is ay:
                             continue
-                        common = attacked((ax,), x, invaded) & attacked((ay,), y, invaded)
+                        common = attacked(px, invaded) & attacked(py, invaded)
                         if common:
                             attacker = sorted(common)[0]
                             return False, ViolationWitness(
                                 "shy", rule.id,
                                 "condition (ii): head variables in different body atoms "
                                 "attacked by the same variable",
-                                (x.name, y.name),
-                                tuple(_positions(rule.body, x) + _positions(rule.body, y)),
-                                attacker[1])
+                                (x.name, y.name), table[x][0] + table[y][0], attacker[1])
     return True, None
 
 

