@@ -12,6 +12,7 @@ from collections import deque
 from typing import Optional
 
 from .core import Ontology, Position, _Record, is_simple
+from .parse import written_name
 
 FRAGMENTS = (
     "datalog",
@@ -34,15 +35,16 @@ class ViolationWitness(_Record):
         return tuple.__new__(cls, (fragment, rule_id, condition, variables, positions, attacker))
 
     def describe(self) -> str:
+        """The witness in words, each variable named as written."""
         parts = [self.condition]
         if self.rule_id:
             parts.append(f"rule {self.rule_id}")
         if self.variables:
-            parts.append("variables " + ", ".join(self.variables))
+            parts.append("variables " + ", ".join(map(written_name, self.variables)))
         if self.positions:
             parts.append("positions " + ", ".join(str(p) for p in self.positions))
         if self.attacker:
-            parts.append(f"attacker {self.attacker}")
+            parts.append(f"attacker {written_name(self.attacker)}")
         return "; ".join(parts)
 
 

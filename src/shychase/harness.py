@@ -37,7 +37,7 @@ from .generate import (
     random_program_where,
 )
 from .hom import apply_mapping, isomorphic, satisfies_query
-from .parse import Program, parse_program
+from .parse import Program, parse_program, written_name
 
 
 class CheckResult(_Record):
@@ -77,10 +77,6 @@ def curated_programs() -> list:
         if entry.name.endswith(".dlp"):
             out.append((entry.name, parse_program(entry.read_text())))
     return out
-
-
-def _base_name(name: str) -> str:
-    return name.split("#", 1)[0]
 
 
 def _same_rules_modulo_renaming(got, expected) -> bool:
@@ -153,13 +149,13 @@ def check_golden_classification():
     ok, witness = is_shy(prime)
     if ok or "condition (i)" not in witness.condition:
         return False, "first extension should fail the protection condition"
-    if witness.rule_id != "r2" or _base_name(witness.attacker) != "Y3":
+    if witness.rule_id != "r2" or written_name(witness.attacker) != "Y3":
         return False, f"unexpected witness {witness!r}"
     second = load_paper_program("shy_appendix_ii.dlp").ontology
     ok, witness = is_shy(second)
     if ok or "condition (ii)" not in witness.condition:
         return False, "second extension should fail the shared-attacker condition"
-    if witness.rule_id != "r2" or _base_name(witness.attacker) != "Y3":
+    if witness.rule_id != "r2" or written_name(witness.attacker) != "Y3":
         return False, f"unexpected witness {witness!r}"
     mixed = load_paper_program("linear_not_sticky.dlp").ontology
     verdicts = classify_local(mixed)

@@ -308,13 +308,19 @@ def parse_query(text: str) -> Query:
 # printing
 
 
+def written_name(name: str) -> str:
+    """A variable's name as written: the parser reads the i-th rule's `X`
+    as `X#i`, and no output shows the suffix."""
+    return name.split("#", 1)[0]
+
+
 def print_term(t) -> str:
     if isinstance(t, Constant):
         return t.name
     if isinstance(t, Null):
         return f"_:n{t.id}"
     if isinstance(t, Variable):
-        return t.name.split("#", 1)[0]
+        return written_name(t.name)
     return str(t)
 
 
@@ -334,7 +340,7 @@ def _rule_text(rule: Rule, atom_text) -> str:
     evs = sorted(v.name for v in rule.ev)
     ex = ""
     if evs:
-        ex = "exists " + ",".join(v.split("#", 1)[0] for v in evs) + ". "
+        ex = "exists " + ",".join(map(written_name, evs)) + ". "
     return f"{body} -> {ex}{atom_text(rule.head)}."
 
 
