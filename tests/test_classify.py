@@ -8,8 +8,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shychase.canonical import rewrite_theory
 from shychase.classify import (
     FRAGMENTS,
+    _head_variables,
     classify,
     classify_local,
     dependency_graph,
@@ -18,7 +20,8 @@ from shychase.classify import (
     sticky_marking,
     weakly_acyclic,
 )
-from shychase.generate import GeneratorConfig, random_program
+from shychase.core import Position, Variable
+from shychase.generate import GeneratorConfig, default_config, random_program
 from shychase.harness import load_paper_program
 from shychase.parse import parse_program
 
@@ -209,3 +212,38 @@ def test_classifier_outputs_match_the_recorded_digest():
     to plain values, and again when witnesses began to name variables as
     written, which changed each witness text only by dropping `#i`."""
     assert classify_digest() == CLASSIFY_DIGEST.read_text().strip()
+
+
+def _positions(atoms, var) -> list:
+    """The former scan of the classifiers: positions where var occurs in
+    atoms, in atom and argument order."""
+    return [Position(atom.predicate_name, i)
+            for atom in atoms for i, t in enumerate(atom.args, 1) if t == var]
+
+
+def test_position_table_matches_the_scan():
+    """[DERIVED] `Rule.positions`, which every classifier reads, gives each
+    variable's body, per-atom and head positions as the scan does, on the
+    packaged theories, random seeds 0-199 and their rewritings."""
+    suites = resources.files("shychase").joinpath("suites")
+    programs = [parse_program(path.read_text()) for suite in ("curated", "paper")
+                for path in suites.joinpath(suite).iterdir()]
+    programs += [random_program(seed, default_config()) for seed in range(200)]
+    rules = [rule for p in programs
+             for rule in (*p.ontology, *rewrite_theory(p.database, p.ontology)[1])]
+    assert any(a.shape is not None for rule in rules for a in rule.body)
+    for rule in rules:
+        table = rule.positions
+        variables = {v for a in rule.atoms() for v in a.variables()}
+        assert set(table) == variables
+        for v in variables:
+            body, atoms, head = table[v]
+            assert list(body) == _positions(rule.body, v)
+            assert list(head) == _positions((rule.head,), v)
+            holding = [a for a in rule.body if v in set(a.variables())]
+            assert [a for a, _ in atoms] == holding
+            assert all(a is b for (a, _), b in zip(atoms, holding))
+            assert [list(p) for a, p in atoms] == [_positions((a,), v) for a in holding]
+        assert _head_variables(rule) == [
+            (Position(rule.head.predicate_name, j), t)
+            for j, t in enumerate(rule.head.args, 1) if isinstance(t, Variable)]

@@ -290,6 +290,43 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert cached[2][1] != cached[3][1]  # query 2, then the default query 1
 
 
+def _dispatch_corpus(file, missing):
+    """Command lines for every route of `main`'s parse: help, errors inside a
+    command's arguments, and arguments its own parser leaves over."""
+    commands = ["classify", "chase", "answer", "rewrite", "fc-check", "harness"]
+    return [
+        (), ("-h",), ("--help",), ("-h", "classify"), ("--json", "classify", file),
+        *[(command, "-h") for command in commands],
+        ("classify", file, "-h"), ("classify", "--json", file), ("classify", "--", file),
+        ("classify",), ("classify", missing), ("answer", missing, "--max-atoms", "10"),
+        ("answer", file, "--max-atoms", "x"), ("chase", file, "--max-rounds", "-1"),
+        ("answer", file, "--json=x"), ("answer", file, "--json", "--max-a", "5"),
+        ("chase", file, "--max-r", "3", "--restricted"), ("answer", file, "--max", "5"),
+        ("fc-check", file, "--q", "2"), ("fc-check", file, "--query", "9"),
+        ("rewrite", file, "--partition", "--json"), ("harness", "--suite", "nope"),
+        ("frobnicate",), ("Classify", file), ("answer", file, "--bogus"),
+        ("answer", file, "--bogus", "--max-atoms", "x"), ("answer", "--bogus"),
+        ("classify", file, file), ("rewrite", file, "extra", "--bogus"),
+    ]
+
+
+def test_dispatch_matches_the_full_parser(tmp_path, capsys, monkeypatch):
+    """[DERIVED] `main` reads a command's arguments with that command's own
+    parser, yet every command line gives the exit code, stdout and stderr
+    of parsing it with `build_parser().parse_args`."""
+    path = tmp_path / "two.dlp"
+    path.write_text(TWO_QUERIES)
+    corpus = _dispatch_corpus(str(path), str(tmp_path / "missing.dlp"))
+    got = [run(capsys, *argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
+    expected = [run(capsys, *argv) for argv in corpus]
+    assert got == expected
+    codes = {code for code, _, _ in got}
+    assert codes == {0, 2}
+    bogus = got[corpus.index(("answer", str(path), "--bogus"))]
+    assert bogus[0] == 2 and bogus[2].startswith("usage: shychase [-h]")
+
+
 def test_main_builds_one_parser_per_process(father_file, capsys, monkeypatch):
     """Fifty `main` calls, with errors and help among them, construct at
     most one top-level parser (its subcommand parsers have their own prog)."""

@@ -1,15 +1,22 @@
 """Parser, printer and JSON emitter round trips and error reporting."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shychase.canonical import rewrite_theory
 from shychase.core import Atom, Constant, Variable
+from shychase.generate import default_config, random_program
 from shychase.parse import (
     ParseError,
+    Program,
     parse_program,
     parse_query,
+    print_atom,
     print_program,
+    print_query,
     print_rule,
     to_jsonable,
 )
@@ -220,3 +227,89 @@ def test_to_jsonable_program_is_stable():
 def test_to_jsonable_rejects_unknown_values():
     with pytest.raises(TypeError):
         to_jsonable(object())
+
+
+# ---------------------------------------------------------------------------
+# facts stored when a rule is built
+
+
+def _packaged_texts() -> list:
+    suites = resources.files("shychase").joinpath("suites")
+    return [path.read_text() for suite in ("curated", "paper")
+            for path in sorted(suites.joinpath(suite).iterdir(), key=lambda p: p.name)]
+
+
+def _theory_texts() -> list:
+    """The packaged theories, then random_program seeds 0-199 as printed."""
+    return _packaged_texts() + [print_program(random_program(seed, default_config()))
+                                for seed in range(200)]
+
+
+def _ev_oracle(rule) -> frozenset:
+    return frozenset(rule.head.variables()) - frozenset(v for a in rule.body for v in a.variables())
+
+
+def _check_stored_ev(program):
+    """Every rule of program and of its rewriting carries its existential
+    variables from its builder, equal to the recomputation."""
+    for rule in (*program.ontology, *rewrite_theory(program.database, program.ontology)[1]):
+        assert "ev" in vars(rule), rule
+        assert rule.ev == _ev_oracle(rule), rule
+
+
+def test_stored_existential_variables_match_the_recomputation():
+    """[DERIVED] The parser and the rewriter store `Rule.ev` as they build a
+    rule; on the packaged theories, random seeds 0-199 and their rewritings
+    it equals the head's variables minus the body's."""
+    for text in _theory_texts():
+        _check_stored_ev(parse_program(text))
+
+
+@st.composite
+def _rule_texts(draw):
+    """Rules over body variables X, W and listed variables Y, Z, each
+    predicate named by its arity; 'exists' may repeat a variable or list
+    one the head lacks."""
+    def atom(name, args):
+        return f"{name}{len(args)}({','.join(args)})" if args else f"{name}0"
+
+    body = draw(st.lists(st.lists(st.sampled_from(["X", "W", "a"]), max_size=3),
+                         min_size=1, max_size=3))
+    universal = sorted({t for args in body for t in args if t != "a"})
+    listed = draw(st.lists(st.sampled_from(["Y", "Z"]), max_size=3))
+    head = draw(st.lists(st.sampled_from(universal + listed + ["b"]), max_size=3))
+    exists = f"exists {','.join(listed)}. " if listed else ""
+    return f"{', '.join(atom('p', args) for args in body)} -> {exists}{atom('q', head)}."
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rule_texts(), min_size=1, max_size=3))
+def test_stored_existential_variables_match_on_generated_rules(rules):
+    """[DERIVED] As above on generated rule texts, including `exists Y` with
+    no Y in the head and `exists Y,Y`."""
+    program = parse_program("\n".join(rules))
+    _check_stored_ev(program)
+    for rule, text in zip(program.ontology, rules):
+        listed = text.split("exists ")[1].split(".")[0].split(",") if "exists " in text else []
+        assert {v.name.split("#")[0] for v in rule.ev} == set(listed) & {
+            v.name.split("#")[0] for v in rule.head.variables()}
+
+
+def _print_program_oracle(p) -> str:
+    """The former `print_program`: every atom of every rule printed by its
+    own `print_rule` call."""
+    lines = [print_atom(a) + "." for a in sorted(p.database, key=Atom.sort_key)]
+    lines += [print_rule(r) for r in p.ontology]
+    lines += [print_query(q) for q in p.queries]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_print_program_renders_as_rule_by_rule_printing():
+    """[DERIVED] `print_program`, which renders each distinct atom once,
+    prints the packaged theories, random seeds 0-199 and their rewritings
+    as printing each rule on its own does."""
+    assert print_program(parse_program("")) == ""
+    for text in _theory_texts():
+        program = parse_program(text)
+        for p in (program, Program(*rewrite_theory(*program))):
+            assert print_program(p) == _print_program_oracle(p)
