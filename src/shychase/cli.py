@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(parser, argv: list):
     """parser.parse_args(argv), read by the command's own parser when argv
     starts with a command and that parser takes every argument: the same
-    namespace for the command, in a third of the time.  Anything else, such
+    namespace for the command, in about half the time.  Anything else, such
     as an unknown argument, goes to the full parser, so its message stays."""
     command = parser.commands.get(argv[0]) if argv else None
     if command is not None:
