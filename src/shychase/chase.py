@@ -6,7 +6,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .core import Atom, Database, Instance, NullFactory, Ontology, Query, _Record
-from .hom import (Witness, _added, _index, _mapping_key, _satisfied, _search, _violations,
+from .hom import (Witness, _add, _index, _mapping_key, _satisfied, _search, _violations,
                   apply_mapping)
 
 OBLIVIOUS = "oblivious"
@@ -124,7 +124,7 @@ def run_chase(db: Database, onto: Ontology, cfg: ChaseConfig) -> ChaseResult:
                 truncated = True
                 break
             atoms.add(produced)
-            idx = _added(idx, produced)
+            _add(idx, produced)
             steps.append(ChaseStep(rule.id, full, produced, rounds))
     complete = rounds - 1 if truncated else rounds
     return ChaseResult(Instance(frozenset(atoms)), not pending, rounds, tuple(steps), complete)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .canonical import partition_active_harmless, rewrite_theory
@@ -18,6 +17,7 @@ from .finitemodels import ModelBudget, find_finite_countermodel, find_support_or
 from .parse import (
     ParseError,
     Program,
+    json_text,
     parse_program,
     print_atom,
     print_program,
@@ -57,7 +57,7 @@ def _read_program(path: str):
 def _emit(as_json: bool, payload, text) -> None:
     """Print the JSON form or the text form; both are given as functions of
     no arguments, so only the selected form is built."""
-    print(json.dumps(payload(), indent=2, sort_keys=True) if as_json else text())
+    print(json_text(payload()) if as_json else text())
 
 
 def _cmd_classify(args) -> int:

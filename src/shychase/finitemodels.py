@@ -27,7 +27,7 @@ from .core import (
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
-from .hom import (_added, _index, _is_new_key, _key, _mapping_key, _match, _search, _split,
+from .hom import (_add, _drop, _index, _is_new_key, _key, _mapping_key, _match, _search, _split,
                   _using, _violations, apply_mapping, satisfies_query)
 
 
@@ -121,7 +121,7 @@ def _placements(atoms: list, db: Database, onto: Ontology) -> Iterator[SupportSt
             return
         yield step
         del remaining[i]
-        idx = _added(idx, atom)
+        _add(idx, atom)
 
 
 def find_support_ordering(inst: Instance, db: Database, onto: Ontology) -> Optional[tuple]:
@@ -181,8 +181,8 @@ def _keyed_rules(onto: Ontology) -> _KeyedRules:
 
 
 def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
-    """(index, violation table) of an instance plus an atom a it lacks,
-    derived from the instance's own; neither input is changed.
+    """The violation table of an instance plus an atom a it lacks, derived
+    from the instance's own, which is left as it is; a joins idx in place.
 
     The table holds one dict per rule of `rules` (see `_keyed_rules`),
     from `_mapping_key` to body map, of the rule's violations; only rules
@@ -191,7 +191,7 @@ def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
     (`_using`, which yields each once) and have no head extension.
     """
     k = _key(a)
-    idx = _added(idx, a)
+    _add(idx, a)
     out = list(table)
     for i, rule in rules.heads.get(k, ()):
         if out[i]:
@@ -202,7 +202,7 @@ def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
                 if out[i] is table[i]:
                     out[i] = dict(out[i])
                 out[i][_mapping_key(rule, h)] = h
-    return idx, tuple(out)
+    return tuple(out)
 
 
 def _least_violation(rules: _KeyedRules, table: tuple):
@@ -303,9 +303,9 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
     order, are those of the search that opens and keys every state within
     the budget, whatever certain atoms it is given.
 
-    A stack frame keeps its state's index, violation table, lacked counts
-    and `_split` form, and a child derives its own from them: `_add_atom`
-    updates the index and table, and only the new atom is coded.  The root
+    A frame keeps its state's violation table, lacked counts and `_split`
+    form, and a child derives its own from them, coding only the new atom;
+    `_add_atom` grows the one index that serves the whole search.  The root
     is the empty state plus the database, which holds no nulls, so the
     fresh nulls are Null(1), Null(2), ...
     """
@@ -320,12 +320,16 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
     found: list = []
     seen_states: set = set()
     # each open state as (atoms, terms, null-free atoms, codes of the
-    # others, index, violation table, lacked counts) with an iterator of
-    # its successors as (added atoms, fresh nulls in use), innermost last
-    empty = (frozenset(), frozenset(), frozenset(), (), {}, ({},) * len(rules), lacking)
+    # others, violation table, lacked counts) with an iterator of its
+    # successors as (added atoms, fresh nulls in use), innermost last
+    empty = (frozenset(), frozenset(), frozenset(), (), ({},) * len(rules), lacking)
     stack = [(empty, iter([(tuple(db.atoms), 0)]))]
+    idx: dict = {}
+    trail: list = []  # idx's atoms in the order added; a step adds only new atoms
     while stack:
-        (parent, terms, plain, coded, idx, table, lacking), successors = stack[-1]
+        (parent, terms, plain, coded, table, lacking), successors = stack[-1]
+        while len(trail) > len(parent):  # a step not opened, or a frame popped
+            _drop(idx, trail.pop())
         step = next(successors, None)
         if step is None:
             stack.pop()
@@ -339,8 +343,9 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
         room = budget.max_atoms - len(atoms)
         if room and not _is_new_key(plain, coded, seen_states):
             continue
+        trail += added
         for a in added:
-            idx, table = _add_atom(idx, table, rules, a)
+            table = _add_atom(idx, table, rules, a)
         lacking = _lacked(lacking, certain, new_plain)
         violation = _least_violation(rules, table)
         if violation is None:
@@ -349,7 +354,7 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
         elif room and (sum(map(len, table)) + sum(lacking.values()) <= room
                        or _atoms_needed(rules, table, lacking) <= room):
             terms = terms.union(t for a in added for t in a.args)
-            stack.append(((atoms, terms, plain, coded, idx, table, lacking),
+            stack.append(((atoms, terms, plain, coded, table, lacking),
                           _repairs(terms, fresh_used, violation, consts, fresh_pool)))
     return found
 
@@ -527,7 +532,7 @@ def propagation_ordering(ordering: tuple, onto: Ontology) -> tuple:
                 args.append(t)
         annotated.append(Atom(atom.pred, tuple(args), atom.shape))
         rank.setdefault(atom, j)
-        idx = _added(idx, atom)
+        _add(idx, atom)
     return tuple(annotated)
 
 

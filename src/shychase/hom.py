@@ -3,16 +3,16 @@ variable renaming through one canonical key.  `_violations` is
 the one trigger routine (a rule's body matches without a head extension),
 which the chase, model checking and the model search all call, and `_using`
 the one delta join (the body maps that use a given atom), through which the
-model search finds the violations an added atom brings.  They all
-search an index that `_index` builds and `_added` grows, the one index
-update.  It files each atom under its predicate and under each (predicate,
-position, term), so a join scans only the atoms that agree.  The search
-matches its last atom on demand, so a head check stops at its first
-witness, and `_match` reads atoms' and terms' fields by position."""
+model search finds the violations an added atom brings.  They all search
+an index that `_index` builds and `_add` grows in place, the one index
+update, which `_drop` undoes.  It files each atom under its predicate and
+under each (predicate, position, term), so a join scans only the atoms
+that agree.  The search matches its last atom on demand, so a head check
+stops at its first witness, and `_match` reads fields by position."""
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
@@ -42,15 +42,24 @@ def _index(atoms: Iterable[Atom]) -> dict:
     return idx
 
 
-def _added(idx: dict, atom: Atom) -> dict:
-    """A copy of the index with atom inserted in order into its lists; idx
-    itself is left unchanged, so a caller may keep it."""
+def _add(idx: dict, atom: Atom) -> None:
+    """Insert atom in order into its lists in idx, in place, making any missing."""
     k = _key(atom)
-    idx = dict(idx)
-    for key in [k, *[(k, i, t) for i, t in enumerate(atom.args)]]:
-        lst = idx[key] = list(idx.get(key, ()))
-        insort(lst, atom)
-    return idx
+    insort(idx.setdefault(k, []), atom)
+    for i, t in enumerate(atom[1]):
+        insort(idx.setdefault((k, i, t), []), atom)
+
+
+def _drop(idx: dict, atom: Atom) -> None:
+    """Undo the last `_add` of atom, in place; atoms dropped in the reverse
+    order of their adds leave `_index` of the rest, and no empty list."""
+    k = _key(atom)
+    for key in (k, *[(k, i, t) for i, t in enumerate(atom[1])]):
+        lst = idx[key]
+        if len(lst) > 1:
+            del lst[bisect_left(lst, atom)]
+        else:
+            del idx[key]
 
 
 def _match(src: Atom, tgt: Atom, mapping: dict) -> Optional[dict]:

@@ -19,13 +19,16 @@ token, whose lists are split at commas and whose predicate text, `p` or
 again with fine tokens only, and that read's error is raised, its position
 computed only then, by scanning again up to its token.  Terms are interned
 per statement, and the i-th rule's variables are read as `X#i`, so distinct
-rules share no variable.
+rules share no variable.  `to_jsonable` gives the JSON form of a program or
+instance, and `json_text` writes any JSON form as the stdlib's indented,
+key-sorted `json.dumps` does.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .core import (Atom, Constant, Database, Instance, Null, Ontology, Query,
                    Rule, Variable, _atom, _Record, _rule)
@@ -410,3 +413,26 @@ def to_jsonable(obj):
             "atoms": [_atom_json(a) for a in sorted(obj, key=Atom.sort_key)],
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def json_text(v, indent: str = "\n") -> str:
+    """`json.dumps(v, indent=2, sort_keys=True)`, byte for byte, on None, bools,
+    ints, floats, strings, and lists, tuples and string-keyed dicts of them,
+    without the stdlib's pure-Python encoder; TypeError on any other type."""
+    if isinstance(v, str):
+        return _quoted(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        parts, ends = [_quoted(k) + ": " + json_text(x, inner) for k, x in sorted(v.items())], "{}"
+    elif isinstance(v, (list, tuple)):
+        parts, ends = [json_text(x, inner) for x in v], "[]"
+    elif v is None or isinstance(v, bool):
+        return "null" if v is None else "true" if v else "false"
+    elif isinstance(v, int):
+        return int.__repr__(v)
+    elif isinstance(v, float):
+        text = float.__repr__(v)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1] if parts else ends

@@ -1,14 +1,29 @@
 """The all-rules scans that `finitemodels` replaced by rules filed by key,
 kept as oracles for them.
 
-`keyed_rules` builds each rule's entry at once: its head and body keys, its
-existential variables sorted and its head's frontier.  `add_atom` visits
+`added` is the index update that `hom._add` replaced: it grows a copy of
+the index and leaves the one it is given as it was.  `keyed_rules` builds
+each rule's entry at once: its head and body keys, its existential
+variables sorted and its head's frontier.  `add_atom` visits
 every rule for each added atom, and `supports` every rule for each atom the
 support walk tries; `placements` is that walk.  The results, tables and
 steps are those `finitemodels` must give."""
 
+from bisect import insort
+
 from shychase.finitemodels import SupportStep
-from shychase.hom import _added, _key, _mapping_key, _match, _search, _violations
+from shychase.hom import _key, _mapping_key, _match, _search, _violations
+
+
+def added(idx: dict, atom) -> dict:
+    """A copy of the index with atom inserted in order into its lists; idx
+    itself is left unchanged, so a caller may keep it."""
+    k = _key(atom)
+    idx = dict(idx)
+    for key in [k, *[(k, i, t) for i, t in enumerate(atom.args)]]:
+        lst = idx[key] = list(idx.get(key, ()))
+        insort(lst, atom)
+    return idx
 
 
 def keyed_rules(onto) -> list:
@@ -24,7 +39,7 @@ def add_atom(idx: dict, table: tuple, rules: list, a) -> tuple:
     """(index, violation table) of an instance plus an atom a it lacks:
     one dict per rule, from `_mapping_key` to body map, of its violations."""
     pk = _key(a)
-    idx = _added(idx, a)
+    idx = added(idx, a)
     out = []
     for (rule, head_key, body_keys, _, _), viols in zip(rules, table):
         if viols and head_key == pk:
@@ -96,4 +111,4 @@ def placements(atoms: list, db, onto):
             return
         yield step
         del remaining[i]
-        idx = _added(idx, atom)
+        idx = added(idx, atom)

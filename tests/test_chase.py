@@ -375,13 +375,8 @@ def _stopped_mid_round(program, mode, monkeypatch):
         state.update(idx=idx, fired=fired)
         return applicable_steps(onto, idx, fired, mode)
 
-    def added(idx, atom):
-        state["idx"] = hom._added(idx, atom)
-        return state["idx"]
-
     with monkeypatch.context() as m:
         m.setattr(chase_module, "applicable_steps", applicable)
-        m.setattr(chase_module, "_added", added)
         result = run_chase(db, onto, ChaseConfig(mode, len(db.atoms) + steps // 2, 50))
     assert result.stop_reason == "max_atoms"
     return state["idx"], state["fired"]

@@ -41,7 +41,7 @@ from shychase.finitemodels import (
 )
 from shychase.generate import default_config, is_shy_program, random_program, random_program_where
 from shychase.harness import curated_programs, load_paper_program
-from shychase.hom import (_added, _canonical_key, _key, _match, _split, apply_mapping,
+from shychase.hom import (_add, _canonical_key, _index, _key, _match, _split, apply_mapping,
                          homomorphisms, isomorphic, satisfies_query)
 from shychase.parse import parse_program, parse_query
 
@@ -315,6 +315,34 @@ def test_incremental_search_matches_rebuild_on_random(seed):
             == _rebuilt_found_models(program.database, program.ontology, budget))
 
 
+@pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
+def test_the_model_search_keeps_one_index(name, monkeypatch):
+    """[DERIVED] One model search hands the same index to every `_add_atom`
+    call, and at each call that index is `_index` of the atoms it holds,
+    which with the added atom make a subset of the database or, up to
+    renaming, a state the rebuilding oracle visits: a step not opened and
+    a frame popped leave none of their atoms behind.  Curated theories at
+    (2, 10)."""
+    program = dict(curated_programs())[name]
+    db, onto, budget = program.database, program.ontology, ModelBudget(2, 10)
+    visited: list = []
+    _rebuilt_found_models(db, onto, budget, visited)
+    keys = {_repr_state_key(atoms) for atoms in visited}
+    indexes, states = set(), []
+
+    def recorded(idx, table, rules, a):
+        held = frozenset(x for key, lst in idx.items() if len(key) == 2 for x in lst)
+        assert idx == _index(held)
+        indexes.add(id(idx))
+        states.append(held | {a})
+        return _add_atom(idx, table, rules, a)
+
+    monkeypatch.setattr(finitemodels, "_add_atom", recorded)
+    _found_models(db, onto, budget)
+    assert len(indexes) == 1
+    assert [s for s in states if not s <= db.atoms and _repr_state_key(s) not in keys] == []
+
+
 def _certain_atoms(db, onto, budget) -> frozenset:
     """The null-free atoms of the chase prefix `find_finite_countermodel`
     runs before its search."""
@@ -333,7 +361,7 @@ def _assert_atoms_needed_is_a_lower_bound(db, onto, budget):
     for atoms in visited:
         idx, table, lacking = {}, ({},) * len(rules), Counter(map(_key, certain))
         for a in atoms:
-            idx, table = _add_atom(idx, table, rules, a)
+            table = _add_atom(idx, table, rules, a)
             lacking = _lacked(lacking, certain, (a,))
         need = _atoms_needed(rules, table, lacking)
         for model in found:
@@ -370,9 +398,9 @@ def _assert_tables_match_the_scan(rules, scanned, atoms, certain=frozenset()):
     all-rules scan's index and violation table after each, and
     `_least_violation` and `_atoms_needed` give the scan's answers."""
     idx, table, lacking = {}, ({},) * len(rules), Counter(map(_key, certain))
-    scan_idx, scan_table = idx, table
+    scan_idx, scan_table = {}, table
     for a in atoms:
-        idx, table = _add_atom(idx, table, rules, a)
+        table = _add_atom(idx, table, rules, a)
         scan_idx, scan_table = scan_oracle.add_atom(scan_idx, scan_table, scanned, a)
         lacking = _lacked(lacking, certain, (a,))
         assert (idx, table) == (scan_idx, scan_table), a
@@ -412,7 +440,7 @@ def _assert_support_walk_matches_the_scan(db, onto, budget):
                 for atom in atoms:
                     assert (list(_supports(filed, atom, idx))
                             == list(scan_oracle.supports(rules, atom, idx))), atom
-                idx = _added(idx, step.atom)
+                _add(idx, step.atom)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in curated_programs()])
@@ -554,7 +582,7 @@ def test_state_key_equal_exactly_when_repr_key_is(a, b, images):
     rules = _keyed_rules(_KEY_ONTOLOGY)
     idx, table = {}, ({},) * len(rules)
     for x in a:
-        idx, table = _add_atom(idx, table, rules, x)
+        table = _add_atom(idx, table, rules, x)
     least = _least_violation(rules, table)
     if least is not None:
         least = least[0][0], least[1]

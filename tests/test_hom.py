@@ -12,8 +12,9 @@ from shychase import hom
 from shychase.core import Atom, Constant, Instance, Null, Query, Rule, Variable
 from shychase.finitemodels import StartingPoint
 from shychase.hom import (
-    _added,
+    _add,
     _canonical_key,
+    _drop,
     _index,
     _mapping_key,
     _search,
@@ -27,6 +28,7 @@ from shychase.hom import (
 )
 
 from iso_oracle import isomorphic as oracle_isomorphic
+from scan_oracle import added
 from search_oracle import search as oracle_search
 
 constants = st.sampled_from([Constant("a"), Constant("b")])
@@ -87,20 +89,46 @@ _crowded_atoms = st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(_index_atoms, _crowded_atoms), st.data())
 def test_added_grows_the_index_that_index_builds(atoms_, data):
-    """[DERIVED] Adding the atoms one by one with `_added`, in any order,
-    gives `_index` of them, and each call leaves the index it was given
-    as it was, so an index kept from before a call stays valid.  Every
-    list either builds is in `Atom.sort_key` order."""
+    """[DERIVED] Adding the atoms one by one with the copy oracle
+    `scan_oracle.added`, in any order, gives `_index` of them, and each
+    call leaves the index it was given as it was, so an index kept from
+    before a call stays valid.  Every list either builds is in
+    `Atom.sort_key` order."""
     order = data.draw(st.permutations(atoms_))
     idx: dict = {}
     kept = []
     for a in order:
         kept.append((idx, {k: list(v) for k, v in idx.items()}))
-        idx = _added(idx, a)
+        idx = added(idx, a)
         assert all(lst == sorted(lst, key=Atom.sort_key) for lst in idx.values())
     assert idx == _index(atoms_)
     for i, (before, copy) in enumerate(kept):
         assert before == copy == _index(order[:i])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_index_atoms, _crowded_atoms), st.data())
+def test_add_and_drop_grow_and_shrink_the_index_in_place(atoms_, data):
+    """[DERIVED] Adding the atoms one by one with `_add`, in any order,
+    grows one index in place into `_index` of them, and after each add it
+    equals the copy oracle's index of the same prefix.  Dropping them with
+    `_drop` in the reverse order gives back `_index` of each earlier prefix
+    exactly, with no empty list left.  Every list stays in
+    `Atom.sort_key` order throughout."""
+    order = data.draw(st.permutations(atoms_))
+    idx: dict = {}
+    copied: dict = {}
+    for a in order:
+        _add(idx, a)
+        copied = added(copied, a)
+        assert idx == copied
+        assert all(lst == sorted(lst, key=Atom.sort_key) for lst in idx.values())
+    assert idx == _index(atoms_)
+    for i in reversed(range(len(order))):
+        _drop(idx, order[i])
+        assert idx == _index(order[:i])
+        assert all(lst and lst == sorted(lst, key=Atom.sort_key) for lst in idx.values())
+    assert idx == {}
 
 
 def _filed_by_scan(idx: dict) -> dict:

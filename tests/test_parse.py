@@ -1,17 +1,22 @@
 """Parser, printer and JSON emitter round trips and error reporting."""
 
+import contextlib
+import io
+import json
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shychase import cli
 from shychase.canonical import rewrite_theory
 from shychase.core import Atom, Constant, Variable
 from shychase.generate import default_config, random_program
 from shychase.parse import (
     ParseError,
     Program,
+    json_text,
     parse_program,
     parse_query,
     print_atom,
@@ -20,6 +25,8 @@ from shychase.parse import (
     print_rule,
     to_jsonable,
 )
+
+from test_cli_outputs import _commands
 
 FATHER = """
 # comment line
@@ -313,3 +320,72 @@ def test_print_program_renders_as_rule_by_rule_printing():
         program = parse_program(text)
         for p in (program, Program(*rewrite_theory(*program))):
             assert print_program(p) == _print_program_oracle(p)
+
+
+def _stdlib_json(v) -> str:
+    return json.dumps(v, indent=2, sort_keys=True)
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**300, -10**300, 2**63, -2**63 - 1, -1, 0]),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324, float("nan"), float("inf"),
+                     float("-inf")]),
+    st.text(),
+    st.text(st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028",
+                             "\xe9", "\u4e2d", "\U0001f600", "\ud800", "a"])),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+@example([[[[{"a": [{}], "b": ()}]]], {"\U0001f600": {"": [[[None, True, False]]]}}])
+@example({"z": {"y": {"x": {"w": {"v": [float("nan"), -0.0, float("-inf")]}}}}})
+def test_json_text_matches_the_stdlib_indented_encoder(v):
+    """[DERIVED] `json_text` writes what `json.dumps(v, indent=2,
+    sort_keys=True)` writes, on None, bools, huge and negative ints,
+    floats with -0.0 and the non-finite ones, strings with quotes,
+    backslashes, control, non-ASCII and astral characters and lone
+    surrogates, and lists, tuples, dicts and empty containers nested to
+    any depth."""
+    assert json_text(v) == _stdlib_json(v)
+
+
+@pytest.mark.parametrize("v", [{1, 2}, b"bytes", 1j, object(), [None, {"a": frozenset()}],
+                               {"a": [Ellipsis]}])
+def test_json_text_rejects_other_types_as_the_stdlib_does(v):
+    """A value of any other type raises TypeError, as in the stdlib."""
+    with pytest.raises(TypeError):
+        _stdlib_json(v)
+    with pytest.raises(TypeError):
+        json_text(v)
+
+
+def test_json_text_matches_the_stdlib_on_every_cli_payload(monkeypatch):
+    """[DERIVED] Every `--json` payload of the CLI digest sweep over the
+    packaged theories, and of `rewrite --json` on each, is written as the
+    stdlib writes it; the CLI prints each through `json_text`."""
+    payloads = []
+
+    def recorded(v):
+        payloads.append(v)
+        return json_text(v)
+
+    monkeypatch.setattr(cli, "json_text", recorded)
+    runs = [argv for _, argv in _commands() if "--json" in argv]
+    runs += [["rewrite", argv[1], "--json"] for argv in runs if argv[0] == "classify"]
+    succeeded = 0
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            succeeded += cli.main(argv) == 0
+    assert len(payloads) == succeeded > 250
+    for v in payloads:
+        assert json_text(v) == _stdlib_json(v)
