@@ -82,7 +82,7 @@ def applicable_steps(onto: Ontology, idx: dict, fired: set, mode: str) -> list:
                 new.append((key, h))
         new.sort()
         for key, h in new:
-            if mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
+            if mode == RESTRICTED and next(_violations(rule, idx, (h,)), None) is None:
                 continue
             out.append(((i, key), rule, h))
     return out
@@ -112,7 +112,7 @@ def run_chase(db: Database, onto: Ontology, cfg: ChaseConfig) -> ChaseResult:
         for trigger, rule, h in pending:
             fired.add(trigger)
             # an atom produced earlier in the round may satisfy the head now
-            if cfg.mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
+            if cfg.mode == RESTRICTED and next(_violations(rule, idx, (h,)), None) is None:
                 continue
             full = dict(h)
             for v in rule.ev_sorted:

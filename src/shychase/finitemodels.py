@@ -50,17 +50,16 @@ def is_model(inst: Instance, db: Database, onto: Ontology):
     for a in sorted(db, key=Atom.sort_key):
         if a not in inst:
             return False, (None, a)
-    violation = _first_violation(inst, onto)
+    violation = _first_violation(_index(inst), onto)
     return violation is None, violation
 
 
-def _first_violation(atoms: Iterable[Atom], onto: Ontology):
-    """(rule, body map) of the first rule, by id, that the atoms violate,
-    with its least violating body map under `_mapping_key`; or None."""
-    idx = _index(atoms)
+def _first_violation(idx: dict, onto: Ontology):
+    """(rule, body map) of the first rule, by id, that the indexed instance
+    violates, with its least violating body map under `_mapping_key`; or None."""
     for rule in sorted(onto, key=lambda r: r.id):
-        h = min(_violations(rule, idx, rule.body, {}), key=lambda h: _mapping_key(rule, h),
-                default=None)
+        h = min(_violations(rule, idx, _search(rule.body, {}, idx)),
+                key=lambda h: _mapping_key(rule, h), default=None)
         if h is not None:
             return rule, h
     return None
@@ -134,17 +133,19 @@ def find_support_ordering(inst: Instance, db: Database, onto: Ontology) -> Optio
 
 def ordering_from_sequence(atoms: Iterable[Atom], db: Database, onto: Ontology) -> tuple:
     """Justify a given atom sequence as a well-supported ordering, or raise
-    at its first atom that its prefix does not support: the walk tries the
-    atoms in the given order, so it leaves the sequence exactly there."""
+    at its first atom that repeats or that its prefix does not support: the
+    walk tries the atoms in the given order, so it leaves the sequence there."""
     atoms = list(atoms)
     walk = _placements(atoms, db, onto)
-    steps = []
+    steps: dict = {}
     for atom in atoms:
+        if atom in steps:
+            raise ValueError(f"atom {atom!r} repeats an earlier atom")
         step = next(walk, None)
         if step is None or step.atom != atom:
             raise ValueError(f"atom {atom!r} is not supported by its prefix")
-        steps.append(step)
-    return tuple(steps)
+        steps[atom] = step
+    return tuple(steps.values())
 
 
 def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optional[Instance]:
@@ -188,7 +189,7 @@ def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
     from `_mapping_key` to body map, of the rule's violations; only rules
     filed under a's `_key` can change.  A violation stays unless the
     rule's head maps onto a.  The new ones are the body maps that use a
-    (`_using`, which yields each once) and have no head extension.
+    (`_using`, which yields each once) that `_violations` keeps.
     """
     k = _key(a)
     _add(idx, a)
@@ -197,11 +198,10 @@ def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
         if out[i]:
             out[i] = {m: h for m, h in out[i].items() if _match(rule.head, a, h) is None}
     for i, rule in rules.bodies.get(k, ()):
-        for h in _using(rule.body, a, idx):
-            if next(_search([rule.head], h, idx), None) is None:
-                if out[i] is table[i]:
-                    out[i] = dict(out[i])
-                out[i][_mapping_key(rule, h)] = h
+        for h in _violations(rule, idx, _using(rule.body, a, idx)):
+            if out[i] is table[i]:
+                out[i] = dict(out[i])
+            out[i][_mapping_key(rule, h)] = h
     return tuple(out)
 
 
@@ -549,14 +549,17 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
     atom and every slot annotated with the same starting point, by the
     starting point itself.  Afterwards any rule left unsatisfied is closed
     by adding head atoms whose images under the returned mapping lie in
-    the input model, so the result still maps into it.
+    the input model, so the result still maps into it.  Every step reads
+    one index of the current atoms, which each step updates in place.
     """
     active, harmless = partition_active_harmless(full_onto)
     if {step.atom for step in ordering} != set(model.atoms):
         raise ValueError("ordering does not cover the model")
-    # the current atoms and, slot by slot, their annotations
-    atoms = [step.atom for step in ordering]
-    notes = [a.args for a in propagation_ordering(ordering, active)]
+    if len(ordering) != len(model.atoms):
+        raise ValueError("ordering repeats an atom")
+    # the current atoms, each with its annotation, slot by slot
+    notes = {s.atom: a.args for s, a in zip(ordering, propagation_ordering(ordering, active))}
+    idx = _index(notes)
     breakers = sorted(harmless, key=lambda r: r.id)
     model_idx = _index(model.atoms)
     activated: dict = {}  # starting point -> its term, in activation order
@@ -564,16 +567,15 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
 
     def activate(sp: StartingPoint):
         activated[sp] = sp.term
-        for i, ann in enumerate(notes):
-            if sp in ann:
-                a = atoms[i]
-                atoms[i] = Atom(a.pred, tuple(sp if n == sp else t for t, n in zip(a.args, ann)),
-                                a.shape)
+        for a, ann in [(a, ann) for a, ann in notes.items() if sp in ann]:
+            _drop(idx, a)
+            b = Atom(a.pred, tuple(sp if n == sp else t for t, n in zip(a.args, ann)), a.shape)
+            notes[b] = notes.pop(a)
+            _add(idx, b)
 
     def break_one() -> bool:
         """Activate the starting points behind the first unskipped match of
-        a harmless body, in `_index` order; False if there is none."""
-        idx = _index(atoms)
+        a harmless body, in index order; False if there is none."""
         for rule in breakers:
             for h in _search(rule.body, {}, idx):
                 images = [apply_mapping(h, b) for b in rule.body]
@@ -582,8 +584,7 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
                     continue
                 # unactivated starting points behind a joined variable's slots
                 fresh = {note for b, image in zip(rule.body, images)
-                         for a, ann in zip(atoms, notes) if a == image
-                         for arg, note in zip(b.args, ann)
+                         for arg, note in zip(b.args, notes[image])
                          if arg in rule.joins and isinstance(note, StartingPoint)
                          and note not in activated}
                 if fresh:
@@ -594,7 +595,7 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
         return False
 
     def close_one() -> bool:
-        violation = _first_violation(atoms, full_onto)
+        violation = _first_violation(idx, full_onto)
         if violation is None:
             return False
         rule, h = violation
@@ -605,10 +606,10 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
             raise ValueError(f"repair cannot satisfy rule {rule.id} inside the model")
         new_atom = Atom(rule.head.pred, tuple(ext[t] if t in rule.ev else h.get(t, t)
                                               for t in rule.head.args), rule.head.shape)
-        atoms.append(new_atom)
-        notes.append(new_atom.args)
+        notes[new_atom] = new_atom.args
+        _add(idx, new_atom)
         return True
 
     while break_one() or close_one():
         pass
-    return Instance(frozenset(atoms)), activated
+    return Instance(frozenset(notes)), activated

@@ -1,14 +1,14 @@
 """Homomorphism search, query satisfaction, and isomorphism modulo null or
-variable renaming through one canonical key.  `_violations` is
-the one trigger routine (a rule's body matches without a head extension),
-which the chase, model checking and the model search all call, and `_using`
-the one delta join (the body maps that use a given atom), through which the
-model search finds the violations an added atom brings.  They all search
-an index that `_index` builds and `_add` grows in place, the one index
-update, which `_drop` undoes.  It files each atom under its predicate and
-under each (predicate, position, term), so a join scans only the atoms
-that agree.  The search matches its last atom on demand, so a head check
-stops at its first witness, and `_match` reads fields by position."""
+variable renaming through one canonical key.  `_violations`, the one
+trigger routine, keeps the body maps it is given that have no head
+extension: model checks feed it `_search`'s, the model search those of
+`_using`, the one delta join (the body maps that use a given atom), and
+the restricted chase one trigger at a time.  They all search an index
+that `_index` builds and `_add` grows in place, the one index update,
+which `_drop` undoes.  It files each atom under its predicate and under
+each (predicate, position, term), so a join scans only the atoms that
+agree.  The search matches its last atom on demand, so a head check stops
+at its first witness, and `_match` reads fields by position."""
 
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ def _add(idx: dict, atom: Atom) -> None:
 
 
 def _drop(idx: dict, atom: Atom) -> None:
-    """Undo the last `_add` of atom, in place; atoms dropped in the reverse
-    order of their adds leave `_index` of the rest, and no empty list."""
+    """Remove atom, which idx holds, from its lists in place, in any order
+    of drops: every list stays sorted and none is left empty."""
     k = _key(atom)
     for key in (k, *[(k, i, t) for i, t in enumerate(atom[1])]):
         lst = idx[key]
@@ -133,11 +133,10 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
         yield from _search(rest, ext, idx)
 
 
-def _violations(rule: Rule, idx: dict, body: tuple, seed: dict) -> Iterator[dict]:
-    """Maps of the rule's body atoms `body` into the indexed instance that
-    extend seed and have no head extension; with an empty body, seed itself
-    if it has none."""
-    for h in _search(body, seed, idx):
+def _violations(rule: Rule, idx: dict, maps: Iterable[dict]) -> Iterator[dict]:
+    """The maps, of the rule's body into the indexed instance, that have no
+    head extension there."""
+    for h in maps:
         if next(_search([rule.head], h, idx), None) is None:
             yield h
 

@@ -50,7 +50,8 @@ def add_atom(idx: dict, table: tuple, rules: list, a) -> tuple:
                 if seed is None:
                     continue
                 rest = rule.body[:i] + rule.body[i + 1:]
-                new = {_mapping_key(rule, h): h for h in _violations(rule, idx, rest, seed)}
+                maps = _search(rest, seed, idx)
+                new = {_mapping_key(rule, h): h for h in _violations(rule, idx, maps)}
                 if new:
                     viols = {**viols, **new}
         out.append(viols)

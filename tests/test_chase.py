@@ -355,7 +355,7 @@ def _sort_then_filter(onto, idx, fired, mode):
             trigger = (i, key)
             if trigger in fired:
                 continue
-            if mode == RESTRICTED and next(_violations(rule, idx, (), h), None) is None:
+            if mode == RESTRICTED and next(_violations(rule, idx, (h,)), None) is None:
                 continue
             out.append((trigger, rule, h))
     return out

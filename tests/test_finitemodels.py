@@ -4,6 +4,7 @@ annotations and the join-breaking repair."""
 from collections import Counter
 from importlib import resources
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -80,7 +81,7 @@ def test_is_model_reports_the_least_violation():
     assert not ok and rule.id == "r1"
     y, x = rule.body[0].args
     assert h == {y: Constant("b"), x: Constant("a")}
-    assert _first_violation(facts_only, program.ontology) == (rule, h)
+    assert _first_violation(_index(facts_only), program.ontology) == (rule, h)
 
 
 def test_chase_fixpoint_is_a_model():
@@ -125,6 +126,10 @@ def test_ordering_from_sequence_validates_prefix_support():
     with pytest.raises(ValueError) as err:
         ordering_from_sequence([good[1], good[0]], program.database, program.ontology)
     assert str(err.value) == f"atom {good[1]!r} is not supported by its prefix"
+    # t(a,b) twice: its prefix supports the second copy too, yet it repeats
+    with pytest.raises(ValueError) as err:
+        ordering_from_sequence(good + good[1:], program.database, program.ontology)
+    assert str(err.value) == f"atom {good[1]!r} repeats an earlier atom"
 
 
 def test_well_supported_core_drops_unfounded_extras():
@@ -272,7 +277,7 @@ def _rebuilt_found_models(db, onto, budget, visited=None):
         seen_states.add(key)
         if visited is not None:
             visited.append(atoms)
-        violation = _first_violation(atoms, onto)
+        violation = _first_violation(_index(atoms), onto)
         if violation is None:
             found.append(atoms)
         else:
@@ -586,7 +591,7 @@ def test_state_key_equal_exactly_when_repr_key_is(a, b, images):
     least = _least_violation(rules, table)
     if least is not None:
         least = least[0][0], least[1]
-    assert least == _first_violation(a, _KEY_ONTOLOGY)
+    assert least == _first_violation(_index(a), _KEY_ONTOLOGY)
 
 
 def test_state_key_tries_every_order_within_a_signature_class():
@@ -796,6 +801,53 @@ def test_disjoin_repair_is_identity_without_harmless_joins():
     assert isomorphic(repaired, model)
 
 
+def _theorem8_repair_input(constants):
+    """The paper's theorem-8 theory with a fact s(c) for each of the
+    constants: a well-supported model of its canonical active part, in
+    which the i-th s fact's p and r atoms share the null i, that model's
+    support ordering and the full canonical ontology."""
+    text = resources.files("shychase").joinpath("suites/paper/theorem8.dlp").read_text()
+    program = parse_program(text.replace("s(c).", " ".join(f"s({c})." for c in constants)))
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, _ = partition_active_harmless(ontoc)
+    model = Instance(dbc.atoms | {Atom(p, (Null(i),), (1,))
+                                  for i in range(1, len(constants) + 1) for p in "pr"})
+    return model, find_support_ordering(model, dbc, active), ontoc
+
+
+def _repair_counting_indexes(model, ordering, full_onto):
+    """`disjoin_repair`'s outcome (see `_outcome`) and the number of
+    `finitemodels._index` calls it makes."""
+    with mock.patch.object(finitemodels, "_index", wraps=finitemodels._index) as index:
+        outcome = _outcome(disjoin_repair, model, ordering, full_onto)
+    return outcome, index.call_count
+
+
+@pytest.mark.parametrize("constants", [["c"], [f"c{i}" for i in range(1, 51)]],
+                         ids=["paper", "scaled50"])
+def test_the_repair_builds_two_indexes_however_many_steps(constants):
+    """[DERIVED] The repair indexes its atoms once and the input model
+    once, and updates its own index in place at every activation and close
+    step: on the paper's theorem-8 model (3 atoms) and on that model
+    scaled to 50 s facts (150 atoms), whose repair activates both starting
+    points of each of the 50 joins and matches the oracle's."""
+    model, ordering, ontoc = _theorem8_repair_input(constants)
+    assert len(ordering) == 3 * len(constants)
+    outcome, built = _repair_counting_indexes(model, ordering, ontoc)
+    assert built == 2
+    assert len(outcome[1]) == 2 * len(constants)
+    assert outcome == _oracle_disjoin_repair(model, ordering, ontoc)
+
+
+def test_disjoin_repair_rejects_an_ordering_that_repeats_an_atom():
+    """An ordering that lists a model atom twice covers the model, yet
+    the repair, which keeps one annotation per atom, refuses it."""
+    model, ordering, ontoc = _theorem8_repair_input(["c"])
+    with pytest.raises(ValueError) as err:
+        disjoin_repair(model, ordering + ordering[-1:], ontoc)
+    assert str(err.value) == "ordering repeats an atom"
+
+
 # Oracles: the support orderings, propagation ordering and join-breaking
 # repair that search every support with a fresh `homomorphisms` call over the
 # whole prefix, and keep the repair's atoms as dict entries rebuilt per step.
@@ -969,7 +1021,7 @@ def _oracle_disjoin_repair(model, ordering, full_onto):
         return t.term if isinstance(t, StartingPoint) else t
 
     def close_one():
-        violation = _first_violation(current_atoms(), full_onto)
+        violation = _first_violation(_index(current_atoms()), full_onto)
         if violation is None:
             return False
         rule, h = violation
@@ -1024,8 +1076,9 @@ def _assert_supports_agree(db, onto, budget):
 
 def _assert_repairs_agree(db, active, full_onto, budget) -> int:
     """Propagation orderings and repairs of every well-supported minimal
-    model of the active part agree with the oracles.  Returns the number
-    of repairs that activated a starting point."""
+    model of the active part agree with the oracles, and each repair
+    builds two indexes.  Returns the number of repairs that activated a
+    starting point."""
     activating = 0
     for model in enumerate_finite_models(db, active, budget):
         ordering = find_support_ordering(model, db, active)
@@ -1033,8 +1086,9 @@ def _assert_repairs_agree(db, active, full_onto, budget) -> int:
             continue
         assert propagation_ordering(ordering, active) == _oracle_propagation_ordering(
             ordering, active)
-        outcome = _outcome(disjoin_repair, model, ordering, full_onto)
+        outcome, built = _repair_counting_indexes(model, ordering, full_onto)
         assert outcome == _outcome(_oracle_disjoin_repair, model, ordering, full_onto)
+        assert built == 2
         activating += outcome[0] != "ValueError" and bool(outcome[1])
     return activating
 

@@ -112,8 +112,8 @@ def test_add_and_drop_grow_and_shrink_the_index_in_place(atoms_, data):
     """[DERIVED] Adding the atoms one by one with `_add`, in any order,
     grows one index in place into `_index` of them, and after each add it
     equals the copy oracle's index of the same prefix.  Dropping them with
-    `_drop` in the reverse order gives back `_index` of each earlier prefix
-    exactly, with no empty list left.  Every list stays in
+    `_drop` in another drawn order gives back, after each drop, `_index`
+    of the atoms left exactly, with no empty list.  Every list stays in
     `Atom.sort_key` order throughout."""
     order = data.draw(st.permutations(atoms_))
     idx: dict = {}
@@ -124,9 +124,10 @@ def test_add_and_drop_grow_and_shrink_the_index_in_place(atoms_, data):
         assert idx == copied
         assert all(lst == sorted(lst, key=Atom.sort_key) for lst in idx.values())
     assert idx == _index(atoms_)
-    for i in reversed(range(len(order))):
-        _drop(idx, order[i])
-        assert idx == _index(order[:i])
+    drops = data.draw(st.permutations(atoms_))
+    for i, a in enumerate(drops):
+        _drop(idx, a)
+        assert idx == _index(drops[i + 1:])
         assert all(lst and lst == sorted(lst, key=Atom.sort_key) for lst in idx.values())
     assert idx == {}
 
@@ -241,7 +242,7 @@ def test_a_head_check_stops_at_its_first_witness(monkeypatch):
     assert calls == 1
     calls = 0
     rule = Rule("r", (Atom("s", (X,)),), Atom("p", (X, Y)))
-    assert next(_violations(rule, idx, (), seed), None) is None
+    assert next(_violations(rule, idx, (seed,)), None) is None
     assert calls == 1
 
 
