@@ -129,6 +129,11 @@ class Atom(_Record):
         return f"Atom({self.predicate_name}, {self.args!r})"
 
 
+def _key(a: Atom) -> tuple:
+    """The index key of an atom: its predicate with shape, and its arity."""
+    return (a[0], a[2]), len(a[1])
+
+
 def _atom(pred: str, args: tuple, shape: Optional[tuple]) -> Atom:
     """An Atom built without `Atom.__new__`'s shape check, for callers whose
     shape and arity already agree."""
@@ -280,11 +285,37 @@ class _Collection(_Frozen):
 
 
 class Ontology(_Collection):
-    __slots__ = ("rules",)
+    # The instance dict holds the lazy filings below, which eq, hash, repr
+    # and pickling do not read.
+    __slots__ = ("rules", "__dict__")
     _field = "rules"
 
     def __init__(self, rules: tuple = ()):
         object.__setattr__(self, "rules", rules)
+
+    @_lazy
+    def by_id(self) -> tuple:
+        """The rules sorted by id."""
+        return tuple(sorted(self.rules, key=Rule.id.fget))
+
+    @_lazy
+    def heads(self) -> dict:
+        """Each (position in `by_id`, rule), in that order, filed by the
+        `_key` of the rule's head."""
+        filed: dict = {}
+        for entry in enumerate(self.by_id):
+            filed.setdefault(_key(entry[1].head), []).append(entry)
+        return filed
+
+    @_lazy
+    def bodies(self) -> dict:
+        """The entries of `heads` filed under each `_key` of a body atom,
+        once per rule, in `by_id` order."""
+        filed: dict = {}
+        for entry in enumerate(self.by_id):
+            for k in dict.fromkeys(map(_key, entry[1].body)):
+                filed.setdefault(k, []).append(entry)
+        return filed
 
     def __iter__(self):
         return iter(self.rules)

@@ -20,15 +20,15 @@ from .core import (
     Null,
     Ontology,
     Query,
-    Rule,
+    _key,
     _Record,
     constants_of,
     is_simple,
 )
 from .canonical import partition_active_harmless
 from .classify import classify_local
-from .hom import (_add, _drop, _index, _is_new_key, _key, _mapping_key, _match, _search, _split,
-                  _using, _violations, apply_mapping, satisfies_query)
+from .hom import (_add, _drop, _index, _is_new_key, _mapping_key, _match, _search, _split, _using,
+                  _violations, apply_mapping, satisfies_query)
 
 
 class ModelBudget(_Record):
@@ -57,7 +57,7 @@ def is_model(inst: Instance, db: Database, onto: Ontology):
 def _first_violation(idx: dict, onto: Ontology):
     """(rule, body map) of the first rule, by id, that the indexed instance
     violates, with its least violating body map under `_mapping_key`; or None."""
-    for rule in sorted(onto, key=lambda r: r.id):
+    for rule in onto.by_id:
         h = min(_violations(rule, idx, _search(rule.body, {}, idx)),
                 key=lambda h: _mapping_key(rule, h), default=None)
         if h is not None:
@@ -77,20 +77,11 @@ class SupportStep(_Record):
         return self.rule_id is None
 
 
-def _by_head_key(onto: Ontology) -> dict:
-    """The rules by id, each as (its position in that order, rule), filed
-    by the `_key` of their heads."""
-    filed: dict = {}
-    for entry in enumerate(sorted(onto, key=Rule.id.fget)):
-        filed.setdefault(_key(entry[1].head), []).append(entry)
-    return filed
-
-
-def _supports(filed: dict, atom: Atom, idx: dict) -> Iterator[tuple]:
-    """Each (rule, map) of the rules filed under atom's `_key` (see
-    `_by_head_key`), in order, whose head maps exactly onto atom and whose
+def _supports(onto: Ontology, atom: Atom, idx: dict) -> Iterator[tuple]:
+    """Each (rule, map) of the rules filed under atom's `_key` in
+    `onto.heads`, in id order, whose head maps exactly onto atom and whose
     body maps into the instance indexed by `_key` in idx."""
-    for _, rule in filed.get(_key(atom), ()):
+    for _, rule in onto.heads.get(_key(atom), ()):
         seed = _match(rule.head, atom, {})
         if seed is not None:
             for h in _search(rule.body, seed, idx):
@@ -105,14 +96,13 @@ def _placements(atoms: list, db: Database, onto: Ontology) -> Iterator[SupportSt
     the atoms that has a well-supported ordering."""
     remaining = list(atoms)
     db_atoms = set(db.atoms)
-    filed = _by_head_key(onto)
     idx: dict = {}
     while True:
         for i, atom in enumerate(remaining):
             if atom in db_atoms:
                 step = SupportStep(atom, None)
                 break
-            support = next(_supports(filed, atom, idx), None)
+            support = next(_supports(onto, atom, idx), None)
             if support is not None:
                 step = SupportStep(atom, support[0].id, support[1])
                 break
@@ -159,45 +149,23 @@ def well_supported_core(inst: Instance, db: Database, onto: Ontology) -> Optiona
     return Instance(frozenset(step.atom for step in _placements(inst.sorted_atoms(), db, onto)))
 
 
-class _KeyedRules(list):
-    """The rules by id, each as (rule, `_key` of its head), filed by key:
-    `heads` is their `_by_head_key` filing, and `bodies` maps a key to the
-    (position, rule) of each rule with a body atom of that key, once each."""
-
-    __slots__ = ("heads", "bodies")
-
-
-def _keyed_rules(onto: Ontology) -> _KeyedRules:
-    rules = _KeyedRules([None] * len(onto))
-    rules.heads, rules.bodies = heads, bodies = _by_head_key(onto), {}
-    for head_key, filed in heads.items():
-        for entry in filed:
-            i, rule = entry
-            rules[i] = rule, head_key
-            for b in rule.body:
-                by_body = bodies.setdefault(_key(b), [])
-                if not by_body or by_body[-1] is not entry:
-                    by_body.append(entry)
-    return rules
-
-
-def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
+def _add_atom(idx: dict, table: tuple, onto: Ontology, a: Atom) -> tuple:
     """The violation table of an instance plus an atom a it lacks, derived
     from the instance's own, which is left as it is; a joins idx in place.
 
-    The table holds one dict per rule of `rules` (see `_keyed_rules`),
-    from `_mapping_key` to body map, of the rule's violations; only rules
-    filed under a's `_key` can change.  A violation stays unless the
-    rule's head maps onto a.  The new ones are the body maps that use a
-    (`_using`, which yields each once) that `_violations` keeps.
+    The table holds one dict per rule of `onto.by_id`, from `_mapping_key`
+    to body map, of the rule's violations; only rules filed under a's
+    `_key` in `onto.heads` or `onto.bodies` can change.  A violation stays
+    unless the rule's head maps onto a.  The new ones are the body maps
+    that use a (`_using`, which yields each once) that `_violations` keeps.
     """
     k = _key(a)
     _add(idx, a)
     out = list(table)
-    for i, rule in rules.heads.get(k, ()):
+    for i, rule in onto.heads.get(k, ()):
         if out[i]:
             out[i] = {m: h for m, h in out[i].items() if _match(rule.head, a, h) is None}
-    for i, rule in rules.bodies.get(k, ()):
+    for i, rule in onto.bodies.get(k, ()):
         for h in _violations(rule, idx, _using(rule.body, a, idx)):
             if out[i] is table[i]:
                 out[i] = dict(out[i])
@@ -205,15 +173,16 @@ def _add_atom(idx: dict, table: tuple, rules: _KeyedRules, a: Atom) -> tuple:
     return tuple(out)
 
 
-def _least_violation(rules: _KeyedRules, table: tuple):
-    """(entry of `rules`, body map) of the first rule with a violation in
-    the table, with its least body map under `_mapping_key`; or None."""
+def _least_violation(onto: Ontology, table: tuple):
+    """(rule, body map) of the first rule with a violation in the table,
+    with its least body map under `_mapping_key`, as `_first_violation`
+    gives it; or None."""
     for i in compress(count(), table):
-        return rules[i], table[i][min(table[i])]
+        return onto.by_id[i], table[i][min(table[i])]
     return None
 
 
-def _atoms_needed(rules: _KeyedRules, table: tuple, lacking: dict) -> int:
+def _atoms_needed(onto: Ontology, table: tuple, lacking: dict) -> int:
     """A lower bound on the atoms any model containing the instance with
     this violation table must add: per `_key`, the larger of the certain
     atoms the instance lacks there (`lacking`, see `_lacked`) and the most
@@ -221,7 +190,8 @@ def _atoms_needed(rules: _KeyedRules, table: tuple, lacking: dict) -> int:
     violations of one rule with a head of that key."""
     most = dict(lacking)
     for i in compress(count(), table):
-        rule, head_key = rules[i]
+        rule = onto.by_id[i]
+        head_key = _key(rule.head)
         images = len({tuple(h.get(t, t) for t in rule.frontier) for h in table[i].values()})
         most[head_key] = max(most.get(head_key, 0), images)
     return sum(most.values())
@@ -258,7 +228,7 @@ def _repairs(terms: frozenset, fresh_used: int, violation, consts: list,
     rule's head: its existential variables range over the current terms,
     the known constants and the unused fresh nulls (`_ev_values`).  The
     violation is as `_least_violation` gives it."""
-    (rule, _), h = violation
+    rule, h = violation
     evs = rule.ev_sorted
     pool = sorted(terms)
     pool += [c for c in consts if c not in terms]
@@ -310,9 +280,8 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
     fresh nulls are Null(1), Null(2), ...
     """
     consts = sorted(constants_of(db, onto))
-    rules = _keyed_rules(onto)
     # no state within max_atoms atoms holds more nulls: each is a head argument
-    cap = budget.max_atoms * max((arity for _, arity in rules.heads), default=0)
+    cap = budget.max_atoms * max((arity for _, arity in onto.heads), default=0)
     fresh_pool = [Null(1 + i) for i in range(min(budget.max_extra_nulls, cap))]
     codes: dict = {}
     lacking = Counter(map(_key, certain))
@@ -322,7 +291,7 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
     # each open state as (atoms, terms, null-free atoms, codes of the
     # others, violation table, lacked counts) with an iterator of its
     # successors as (added atoms, fresh nulls in use), innermost last
-    empty = (frozenset(), frozenset(), frozenset(), (), ({},) * len(rules), lacking)
+    empty = (frozenset(), frozenset(), frozenset(), (), ({},) * len(onto), lacking)
     stack = [(empty, iter([(tuple(db.atoms), 0)]))]
     idx: dict = {}
     trail: list = []  # idx's atoms in the order added; a step adds only new atoms
@@ -345,14 +314,14 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
             continue
         trail += added
         for a in added:
-            table = _add_atom(idx, table, rules, a)
+            table = _add_atom(idx, table, onto, a)
         lacking = _lacked(lacking, certain, new_plain)
-        violation = _least_violation(rules, table)
+        violation = _least_violation(onto, table)
         if violation is None:
             if room or _is_new_key(plain, coded, seen_states):
                 found.append(atoms)
         elif room and (sum(map(len, table)) + sum(lacking.values()) <= room
-                       or _atoms_needed(rules, table, lacking) <= room):
+                       or _atoms_needed(onto, table, lacking) <= room):
             terms = terms.union(t for a in added for t in a.args)
             stack.append(((atoms, terms, plain, coded, table, lacking),
                           _repairs(terms, fresh_used, violation, consts, fresh_pool)))
@@ -502,20 +471,23 @@ def propagation_ordering(ordering: tuple, onto: Ontology) -> tuple:
     Per argument, in order of precedence: existential positions of
     existentially supported atoms become StartingPoints; terms propagated
     from an earlier atom copy that atom's annotation (smallest source
-    first); everything else stays as is.
+    first); everything else stays as is.  Raises at the first step not
+    from the database that has no support among the atoms before it; a
+    database step is trusted, since no database is given.
     """
     for rule in onto:
         body_vars = [v for a in rule.body for v in a.variables()]
         if not is_simple(rule.head) or len(set(body_vars)) < len(body_vars):
             witness = classify_local(onto)["joinless"][1]
             raise ValueError(f"ontology is not joinless: {witness.describe()}")
-    filed = _by_head_key(onto)
     idx: dict = {}
     rank: dict = {}  # atom -> 1-based rank of its first occurrence
     annotated: list = []
     for j, step in enumerate(ordering, 1):
         atom = step.atom
-        supports = [] if step.from_database else list(_supports(filed, atom, idx))
+        supports = [] if step.from_database else list(_supports(onto, atom, idx))
+        if not (supports or step.from_database):
+            raise ValueError(f"atom {atom!r} is not supported by its prefix")
         ex_supported = bool(supports) and all(rule.ev for rule, _ in supports)
         images = [apply_mapping(h, b) for rule, h in supports for b in rule.body]
         args = []
@@ -560,7 +532,6 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
     # the current atoms, each with its annotation, slot by slot
     notes = {s.atom: a.args for s, a in zip(ordering, propagation_ordering(ordering, active))}
     idx = _index(notes)
-    breakers = sorted(harmless, key=lambda r: r.id)
     model_idx = _index(model.atoms)
     activated: dict = {}  # starting point -> its term, in activation order
     skipped: set = set()
@@ -576,7 +547,7 @@ def disjoin_repair(model: Instance, ordering: tuple, full_onto: Ontology):
     def break_one() -> bool:
         """Activate the starting points behind the first unskipped match of
         a harmless body, in index order; False if there is none."""
-        for rule in breakers:
+        for rule in harmless.by_id:
             for h in _search(rule.body, {}, idx):
                 images = [apply_mapping(h, b) for b in rule.body]
                 key = (rule.id, frozenset(images))

@@ -16,16 +16,11 @@ from bisect import bisect_left, insort
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
-from .core import Atom, Constant, Query, Rule, _atom, _Record
+from .core import Atom, Constant, Query, Rule, _atom, _key, _Record
 
 
 def apply_mapping(mapping: dict, atom: Atom) -> Atom:
     return _atom(atom.pred, tuple(mapping.get(t, t) for t in atom.args), atom.shape)
-
-
-def _key(a: Atom) -> tuple:
-    """The index key of an atom: its predicate with shape, and its arity."""
-    return (a[0], a[2]), len(a[1])
 
 
 def _index(atoms: Iterable[Atom]) -> dict:

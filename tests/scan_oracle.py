@@ -59,11 +59,11 @@ def add_atom(idx: dict, table: tuple, rules: list, a) -> tuple:
 
 
 def least_violation(rules: list, table: tuple):
-    """(entry, body map) of the first rule with a violation, with its least
+    """(rule, body map) of the first rule with a violation, with its least
     body map under `_mapping_key`; or None."""
     for entry, viols in zip(rules, table):
         if viols:
-            return entry, viols[min(viols)]
+            return entry[0], viols[min(viols)]
     return None
 
 

@@ -420,8 +420,10 @@ _HASH_SEED_INPUTS = {
 _HASH_SEED_COMMANDS = [["chase", "--json"], ["chase", "--restricted"], ["rewrite"],
                        ["fc-check", "--max-atoms", "8"]]
 # Runs the commands on the files in argv, then repairs every well-supported
-# minimal model of curated t06's active part, and prints each output and
-# each repair's starting points in their order in the mapping.
+# minimal model of the active part of each curated theory with harmless
+# rules, at (2, 20), the least atom budget at which t17 and t19 have one,
+# and prints each output and each repair's atoms and starting points, the
+# latter in their order in the mapping.
 _HASH_SEED_SCRIPT = """
 import contextlib, io, json, sys
 from shychase.canonical import partition_active_harmless, rewrite_theory
@@ -437,13 +439,20 @@ for path in sys.argv[2:]:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], path, *argv[1:]])
         records.append([argv, code, out.getvalue(), err.getvalue()])
-program = dict(curated_programs())["t06.dlp"]
-dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
-active, _ = partition_active_harmless(ontoc)
-for model in enumerate_finite_models(dbc, active, ModelBudget(2, 12)):
-    ordering = find_support_ordering(model, dbc, active)
-    if ordering is not None:
-        records.append(list(map(repr, disjoin_repair(model, ordering, ontoc)[1])))
+programs = dict(curated_programs())
+for name in ("t01", "t02", "t06", "t07", "t10", "t11", "t13", "t16", "t17", "t19"):
+    program = programs[name + ".dlp"]
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, harmless = partition_active_harmless(ontoc)
+    assert len(harmless) > 0, name
+    repairs = 0
+    for model in enumerate_finite_models(dbc, active, ModelBudget(2, 20)):
+        ordering = find_support_ordering(model, dbc, active)
+        if ordering is not None:
+            repaired, activated = disjoin_repair(model, ordering, ontoc)
+            records.append([name, sorted(map(repr, repaired)), list(map(repr, activated))])
+            repairs += 1
+    assert repairs > 0, name
 print(json.dumps(records, indent=1))
 """
 
@@ -451,8 +460,9 @@ print(json.dumps(records, indent=1))
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """[DERIVED] `chase --json`, `chase --restricted`, `rewrite` and
     `fc-check` on programs that mix plain and shaped atoms, and the
-    starting points of curated t06's repairs, come out byte-identical in
-    two fresh interpreters under different `PYTHONHASHSEED`s."""
+    repairs of every curated theory with harmless rules, come out
+    byte-identical in two fresh interpreters under different
+    `PYTHONHASHSEED`s."""
     paths = []
     for name, text in _HASH_SEED_INPUTS.items():
         (tmp_path / name).write_text(text)

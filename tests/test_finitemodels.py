@@ -1,7 +1,10 @@
 """Finite models: checking, support orderings, enumeration, propagation
 annotations and the join-breaking repair."""
 
+import copy
+import pickle
 from collections import Counter
+from contextlib import ExitStack
 from importlib import resources
 from itertools import combinations, permutations
 from unittest import mock
@@ -14,18 +17,17 @@ from shychase import finitemodels, hom
 from shychase.canonical import partition_active_harmless, rewrite_theory, unpack
 from shychase.chase import OBLIVIOUS, RESTRICTED, ChaseConfig, Verdict, entailment_in, run_chase
 from shychase.classify import classify_local
-from shychase.core import Atom, Constant, Database, Instance, Null, Query, Variable, constants_of
+from shychase.core import (Atom, Constant, Database, Instance, Null, Ontology, Query, Variable,
+                           constants_of)
 from shychase.finitemodels import (
     ModelBudget,
     StartingPoint,
     SupportStep,
     _add_atom,
     _atoms_needed,
-    _by_head_key,
     _ev_values,
     _first_violation,
     _found_models,
-    _keyed_rules,
     _lacked,
     _least_violation,
     _minimal_by_embedding,
@@ -335,12 +337,12 @@ def test_the_model_search_keeps_one_index(name, monkeypatch):
     keys = {_repr_state_key(atoms) for atoms in visited}
     indexes, states = set(), []
 
-    def recorded(idx, table, rules, a):
+    def recorded(idx, table, onto, a):
         held = frozenset(x for key, lst in idx.items() if len(key) == 2 for x in lst)
         assert idx == _index(held)
         indexes.add(id(idx))
         states.append(held | {a})
-        return _add_atom(idx, table, rules, a)
+        return _add_atom(idx, table, onto, a)
 
     monkeypatch.setattr(finitemodels, "_add_atom", recorded)
     _found_models(db, onto, budget)
@@ -361,14 +363,13 @@ def _assert_atoms_needed_is_a_lower_bound(db, onto, budget):
     table and of the certain atoms X lacks, both built atom by atom."""
     visited: list = []
     found = _rebuilt_found_models(db, onto, budget, visited)
-    rules = _keyed_rules(onto)
     certain = _certain_atoms(db, onto, budget)
     for atoms in visited:
-        idx, table, lacking = {}, ({},) * len(rules), Counter(map(_key, certain))
+        idx, table, lacking = {}, ({},) * len(onto), Counter(map(_key, certain))
         for a in atoms:
-            table = _add_atom(idx, table, rules, a)
+            table = _add_atom(idx, table, onto, a)
             lacking = _lacked(lacking, certain, (a,))
-        need = _atoms_needed(rules, table, lacking)
+        need = _atoms_needed(onto, table, lacking)
         for model in found:
             if atoms <= model:
                 assert len(model) - len(atoms) >= need, (sorted(atoms), sorted(model))
@@ -393,49 +394,73 @@ def test_atoms_needed_bounds_the_search_on_random(seed):
     _assert_atoms_needed_is_a_lower_bound(program.database, program.ontology, ModelBudget(2, 8))
 
 
-def _least(violation):
-    """The rule and body map of a least violation, or None."""
-    return violation and (violation[0][0], violation[1])
-
-
-def _assert_tables_match_the_scan(rules, scanned, atoms, certain=frozenset()):
+def _assert_tables_match_the_scan(onto, scanned, atoms, certain=frozenset()):
     """Adding the atoms one by one, the key-filed `_add_atom` gives the
     all-rules scan's index and violation table after each, and
     `_least_violation` and `_atoms_needed` give the scan's answers."""
-    idx, table, lacking = {}, ({},) * len(rules), Counter(map(_key, certain))
+    idx, table, lacking = {}, ({},) * len(onto), Counter(map(_key, certain))
     scan_idx, scan_table = {}, table
     for a in atoms:
-        table = _add_atom(idx, table, rules, a)
+        table = _add_atom(idx, table, onto, a)
         scan_idx, scan_table = scan_oracle.add_atom(scan_idx, scan_table, scanned, a)
         lacking = _lacked(lacking, certain, (a,))
         assert (idx, table) == (scan_idx, scan_table), a
-        assert _least(_least_violation(rules, table)) == \
-            _least(scan_oracle.least_violation(scanned, scan_table)), a
-        assert _atoms_needed(rules, table, lacking) == \
+        assert _least_violation(onto, table) == \
+            scan_oracle.least_violation(scanned, scan_table), a
+        assert _atoms_needed(onto, table, lacking) == \
             scan_oracle.atoms_needed(scanned, scan_table, lacking), a
 
 
-def _assert_filing_matches_the_scan(db, onto, budget):
-    """On every state the oracle search visits, atom by atom in sorted
-    order, with the certain atoms of the chase prefix, the key-filed rules
-    give the scan's tables and answers; each rule's lazy sorted
-    existential variables and frontier are the scan's entry fields."""
-    rules, scanned = _keyed_rules(onto), scan_oracle.keyed_rules(onto)
-    assert [(rule, head_key) for rule, head_key, *_ in scanned] == list(rules)
-    for rule, _, _, evs, frontier in scanned:
+def _assert_filed_as_the_scan(onto):
+    """The ontology's lazy filings are those of the scan's entries, and
+    once read they leave it equal, hashing, printing, copying, pickling
+    and refusing assignment exactly as a fresh ontology of its rules;
+    each rule's lazy sorted existential variables and frontier are the
+    scan's entry fields."""
+    scanned = scan_oracle.keyed_rules(onto)
+    heads, bodies = {}, {}
+    for i, (rule, head_key, body_keys, evs, frontier) in enumerate(scanned):
+        heads.setdefault(head_key, []).append((i, rule))
+        for k in set(body_keys):
+            bodies.setdefault(k, []).append((i, rule))
         assert (rule.ev_sorted, rule.frontier) == (tuple(evs), frontier)
+    filing = (tuple(rule for rule, *_ in scanned), heads, bodies)
+    assert (onto.by_id, onto.heads, onto.bodies) == filing
+    fresh = Ontology(onto.rules)
+    assert (onto == fresh, hash(onto), repr(onto)) == (True, hash(fresh), repr(fresh))
+    for other in (copy.copy(onto), copy.deepcopy(onto), pickle.loads(pickle.dumps(onto))):
+        assert type(other) is Ontology and other == onto and other.rules == onto.rules
+        assert vars(other) == {}
+    for name in ("rules", "by_id", "heads", "bodies", "extra"):
+        for change in (lambda o: setattr(o, name, None), lambda o: delattr(o, name)):
+            errors = []
+            for o in (onto, fresh):
+                with pytest.raises(AttributeError) as error:
+                    change(o)
+                errors.append(str(error.value))
+            assert errors[0] == errors[1]
+    assert (onto.by_id, onto.heads, onto.bodies) == filing
+
+
+def _assert_filing_matches_the_scan(db, onto, budget):
+    """The ontology is filed as the scan's entries are, and on every state
+    the oracle search visits, atom by atom in sorted order, with the
+    certain atoms of the chase prefix, the filed rules give the scan's
+    tables and answers."""
+    _assert_filed_as_the_scan(onto)
+    scanned = scan_oracle.keyed_rules(onto)
     visited: list = []
     _rebuilt_found_models(db, onto, budget, visited)
     certain = _certain_atoms(db, onto, budget)
     for atoms in visited:
-        _assert_tables_match_the_scan(rules, scanned, sorted(atoms), certain)
+        _assert_tables_match_the_scan(onto, scanned, sorted(atoms), certain)
 
 
 def _assert_support_walk_matches_the_scan(db, onto, budget):
     """On every found model, its atoms in sorted and in reverse order, the
     support walk over rules filed by head key places the scan's steps, and
     before each placement every atom has the scan's supports, in order."""
-    filed, rules = _by_head_key(onto), sorted(onto, key=lambda r: r.id)
+    rules = sorted(onto, key=lambda r: r.id)
     for model in _found_models(db, onto, budget):
         for atoms in (sorted(model), sorted(model, reverse=True)):
             steps = list(_placements(atoms, db, onto))
@@ -443,7 +468,7 @@ def _assert_support_walk_matches_the_scan(db, onto, budget):
             idx: dict = {}
             for step in steps:
                 for atom in atoms:
-                    assert (list(_supports(filed, atom, idx))
+                    assert (list(_supports(onto, atom, idx))
                             == list(scan_oracle.supports(rules, atom, idx))), atom
                 _add(idx, step.atom)
 
@@ -559,8 +584,9 @@ def test_rule_filing_matches_the_all_rules_scan_on_mixed_atoms(atoms):
     """[DERIVED] Atoms of constants, variables and nulls, added one by one
     in any order to rules that repeat a body key and share keys between
     bodies and heads, give the scan's tables and answers."""
-    _assert_tables_match_the_scan(_keyed_rules(_FILING_ONTOLOGY),
-                                  scan_oracle.keyed_rules(_FILING_ONTOLOGY), atoms)
+    _assert_filed_as_the_scan(_FILING_ONTOLOGY)
+    _assert_tables_match_the_scan(_FILING_ONTOLOGY, scan_oracle.keyed_rules(_FILING_ONTOLOGY),
+                                  atoms)
 
 
 def _state_key(atoms, codes):
@@ -584,14 +610,10 @@ def test_state_key_equal_exactly_when_repr_key_is(a, b, images):
                 == (_repr_state_key(a) == _repr_state_key(other)))
     if sorted(images) == _KEY_NULLS:
         assert _state_key(mapped, codes) == key_a
-    rules = _keyed_rules(_KEY_ONTOLOGY)
-    idx, table = {}, ({},) * len(rules)
+    idx, table = {}, ({},) * len(_KEY_ONTOLOGY)
     for x in a:
-        table = _add_atom(idx, table, rules, x)
-    least = _least_violation(rules, table)
-    if least is not None:
-        least = least[0][0], least[1]
-    assert least == _first_violation(_index(a), _KEY_ONTOLOGY)
+        table = _add_atom(idx, table, _KEY_ONTOLOGY, x)
+    assert _least_violation(_KEY_ONTOLOGY, table) == _first_violation(_index(a), _KEY_ONTOLOGY)
 
 
 def test_state_key_tries_every_order_within_a_signature_class():
@@ -626,6 +648,16 @@ def _packaged_programs() -> list:
     paper = resources.files("shychase").joinpath("suites/paper")
     names = sorted(e.name for e in paper.iterdir() if e.name.endswith(".dlp"))
     return curated_programs() + [(name, load_paper_program(name)) for name in names]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _packaged_programs()])
+def test_rule_filing_matches_the_scan_on_packaged_rewritings(name):
+    """[DERIVED] Each packaged theory, its canonical rewriting and that
+    rewriting's active and harmless parts are filed as the scan's entries."""
+    program = dict(_packaged_programs())[name]
+    _, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    for onto in (program.ontology, ontoc, *partition_active_harmless(ontoc)):
+        _assert_filed_as_the_scan(onto)
 
 
 def _assert_countermodels_match_the_enumeration(db, onto, queries, budget):
@@ -746,6 +778,21 @@ def test_propagation_ordering_golden():
     )
 
 
+def test_propagation_ordering_refuses_an_unsupported_step():
+    """A step not from the database that the atoms before it do not
+    support is refused, as `ordering_from_sequence` refuses it: here t(n1)
+    comes before the p atom that supports it, where it would otherwise go
+    unannotated and p would still get a starting point."""
+    program = parse_program("s(c). s(X) -> exists Y. p(X,Y). p(X,Y) -> t(Y).")
+    c, n1 = Constant("c"), Null(1)
+    t_n1 = Atom("t", (n1,))
+    s_c, p_c, t = ordering_from_sequence([Atom("s", (c,)), Atom("p", (c, n1)), t_n1],
+                                         program.database, program.ontology)
+    with pytest.raises(ValueError) as error:
+        propagation_ordering((s_c, t, p_c), program.ontology)
+    assert str(error.value) == f"atom {t_n1!r} is not supported by its prefix"
+
+
 def test_starting_point_repr_carries_provenance():
     sp = StartingPoint(Null(1), 3, 2)
     assert repr(sp) == "<Null(1),3,2>"
@@ -837,6 +884,35 @@ def test_the_repair_builds_two_indexes_however_many_steps(constants):
     assert built == 2
     assert len(outcome[1]) == 2 * len(constants)
     assert outcome == _oracle_disjoin_repair(model, ordering, ontoc)
+
+
+def test_each_ontology_is_filed_once():
+    """[DERIVED] `Ontology.by_id`, `heads` and `bodies` are computed once
+    per ontology that reads them: through the countermodel search of each
+    query of curated t18, the support ordering and model check of each
+    countermodel, and the theorem-8 repair scaled to 50 constants, with
+    its 100 activations and every close step."""
+    fields = {name: Ontology.__dict__[name] for name in ("by_id", "heads", "bodies")}
+    with ExitStack() as stack:
+        computed = {name: stack.enter_context(mock.patch.object(field, "fn", wraps=field.fn))
+                    for name, field in fields.items()}
+        program = dict(curated_programs())["t18.dlp"]
+        db, onto = program.database, program.ontology
+        countermodels = 0
+        for q in program.queries:
+            model = find_finite_countermodel(db, onto, q, ModelBudget(2, 12))
+            if model is not None:
+                countermodels += 1
+                assert find_support_ordering(model, db, onto) is not None
+                assert is_model(model, db, onto)[0]
+        model, ordering, ontoc = _theorem8_repair_input([f"c{i}" for i in range(1, 51)])
+        assert len(disjoin_repair(model, ordering, ontoc)[1]) == 100
+    assert countermodels > 0
+    for name, fn in computed.items():
+        filed = [call.args[0] for call in fn.call_args_list]
+        assert len({id(o) for o in filed}) == len(filed), name
+        assert any(o is onto for o in filed), name
+    assert any(call.args[0] is ontoc for call in computed["by_id"].call_args_list)
 
 
 def test_disjoin_repair_rejects_an_ordering_that_repeats_an_atom():
@@ -1210,7 +1286,7 @@ def test_fresh_null_pool_stops_at_what_the_atom_budget_can_hold(name, monkeypatc
     short = []
 
     def checked(terms, fresh_used, violation, consts, fresh_pool):
-        (rule, _), _ = violation
+        rule, _ = violation
         if fresh_used + len(rule.ev) > len(fresh_pool):
             short.append((rule.id, fresh_used, len(fresh_pool)))
         return repairs(terms, fresh_used, violation, consts, fresh_pool)
