@@ -263,9 +263,5 @@ def unpack(value):
 
 
 def partition_active_harmless(onto: Ontology):
-    """Split rules by body joins: harmless rules repeat a variable across
-    body atoms (`Rule.joins`), active rules do not."""
-    active, harmless = [], []
-    for rule in onto:
-        (harmless if len(rule.body) > 1 and rule.joins else active).append(rule)
-    return Ontology(tuple(active)), Ontology(tuple(harmless))
+    """`onto.parts`: (active, harmless), split by body joins (`Rule.joins`)."""
+    return onto.parts

@@ -317,6 +317,12 @@ class Ontology(_Collection):
                 filed.setdefault(k, []).append(entry)
         return filed
 
+    @_lazy
+    def parts(self) -> tuple:
+        """(active, harmless): the rules without and with a body join (`Rule.joins`)."""
+        return (Ontology(tuple(r for r in self.rules if not r.joins)),
+                Ontology(tuple(r for r in self.rules if r.joins)))
+
     def __iter__(self):
         return iter(self.rules)
 

@@ -7,8 +7,9 @@ the restricted chase one trigger at a time.  They all search an index
 that `_index` builds and `_add` grows in place, the one index update,
 which `_drop` undoes.  It files each atom under its predicate and under
 each (predicate, position, term), so a join scans only the atoms that
-agree.  The search matches its last atom on demand, so a head check stops
-at its first witness, and `_match` reads fields by position."""
+agree.  At every depth the search matches the atom with the shortest
+candidate list on demand, so a head check stops at its first witness, and
+`_match` reads fields by position."""
 
 from __future__ import annotations
 
@@ -93,39 +94,33 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
     """Homomorphisms of the atoms `remaining` into the instance indexed by
     `idx` (see `_index`) extending `mapping`.
 
-    Backtracking search, most-constrained-atom-first; candidate order is
-    the index order, so enumeration is deterministic.  Candidates come from
-    `_candidates`; a position's list is a sublist of the predicate's that
-    loses only atoms `_match` would reject.  The last remaining atom is
-    matched on demand: each extension is yielded as `_match` finds it, so a
-    caller that takes only the first stops there.  Callers that search one
-    instance many times build its index once and call this directly.
+    Backtracking search, one loop at every depth: it matches, in index
+    order, the `_candidates` list of the remaining atom whose list is
+    shortest, the earliest on a tie, and passes each extension on as
+    `_match` finds it, to the next depth or, with no atom left, out; so a
+    caller that takes only the first map stops there.  Callers that search
+    one instance many times build its index once and call this directly.
     """
-    if len(remaining) == 1:
-        atom = remaining[0]
-        for tgt in _candidates(atom, mapping, idx):
-            ext = _match(atom, tgt, mapping)
-            if ext is not None:
-                yield ext
-        return
     if not remaining:
         yield mapping
         return
-    # pick the atom with the fewest extensions under the current mapping
-    best_i, best_exts = None, None
-    for i, atom in enumerate(remaining):
-        exts = []
-        for tgt in _candidates(atom, mapping, idx):
-            ext = _match(atom, tgt, mapping)
-            if ext is not None:
-                exts.append(ext)
-        if best_exts is None or len(exts) < len(best_exts):
-            best_i, best_exts = i, exts
-            if not exts:
+    atom, rest, best_i = remaining[0], None, 0
+    best = _candidates(atom, mapping, idx)
+    if len(remaining) > 1:  # with one atom left: nothing to choose, no slice to build
+        for i in range(1, len(remaining)):
+            if not best:
                 return
-    rest = remaining[:best_i] + remaining[best_i + 1:]
-    for ext in best_exts:
-        yield from _search(rest, ext, idx)
+            candidates = _candidates(remaining[i], mapping, idx)
+            if len(candidates) < len(best):
+                best_i, best = i, candidates
+        atom, rest = remaining[best_i], remaining[:best_i] + remaining[best_i + 1:]
+    for tgt in best:
+        ext = _match(atom, tgt, mapping)
+        if ext is not None:
+            if rest is None:
+                yield ext
+            else:
+                yield from _search(rest, ext, idx)
 
 
 def _violations(rule: Rule, idx: dict, maps: Iterable[dict]) -> Iterator[dict]:

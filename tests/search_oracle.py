@@ -1,9 +1,11 @@
-"""The predicate-scan homomorphism search, kept as the reference oracle for
-`hom._search`.  It tries every atom of a predicate's list for each atom of
-the pattern; `hom._search` takes a bound position's filed list instead and
-must yield the same maps in the same order.  It shares no code with
-`hom`: `match` is `hom._match` as it read fields by name, and `index`
-builds a predicate-only index keyed as `hom._index` keys its lists."""
+"""The predicate-scan homomorphism searches, kept as reference oracles for
+`hom._search`.  Both try every atom of a predicate's list for each atom of
+the pattern.  `search` picks the atom with the fewest extensions and is
+the reference for which maps exist; `search_shortest` picks the atom with
+the fewest candidates, as `hom._search` does from its filed lists, and is
+the reference for their order.  They share no code with `hom`: `match`
+is `hom._match` as it read fields by name, and `index` builds a
+predicate-only index keyed as `hom._index` keys its lists."""
 
 from shychase.core import Constant
 
@@ -62,3 +64,33 @@ def search(remaining: list, mapping: dict, idx: dict):
     rest = remaining[:best_i] + remaining[best_i + 1:]
     for ext in best_exts:
         yield from search(rest, ext, idx)
+
+
+def count(atom, mapping: dict, idx: dict) -> int:
+    """How many candidates `search_shortest` counts for atom: its predicate
+    list's length or, if smaller, the number of that list's atoms that hold
+    the bound term (a constant, or a term that mapping binds) at one of
+    atom's bound positions, the least over those positions."""
+    atoms = idx.get(key(atom), ())
+    least = len(atoms)
+    for i, t in enumerate(atom.args):
+        bound = t if isinstance(t, Constant) else mapping.get(t)
+        if bound is not None:
+            least = min(least, sum(1 for a in atoms if a.args[i] == bound))
+    return least
+
+
+def search_shortest(remaining: list, mapping: dict, idx: dict):
+    """Homomorphisms of the atoms `remaining` into the instance indexed by
+    idx extending mapping: backtracking, the first atom with the least
+    `count` first, its candidates in its predicate list's order."""
+    if not remaining:
+        yield mapping
+        return
+    counts = [count(atom, mapping, idx) for atom in remaining]
+    best_i = counts.index(min(counts))
+    atom, rest = remaining[best_i], remaining[:best_i] + remaining[best_i + 1:]
+    for tgt in idx.get(key(atom), ()):
+        ext = match(atom, tgt, mapping)
+        if ext is not None:
+            yield from search_shortest(rest, ext, idx)

@@ -426,12 +426,16 @@ def _assert_filed_as_the_scan(onto):
         assert (rule.ev_sorted, rule.frontier) == (tuple(evs), frontier)
     filing = (tuple(rule for rule, *_ in scanned), heads, bodies)
     assert (onto.by_id, onto.heads, onto.bodies) == filing
+    # harmless: a variable in two body atoms
+    joined = [any(len([b for b in rule.body if v in b.args]) > 1 for v in rule.uv) for rule in onto]
+    assert onto.parts == tuple(Ontology(tuple(r for r, j in zip(onto, joined) if j == harmless))
+                               for harmless in (False, True))
     fresh = Ontology(onto.rules)
     assert (onto == fresh, hash(onto), repr(onto)) == (True, hash(fresh), repr(fresh))
     for other in (copy.copy(onto), copy.deepcopy(onto), pickle.loads(pickle.dumps(onto))):
         assert type(other) is Ontology and other == onto and other.rules == onto.rules
         assert vars(other) == {}
-    for name in ("rules", "by_id", "heads", "bodies", "extra"):
+    for name in ("rules", "by_id", "heads", "bodies", "parts", "extra"):
         for change in (lambda o: setattr(o, name, None), lambda o: delattr(o, name)):
             errors = []
             for o in (onto, fresh):
@@ -913,6 +917,28 @@ def test_each_ontology_is_filed_once():
         assert len({id(o) for o in filed}) == len(filed), name
         assert any(o is onto for o in filed), name
     assert any(call.args[0] is ontoc for call in computed["by_id"].call_args_list)
+
+
+def test_the_repairs_of_one_ontology_file_its_active_part_once():
+    """[DERIVED] `disjoin_repair` splits its ontology through
+    `partition_active_harmless`, which returns the caller's own active
+    part, so the support walks and the repairs of the ten well-supported
+    minimal models of curated t11's active part compute that part's
+    `heads` once, not once per repair."""
+    program = dict(curated_programs())["t11.dlp"]
+    dbc, ontoc, _ = rewrite_theory(program.database, program.ontology)
+    active, harmless = partition_active_harmless(ontoc)
+    assert len(harmless) > 0
+    field = Ontology.__dict__["heads"]
+    with mock.patch.object(field, "fn", wraps=field.fn) as computed:
+        repairs = 0
+        for model in enumerate_finite_models(dbc, active, ModelBudget(2, 12)):
+            ordering = find_support_ordering(model, dbc, active)
+            if ordering is not None:
+                disjoin_repair(model, ordering, ontoc)
+                repairs += 1
+    assert repairs == 10
+    assert [o for o in (call.args[0] for call in computed.call_args_list) if o == active] == [active]
 
 
 def test_disjoin_repair_rejects_an_ordering_that_repeats_an_atom():

@@ -30,6 +30,7 @@ from shychase.hom import (
 from iso_oracle import isomorphic as oracle_isomorphic
 from scan_oracle import added
 from search_oracle import search as oracle_search
+from search_oracle import search_shortest
 
 constants = st.sampled_from([Constant("a"), Constant("b")])
 nulls = st.sampled_from([Null(1), Null(2), Null(3)])
@@ -164,16 +165,20 @@ _seeds = st.dictionaries(st.sampled_from([Variable("X"), Variable("Y"), Null(1)]
 @given(_search_instances, _patterns, _seeds)
 def test_search_yields_the_oracle_maps_in_order(instance, pattern, seed):
     """[DERIVED] `_search`, which takes a bound position's filed list,
-    yields the same maps in the same order as the predicate-scan oracle,
-    for patterns with constants, repeated variables, nulls and seeded
-    bindings, over a crowded key and a sparse one.  The filed lists are
-    the predicate list's atoms that agree there, in `Atom.sort_key` order."""
+    yields the maps of the predicate-scan oracle, each once, for patterns
+    with constants, repeated variables, nulls and seeded bindings, over a
+    crowded key and a sparse one; it yields them in the order of the
+    oracle that takes the first atom with the fewest candidates.  The
+    filed lists are the predicate list's atoms that agree there, in
+    `Atom.sort_key` order."""
     idx = _index(instance)
     assert idx == _filed_by_scan(idx)
     assert any(len(k) == 3 for k in idx)
     assert all(lst == sorted(lst, key=Atom.sort_key) for lst in idx.values())
     got = list(_search(pattern, dict(seed), idx))
-    assert got == list(oracle_search(pattern, dict(seed), idx))
+    assert (sorted(sorted(h.items()) for h in got)
+            == sorted(sorted(h.items()) for h in oracle_search(pattern, dict(seed), idx)))
+    assert got == list(search_shortest(pattern, dict(seed), idx))
 
 
 def _oracle_mapping_key(h: dict) -> tuple:
@@ -220,10 +225,12 @@ def test_homomorphism_seed_is_respected():
 
 
 def test_a_head_check_stops_at_its_first_witness(monkeypatch):
-    """With one pattern atom left, `_search` yields each extension as
-    `_match` finds it: over a candidate list of five atoms whose first
-    matches, the first map costs one `_match` call, not one per candidate,
-    and so does `_violations`' check of a satisfied head."""
+    """`_search` yields each extension as `_match` finds it: over a
+    candidate list of five atoms whose first matches, the first map costs
+    one `_match` call, not one per candidate, and so does `_violations`'
+    check of a satisfied head.  Every depth is lazy: the first map of
+    p(X,Y), q(Y) over five p and five q atoms costs two calls, one per
+    pattern atom."""
     calls = 0
     match = hom._match
 
@@ -244,6 +251,11 @@ def test_a_head_check_stops_at_its_first_witness(monkeypatch):
     rule = Rule("r", (Atom("s", (X,)),), Atom("p", (X, Y)))
     assert next(_violations(rule, idx, (seed,)), None) is None
     assert calls == 1
+    calls = 0
+    bs = [Constant(f"b{i}") for i in range(5)]
+    idx = _index([*(Atom("p", (a, b)) for b in bs), *(Atom("q", (b,)) for b in bs)])
+    assert next(_search([Atom("p", (X, Y)), Atom("q", (Y,))], {}, idx), None) == {X: a, Y: bs[0]}
+    assert calls == 2
 
 
 def test_no_homomorphism_when_predicate_missing():
