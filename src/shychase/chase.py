@@ -63,7 +63,8 @@ class ChaseResult(_Record):
 def applicable_steps(onto: Ontology, idx: dict, fired: set, mode: str) -> list:
     """(trigger, rule, body homomorphism) triples not yet fired, in
     deterministic order: rules in program order, each rule's matches by
-    `_mapping_key`.  A trigger is named (the rule's position in onto,
+    `_mapping_key`, which the rule's one `itemgetter` (`Rule.map_key`)
+    builds in C.  A trigger is named (the rule's position in onto,
     `_mapping_key` of the match); a match binds exactly the body's
     variables, so two matches of one rule share a name exactly when their
     body images are equal, and matches of two rules never do.

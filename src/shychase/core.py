@@ -203,6 +203,14 @@ class Rule(_Record, _Frozen):
         return tuple(sorted(self.uv, key=lambda v: v.name))
 
     @_lazy
+    def map_key(self):
+        """The key of a map of the body, read in C: `itemgetter` of
+        `uv_by_name`, or `_no_key` for a body without variables; see
+        `hom._mapping_key`.  Both pickle by name, so a rule whose key has
+        been read still pickles and copies."""
+        return itemgetter(*self.uv_by_name) if self.uv_by_name else _no_key
+
+    @_lazy
     def joins(self) -> frozenset:
         """The body variables that occur in two or more body atoms."""
         seen, joins = set(), set()
@@ -251,6 +259,11 @@ class Rule(_Record, _Frozen):
 
     def atoms(self) -> tuple:
         return (*self.body, self.head)
+
+
+def _no_key(h: dict) -> tuple:
+    """The key of the one map of a body without variables."""
+    return ()
 
 
 def _rule(id: str, body: tuple, head: Atom, ev: frozenset) -> Rule:

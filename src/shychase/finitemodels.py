@@ -28,7 +28,7 @@ from .core import (
 from .canonical import partition_active_harmless
 from .classify import classify_local
 from .hom import (_add, _drop, _index, _is_new_key, _mapping_key, _match, _search, _split, _using,
-                  _violations, apply_mapping, satisfies_query)
+                  _violations, apply_mapping)
 
 
 class ModelBudget(_Record):
@@ -56,12 +56,13 @@ def is_model(inst: Instance, db: Database, onto: Ontology):
 
 def _first_violation(idx: dict, onto: Ontology):
     """(rule, body map) of the first rule, by id, that the indexed instance
-    violates, with its least violating body map under `_mapping_key`; or None."""
+    violates, with its least violating body map under `_mapping_key`, whose
+    getter `Rule.map_key` is the key of `min`; or None.  Only the violated
+    rule's getter is read, so a rule that holds computes none."""
     for rule in onto.by_id:
-        h = min(_violations(rule, idx, _search(rule.body, {}, idx)),
-                key=lambda h: _mapping_key(rule, h), default=None)
-        if h is not None:
-            return rule, h
+        violations = list(_violations(rule, idx, _search(rule.body, {}, idx)))
+        if violations:
+            return rule, min(violations, key=rule.map_key)
     return None
 
 
@@ -238,9 +239,10 @@ def _repairs(terms: frozenset, fresh_used: int, violation, consts: list,
 
 
 def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
-                  certain: frozenset = frozenset()) -> list:
+                  certain: frozenset = frozenset(), q: Optional[Query] = None) -> list:
     """Every model the bounded repair search reaches, one per isomorphism
-    class, in discovery order.
+    class, in discovery order; given a query q, only those that do not
+    satisfy it.
 
     Depth-first repair of the first rule violation, branching on every
     assignment of the existential variables over the current terms, the
@@ -272,6 +274,13 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
     differently.  The live states, and so the found models and their
     order, are those of the search that opens and keys every state within
     the budget, whatever certain atoms it is given.
+
+    Given q, a state that satisfies it is dropped: a UCQ that holds in a
+    state holds in every superset, so the state never grows into a
+    countermodel, and its renamings, whether its key blocks them or they
+    are dropped in turn, satisfy q as well.  Its parent did not satisfy q,
+    so a match of a disjunct uses an atom the step added, and `_using`
+    over each disjunct with each such atom finds it.
 
     A frame keeps its state's violation table, lacked counts and `_split`
     form, and a child derives its own from them, coding only the new atom;
@@ -315,6 +324,9 @@ def _found_models(db: Database, onto: Ontology, budget: ModelBudget,
         trail += added
         for a in added:
             table = _add_atom(idx, table, onto, a)
+        if q is not None and any(next(_using(d, a, idx), None) is not None
+                                 for d in q.disjuncts for a in added):
+            continue
         lacking = _lacked(lacking, certain, new_plain)
         violation = _least_violation(onto, table)
         if violation is None:
@@ -425,17 +437,20 @@ def find_finite_countermodel(db: Database, onto: Ontology, q: Query,
     atoms lie in every model, and go to the search as certain atoms, which
     prune only states no model within the budget contains (see
     `_found_models`).  The result is the same as without the chase.
+
+    The search drops every state that satisfies q, so it finds only
+    countermodels.  A submodel of a countermodel is a countermodel, so a
+    found countermodel is minimal among the found models exactly when it
+    is minimal among the found countermodels, and the first minimal one
+    is the answer.
     """
     entailment = entails(db, onto, q, ChaseConfig(RESTRICTED, max_rounds=budget.max_atoms))
     if entailment:
         return None
     certain = frozenset(a for a in entailment.chase.instance
                         if all(isinstance(t, Constant) for t in a.args))
-    for atoms in _minimal_by_embedding(_found_models(db, onto, budget, certain)):
-        model = Instance(atoms)
-        if satisfies_query(model, q) is None:
-            return model
-    return None
+    minimal = _minimal_by_embedding(_found_models(db, onto, budget, certain, q))
+    return Instance(minimal[0]) if minimal else None
 
 
 # ---------------------------------------------------------------------------

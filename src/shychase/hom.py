@@ -149,11 +149,14 @@ def _using(body: tuple, atom: Atom, idx: dict) -> Iterator[dict]:
             earlier.append(b)
 
 
-def _mapping_key(rule: Rule, h: dict) -> tuple:
+def _mapping_key(rule: Rule, h: dict):
     """Sort key of a map of the rule's body: its images of the body
-    variables in name order.  Two such maps get equal keys exactly when
-    they are equal."""
-    return tuple(map(h.__getitem__, rule.uv_by_name))
+    variables in name order, read by the rule's one `Rule.map_key`
+    getter; `()` for a body without variables, and with one variable its
+    image itself, not a 1-tuple, which orders and compares one rule's maps
+    as the 1-tuple would.  Two such maps get equal keys exactly when they
+    are equal."""
+    return rule.map_key(h)
 
 
 def homomorphisms(src, target, seed: Optional[dict] = None) -> Iterator[dict]:

@@ -1,5 +1,6 @@
 """Value-type invariants for terms, atoms, rules and containers."""
 
+import copy
 import pickle
 
 import pytest
@@ -87,8 +88,10 @@ def test_rule_variable_partition():
 def test_cached_variable_partition_matches_a_recomputation():
     """`uv` and `ev` are computed once per rule: on every rule of the
     curated theories and of their canonical rewritings they equal a fresh
-    recomputation, before and after a pickle round trip, and the cache
-    changes no rule's eq, hash or repr."""
+    recomputation, before and after a pickle round trip, `copy.copy` and
+    `copy.deepcopy`, and the cache changes no rule's eq, hash or repr.
+    The map key getter, read before the copies, copies with the rule and
+    reads the same key there."""
     from shychase.canonical import rewrite_theory
     from shychase.harness import curated_programs
 
@@ -102,8 +105,13 @@ def test_cached_variable_partition_matches_a_recomputation():
         assert (rule.uv, rule.ev) == (uv, ev) and rule.uv is rule.uv
         fresh = Rule(rule.id, rule.body, rule.head)
         assert (fresh == rule, hash(fresh), repr(fresh)) == (True, hash(rule), repr(rule))
-        copy = pickle.loads(pickle.dumps(rule))
-        assert copy == rule and (copy.uv, copy.ev) == (uv, ev)
+        h = {v: Constant(v.name) for v in uv}
+        images = tuple(h[v] for v in rule.uv_by_name)
+        key = rule.map_key(h)
+        assert key == (images[0] if len(images) == 1 else images)
+        for other in (pickle.loads(pickle.dumps(rule)), copy.copy(rule), copy.deepcopy(rule)):
+            assert other == rule and (other.uv, other.ev) == (uv, ev)
+            assert other.map_key(h) == key
 
 
 def test_database_requires_constants():

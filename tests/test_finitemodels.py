@@ -48,6 +48,7 @@ from shychase.hom import (_add, _canonical_key, _index, _key, _match, _split, ap
                          homomorphisms, isomorphic, satisfies_query)
 from shychase.parse import parse_program, parse_query
 
+import countermodel_oracle
 import scan_oracle
 
 CLOSURE = """
@@ -696,6 +697,47 @@ def test_countermodel_matches_the_enumeration_on_random(seed):
     queries += [Query(((rule.head,),)) for rule in program.ontology if not rule.ev]
     _assert_countermodels_match_the_enumeration(program.database, program.ontology, queries,
                                                 ModelBudget(2, 8))
+
+
+def _assert_pruned_search_matches_the_filter(db, onto, queries, budgets) -> int:
+    """`find_finite_countermodel`, whose search drops every state that
+    satisfies the query, gives each query's countermodel at each budget as
+    the search of every model followed by the query filter does; returns
+    the number of cases."""
+    cases = 0
+    for budget in budgets:
+        for q in queries:
+            got = find_finite_countermodel(db, onto, q, budget)
+            expected = countermodel_oracle.find_finite_countermodel(db, onto, q, budget)
+            assert got == expected, (q, budget)
+            cases += 1
+    return cases
+
+
+def test_pruned_search_matches_the_filter_on_packaged():
+    """[DERIVED] On every query of the curated and paper theories, at
+    (2, 10), (2, 12), (3, 14) and (1, 8)."""
+    budgets = [ModelBudget(2, 10), ModelBudget(2, 12), ModelBudget(3, 14), ModelBudget(1, 8)]
+    cases = sum(_assert_pruned_search_matches_the_filter(p.database, p.ontology, p.queries, budgets)
+                for _, p in _packaged_programs())
+    assert cases == 256
+
+
+def test_pruned_search_matches_the_filter_on_random():
+    """[DERIVED] On `random_program` seeds 0-149 at (2, 8), with each rule
+    body, and the head of each rule without existential variables, as the
+    query, and, since no packaged query has two disjuncts, each of these
+    with the one before it, cyclically, as a query of two disjuncts."""
+    cases = 0
+    for seed in range(150):
+        program = random_program(seed, default_config())
+        disjuncts = [rule.body for rule in program.ontology]
+        disjuncts += [(rule.head,) for rule in program.ontology if not rule.ev]
+        queries = [Query((d,)) for d in disjuncts]
+        queries += [Query((d, disjuncts[i - 1])) for i, d in enumerate(disjuncts)]
+        cases += _assert_pruned_search_matches_the_filter(
+            program.database, program.ontology, queries, [ModelBudget(2, 8)])
+    assert cases == 2 * 895
 
 
 def test_the_chase_alone_decides_entailed_queries(monkeypatch):

@@ -1,7 +1,9 @@
 """Homomorphism search, and isomorphism and the canonical key modulo
 renaming, against brute force and the colour-refinement oracle."""
 
+import random
 import sys
+from importlib import resources
 from itertools import permutations, product
 
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shychase import hom
+from shychase.canonical import rewrite_theory
 from shychase.core import Atom, Constant, Instance, Null, Query, Rule, Variable
 from shychase.finitemodels import StartingPoint
+from shychase.harness import curated_programs, load_paper_program
 from shychase.hom import (
     _add,
     _canonical_key,
@@ -192,9 +196,10 @@ def _oracle_mapping_key(h: dict) -> tuple:
 _body_variables = st.lists(
     st.builds(lambda base, suffix: Variable(base + suffix),
               st.sampled_from(["X", "X1", "XY", "Y"]), st.sampled_from(["", "#1", "#2", "#10"])),
-    unique=True, min_size=1, max_size=4)
-_images = st.sampled_from([Constant("a"), Constant("b"), Null(1), Null(2), Null(10),
-                           StartingPoint(Null(1), 2, 1), StartingPoint(Constant("a"), 1, 1)])
+    unique=True, min_size=0, max_size=4)
+_IMAGES = [Constant("a"), Constant("b"), Null(1), Null(2), Null(10),
+           StartingPoint(Null(1), 2, 1), StartingPoint(Constant("a"), 1, 1)]
+_images = st.sampled_from(_IMAGES)
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,7 +207,8 @@ _images = st.sampled_from([Constant("a"), Constant("b"), Null(1), Null(2), Null(
 def test_mapping_key_orders_body_maps_as_the_sorted_pairs_did(variables, data):
     """[DERIVED] `_mapping_key`, the images in the rule's name order, sorts
     any list of the rule's body maps as the sorted (name, image) pairs did,
-    and two maps get equal keys exactly when they are equal."""
+    and two maps get equal keys exactly when they are equal; a body without
+    variables included, whose one map is the empty one."""
     rule = Rule("r", (Atom("p", tuple(variables)),), Atom("q", ()))
     rows = st.lists(_images, min_size=len(variables), max_size=len(variables))
     maps = [dict(zip(variables, row)) for row in data.draw(st.lists(rows, max_size=8))]
@@ -213,6 +219,42 @@ def test_mapping_key_orders_body_maps_as_the_sorted_pairs_did(variables, data):
     for g, kg in zip(maps, keys):
         for h, kh in zip(maps, keys):
             assert (kg == kh) == (g == h)
+
+
+def _packaged_rules() -> list:
+    """Every rule of the curated and paper theories and of their canonical
+    rewritings."""
+    paper = resources.files("shychase").joinpath("suites/paper")
+    programs = [program for _, program in curated_programs()]
+    programs += [load_paper_program(e.name) for e in sorted(paper.iterdir(), key=lambda e: e.name)
+                 if e.name.endswith(".dlp")]
+    rules = []
+    for p in programs:
+        rules += [*p.ontology, *rewrite_theory(p.database, p.ontology)[1]]
+    return rules
+
+
+def test_mapping_key_orders_the_packaged_rules_maps_as_the_image_tuples():
+    """[DERIVED] On every rule of the packaged suites and of their
+    rewritings, with no, one or several body variables, `_mapping_key`
+    sorts seeded random body maps, built in a shuffled variable order and
+    with repeats, as `tuple(h[v] for v in rule.uv_by_name)` does, and two
+    maps get equal keys exactly when their tuples are equal."""
+    rng = random.Random(0)
+    rules = _packaged_rules()
+    assert {len(rule.uv) for rule in rules} >= {0, 1, 2, 3}
+    for rule in rules:
+        maps = []
+        for _ in range(12):
+            variables = rng.sample(rule.uv_by_name, len(rule.uv_by_name))
+            maps.append({v: rng.choice(_IMAGES) for v in variables})
+        keys = [_mapping_key(rule, h) for h in maps]
+        tuples = [tuple(h[v] for v in rule.uv_by_name) for h in maps]
+        assert (sorted(range(len(maps)), key=keys.__getitem__)
+                == sorted(range(len(maps)), key=tuples.__getitem__)), rule
+        for kg, tg in zip(keys, tuples):
+            for kh, th in zip(keys, tuples):
+                assert (kg == kh) == (tg == th), rule
 
 
 def test_homomorphism_seed_is_respected():
