@@ -9,12 +9,13 @@ which `_drop` undoes.  It files each atom under its predicate and under
 each (predicate, position, term), so a join scans only the atoms that
 agree.  At every depth the search matches the atom with the shortest
 candidate list on demand, so a head check stops at its first witness, and
-`_match` reads fields by position."""
+`_match` reads fields by position, or `_planned` by getters compiled once."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from itertools import chain, permutations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .core import Atom, Constant, Query, Rule, _atom, _key, _Record
@@ -96,10 +97,11 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
 
     Backtracking search, one loop at every depth: it matches, in index
     order, the `_candidates` list of the remaining atom whose list is
-    shortest, the earliest on a tie, and passes each extension on as
-    `_match` finds it, to the next depth or, with no atom left, out; so a
-    caller that takes only the first map stops there.  Callers that search
-    one instance many times build its index once and call this directly.
+    shortest, the earliest on a tie, by `_planned` if it holds `_PLAN_MIN`
+    atoms or more and else by `_match`, and passes each extension on as it
+    is found, to the next depth or, with no atom left, out; so a caller that
+    takes only the first map stops there.  Callers that search one instance
+    many times build its index once and call this directly.
     """
     if not remaining:
         yield mapping
@@ -114,6 +116,13 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
             if len(candidates) < len(best):
                 best_i, best = i, candidates
         atom, rest = remaining[best_i], remaining[:best_i] + remaining[best_i + 1:]
+    if len(best) >= _PLAN_MIN:
+        for ext in _planned(atom, best, mapping):
+            if rest is None:
+                yield ext
+            else:
+                yield from _search(rest, ext, idx)
+        return
     for tgt in best:
         ext = _match(atom, tgt, mapping)
         if ext is not None:
@@ -121,6 +130,40 @@ def _search(remaining: list, mapping: dict, idx: dict) -> Iterator[dict]:
                 yield ext
             else:
                 yield from _search(rest, ext, idx)
+
+
+_PLAN_MIN = 8  # the shortest candidate list that `_search` matches by `_planned`
+
+
+def _planned(src: Atom, candidates, mapping: dict) -> Iterator[dict]:
+    """The maps `_match` finds for src over candidates, in its order and
+    with its key order, by a plan compiled once: a getter and a compare
+    test the positions of fixed terms (constants and terms mapping binds),
+    position pairs a repeated unbound term, and a getter over the unbound
+    terms' first positions binds them in a copy of mapping."""
+    fixed, wanted, first, pairs = [], [], {}, []
+    for i, s in enumerate(src[1]):
+        t = s if s[0] == 0 else mapping.get(s)
+        if t is not None:
+            fixed.append(i)
+            wanted.append(t)
+        elif first.setdefault(s, i) != i:
+            pairs.append((first[s], i))
+    check = itemgetter(*fixed) if fixed else None
+    wanted = wanted[0] if len(wanted) == 1 else tuple(wanted)
+    names, bind = tuple(first), itemgetter(*first.values()) if first else None
+    one = names[0] if len(names) == 1 else None
+    for tgt in candidates:
+        args = tgt[1]
+        if (check is not None and check(args) != wanted
+                or pairs and any(args[i] != args[j] for i, j in pairs)):
+            continue
+        ext = mapping.copy()
+        if one is not None:
+            ext[one] = bind(args)
+        elif names:
+            ext.update(zip(names, bind(args)))
+        yield ext
 
 
 def _violations(rule: Rule, idx: dict, maps: Iterable[dict]) -> Iterator[dict]:

@@ -185,6 +185,52 @@ def test_search_yields_the_oracle_maps_in_order(instance, pattern, seed):
     assert got == list(search_shortest(pattern, dict(seed), idx))
 
 
+# Ground and pattern terms for the plan's differential test, with a
+# `StartingPoint` on both sides, a null-like term as the repair's search
+# meets it.
+_PLAN_GROUND = [Constant("a"), Constant("b"), Null(1), Null(2), StartingPoint(Null(1), 1, 1)]
+_plan_pattern_terms = st.sampled_from([Constant("a"), Null(1), StartingPoint(Null(1), 1, 1),
+                                       Variable("X"), Variable("Y"), Variable("Z")])
+
+
+def _prefix_of(atoms: list, min_size: int, max_size: int):
+    """A drawn prefix, of drawn length, of a drawn order of atoms."""
+    return st.tuples(st.permutations(atoms), st.integers(min_size, max_size)).map(
+        lambda t: t[0][:t[1]])
+
+
+# p/1, p/2 and p/3 atoms from a small term pool: the p/3 list holds 8 to 60
+# atoms and the lists filed under one of its terms about a fifth of that,
+# so that lists fall on both sides of `_PLAN_MIN`.
+_plan_instances = st.tuples(
+    *(_prefix_of([Atom("p", args) for args in product(_PLAN_GROUND, repeat=n)], *sizes)
+      for n, sizes in ((1, (1, 5)), (2, (4, 25)), (3, (8, 60))))
+).map(lambda lists: [a for lst in lists for a in lst])
+_plan_patterns = st.lists(st.builds(lambda args: Atom("p", tuple(args)),
+                                    st.lists(_plan_pattern_terms, min_size=1, max_size=3)),
+                          min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plan_instances, _plan_patterns,
+       st.dictionaries(st.sampled_from([Variable("X"), Variable("Y"), Null(1),
+                                        StartingPoint(Null(1), 1, 1)]),
+                       st.sampled_from(_PLAN_GROUND), max_size=2))
+def test_planned_and_matched_lists_yield_the_oracle_maps_in_order(instance, pattern, seed):
+    """[DERIVED] `_search` yields `search_oracle.search_shortest`'s maps in
+    its order, each with its keys in the same order, whether it matches
+    every candidate list by `_planned`, every one by `_match`, or each by
+    its length against `_PLAN_MIN`, as it runs.  Patterns mix constants,
+    null-like terms, repeated variables within and across atoms and seeds
+    that bind some of them."""
+    idx = _index(instance)
+    want = [list(h.items()) for h in search_shortest(pattern, dict(seed), idx)]
+    for plan_min in (0, hom._PLAN_MIN, len(instance) + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hom, "_PLAN_MIN", plan_min)
+            assert [list(h.items()) for h in _search(pattern, dict(seed), idx)] == want, plan_min
+
+
 def _oracle_mapping_key(h: dict) -> tuple:
     """The former `_mapping_key`: the map's (variable name, (kind, repr) of
     the image) pairs, sorted per map."""
@@ -272,16 +318,25 @@ def test_a_head_check_stops_at_its_first_witness(monkeypatch):
     one `_match` call, not one per candidate, and so does `_violations`'
     check of a satisfied head.  Every depth is lazy: the first map of
     p(X,Y), q(Y) over five p and five q atoms costs two calls, one per
-    pattern atom."""
-    calls = 0
-    match = hom._match
+    pattern atom.  Over a list of 50 atoms, which `_search` matches by
+    `_planned`, not `_match`, both take one candidate from the list."""
+    calls = tried = 0
+    match, candidates = hom._match, hom._candidates
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return match(*args)
 
+    class Counted(list):
+        def __iter__(self):
+            nonlocal tried
+            for atom in list.__iter__(self):
+                tried += 1
+                yield atom
+
     monkeypatch.setattr(hom, "_match", counted)
+    monkeypatch.setattr(hom, "_candidates", lambda *args: Counted(candidates(*args)))
     X, Y = Variable("X"), Variable("Y")
     a = Constant("a")
     idx = _index([Atom("p", (a, Constant(f"b{i}"))) for i in range(5)])
@@ -298,6 +353,14 @@ def test_a_head_check_stops_at_its_first_witness(monkeypatch):
     idx = _index([*(Atom("p", (a, b)) for b in bs), *(Atom("q", (b,)) for b in bs)])
     assert next(_search([Atom("p", (X, Y)), Atom("q", (Y,))], {}, idx), None) == {X: a, Y: bs[0]}
     assert calls == 2
+    calls = tried = 0
+    idx = _index([Atom("p", (a, Constant(f"b{i:02}"))) for i in range(50)])
+    assert len(idx[(("p", None), 2), 0, a]) == 50 >= hom._PLAN_MIN
+    assert next(_search([Atom("p", (X, Y))], seed, idx), None) == {X: a, Y: Constant("b00")}
+    assert (calls, tried) == (0, 1)
+    tried = 0
+    assert next(_violations(rule, idx, (seed,)), None) is None
+    assert (calls, tried) == (0, 1)
 
 
 def test_no_homomorphism_when_predicate_missing():
